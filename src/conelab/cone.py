@@ -3,7 +3,7 @@
 The signed time separation of a cone built from an interval, a warping f
 and a fiber metric space depends on fiber points only through their
 distance, so the whole causal structure is stored as a pair of 3-argument
-tables tau2d(s_idx, t_idx, r_idx) over a uniform distance grid.
+tables lo/hi(s_idx, t_idx, r_idx) over a uniform distance grid.
 
 The lower table is a longest-path value over a layered DAG: states are
 (time index, fiber distance travelled), edges span at most `window` time
@@ -19,6 +19,10 @@ time steps, evaluated on a finite mu-grid; the reverse triangle follows
 exactly from additivity of Phi under interval concatenation, and a
 negative envelope value certifies non-causality.
 
+Each table is built on the first read that needs it, and only then: a
+caller that reads only `lo` never builds `hi`, and a maximizer on a cone
+whose `lo` is not built computes just its source's row.
+
 Real fiber distances are rounded up (lo) / down (hi) onto the distance
 grid; since tau is nonincreasing in the distance argument this preserves
 the one-sided guarantees at point pairs.
@@ -29,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,27 +43,45 @@ from .warp import WarpingFunction
 
 NEG_INF = -math.inf
 MAX_TABLE_ENTRIES = 2.0e8
+# -inf entries a lower-DP row block may sweep before it is split: about the
+# work that the numpy call overhead of one more block costs
+ROW_BLOCK_WASTE = 2048
 
 
 def _running_extrema(vals: np.ndarray, window: int):
-    """Interval max and min of the sampled warping over [i, j] for j-i <= window.
+    """Interval max of the sampled warping over [i, j] for j-i <= window.
 
     Returns dict keyed by span s=j-i with arrays over i."""
     n = vals.size
     cmax = {1: np.maximum(vals[:-1], vals[1:])}
-    cmin = {1: np.minimum(vals[:-1], vals[1:])}
     for s in range(2, window + 1):
         if n - s < 1:
             break
         cmax[s] = np.maximum(cmax[s - 1][:-1], vals[s:])
-        cmin[s] = np.minimum(cmin[s - 1][:-1], vals[s:])
-    return cmax, cmin
+    return cmax
+
+
+def _row_blocks(reach: np.ndarray):
+    """Split the rows of one DP time column into (rows, reach) blocks.
+
+    `reach` holds each row's last finite column; it is nonincreasing in
+    the row (source) index.  A block grows while the -inf entries it would
+    sweep, sum(reach[b0] - reach[b]), stay within ROW_BLOCK_WASTE."""
+    out, b0 = [], 0
+    while b0 < reach.size:
+        waste = np.cumsum(reach[b0] - reach[b0:])
+        b1 = b0 + int(np.searchsorted(waste, ROW_BLOCK_WASTE, side="right"))
+        out.append((slice(b0, b1), int(reach[b0:b1].max())))
+        b0 = b1
+    return out
 
 
 class GeneralizedCone:
     """Discrete cone: time grid of the warping x finite fiber, N-cone measure.
 
-    Tables are built lazily on first causal query and cached.
+    The lower and upper tables are built separately, each on the first
+    read that needs it, and cached; `maximizer` on a cone without a lower
+    table computes and caches one source row instead.
     """
 
     def __init__(self, f: WarpingFunction, X: FiniteMetricSpace, N: float = 1.0,
@@ -98,43 +121,69 @@ class GeneralizedCone:
         self.fiber_weights = np.asarray(fiber_weights, dtype=float)
         self._lo = None
         self._hi = None
+        self._rows = {}
         self._measure = None
 
     # -- table construction -------------------------------------------------
 
-    def _build_lower(self) -> np.ndarray:
-        """Longest-path DP over (time, distance-cell) states.
+    @cached_property
+    def _cmax(self):
+        """Window maxima of f, shared by the lower DP and the backtrace."""
+        return _running_extrema(self.f.vals, self.window)
 
-        Edge (u -> t, k cells), t - u <= window, weighted by
+    def _lower_rows(self, sources) -> np.ndarray:
+        """Rows lo[s] of the lower table for the ascending source indices.
+
+        Longest-path DP over (time, distance-cell) states.  Edge (u -> t,
+        k cells), t - u <= window, weighted by
         sqrt(dt^2 - (max_[u,t] f * k dr)^2): every DP path is a causal curve
-        of the cone whose true length dominates the path value."""
-        ts, vals = self.f.ts, self.f.vals
+        of the cone whose true length dominates the path value.
+
+        An edge update only touches entries it can change: rows whose
+        source is <= u (the others are still -inf at u) and, for shift k,
+        the columns [k, k + reach], where reach is the largest finite
+        column at u over a block of rows (`_row_blocks`).  Reach shrinks as
+        the source moves later (an earlier source reaches the same states
+        through a vertical path), so the blocks follow the finite
+        staircase.  Every skipped candidate is -inf + w = -inf, so each row
+        comes out bit-identical whichever sources are computed with it."""
+        src = np.asarray(sources, dtype=int)
+        ts = self.f.ts
         n, m, dr, W = self.f.n, self.m, self.dr, self.window
         if self.f.is_zero:
-            dt = ts[None, :] - ts[:, None]
+            dt = ts[None, :] - ts[src, None]
             T = np.where(dt >= 0, dt, NEG_INF)[:, :, None]
-            return np.broadcast_to(T, (n, n, m)).copy()
-        cmax, _ = _running_extrema(vals, W)
-        T = np.full((n, n, m), NEG_INF)
-        T[np.arange(n), np.arange(n), 0] = 0.0
+            return np.broadcast_to(T, (src.size, n, m)).copy()
+        cmax = self._cmax
+        T = np.full((src.size, n, m), NEG_INF)
+        T[np.arange(src.size), src, 0] = 0.0
         deltas = np.arange(m) * dr
-        for t in range(1, n):
-            for u in range(max(0, t - W), t):
+        active = np.searchsorted(src, np.arange(n), side="right")
+        blocks = {}
+        buf = np.empty((src.size, m))
+        for t in range(src[0] + 1, n):
+            # lo[:, t-1] is final: record each active row's last finite column
+            fin = T[:active[t - 1], t - 1, ::-1] > NEG_INF
+            blocks[t - 1] = _row_blocks(m - 1 - np.argmax(fin, axis=1))
+            for u in range(max(src[0], t - W), t):
                 c = cmax[t - u][u]
                 dt = ts[t] - ts[u]
                 feas = dt >= c * deltas
+                nk = m if feas.all() else int(np.argmin(feas))
                 w = np.sqrt(np.maximum(dt * dt - (c * deltas) ** 2, 0.0))
-                src = T[:, u, :]
-                dst = T[:, t, :]
-                for k in range(m):
-                    if not feas[k]:
-                        break
-                    if k == 0:
-                        np.maximum(dst, src + w[0], out=dst)
-                    else:
-                        np.maximum(dst[:, k:], src[:, :m - k] + w[k],
-                                   out=dst[:, k:])
+                for rows, reach in blocks[u]:
+                    srow, drow = T[rows, u, :], T[rows, t, :]
+                    for k in range(nk):
+                        width = min(reach + 1, m - k)
+                        out = buf[:srow.shape[0], :width]
+                        np.add(srow[:, :width], w[k], out=out)
+                        np.maximum(drow[:, k:k + width], out,
+                                   out=drow[:, k:k + width])
         return T
+
+    def _build_lower(self) -> np.ndarray:
+        """The full lower table: the DP kernel on every source."""
+        return self._lower_rows(np.arange(self.f.n))
 
     def _build_upper(self, n_mu: int = 48) -> np.ndarray:
         """Certified upper table via Lagrange duality for the step-min cone.
@@ -181,12 +230,32 @@ class GeneralizedCone:
         hi[hi < 0.0] = NEG_INF
         return hi
 
-    def tables(self):
-        """(lo, hi) tables of shape (n_time, n_time, n_dist)."""
+    def lower_table(self) -> np.ndarray:
+        """lo of shape (n_time, n_time, n_dist), built on first call."""
         if self._lo is None:
             self._lo = self._build_lower()
+            self._rows.clear()
+        return self._lo
+
+    def upper_table(self) -> np.ndarray:
+        """hi of shape (n_time, n_time, n_dist), built on first call."""
+        if self._hi is None:
             self._hi = self._build_upper()
-        return self._lo, self._hi
+        return self._hi
+
+    def tables(self):
+        """(lo, hi) tables of shape (n_time, n_time, n_dist)."""
+        return self.lower_table(), self.upper_table()
+
+    def _lower_row(self, si: int) -> np.ndarray:
+        """lo[si] of shape (n_time, n_dist): a view of the full table when it
+        is built, otherwise the one-source DP row, cached."""
+        if self._lo is not None:
+            return self._lo[si]
+        row = self._rows.get(si)
+        if row is None:
+            row = self._rows[si] = self._lower_rows([si])[0]
+        return row
 
     # -- lookups -------------------------------------------------------------
 
@@ -196,23 +265,19 @@ class GeneralizedCone:
         x = d / self.dr
         return int(math.floor(x + 1e-9)) if upper else int(math.ceil(x - 1e-9))
 
-    def tau2d(self, si: int, ti: int, ri: int, upper: bool = False) -> float:
-        lo, hi = self.tables()
-        return float((hi if upper else lo)[si, ti, ri])
-
     def signed_separation(self, p, q) -> float:
         """Canonical signed separation (lower table); -inf when not causal."""
         (si, xi), (ti, yi) = p, q
         if ti < si:
             return NEG_INF
-        lo, _ = self.tables()
+        lo = self.lower_table()
         return float(lo[si, ti, self._rcell(self.X.dist[xi, yi], upper=False)])
 
     def signed_separation_upper(self, p, q) -> float:
         (si, xi), (ti, yi) = p, q
         if ti < si:
             return NEG_INF
-        _, hi = self.tables()
+        hi = self.upper_table()
         return float(hi[si, ti, self._rcell(self.X.dist[xi, yi], upper=True)])
 
     def causally_related(self, p, q) -> bool:
@@ -232,15 +297,16 @@ class GeneralizedCone:
     # -- geodesics -----------------------------------------------------------
 
     def maximizer(self, p, q) -> "GridGeodesic":
-        """DP-optimal causal grid path realizing the lower-table value."""
+        """DP-optimal causal grid path realizing the lower-table value.
+
+        Reads only the source row lo[si], so `hi` is never built here."""
         (si, xi), (ti, yi) = p, q
-        val = self.signed_separation(p, q)
+        r = self._rcell(self.X.dist[xi, yi], upper=False)
+        row = self._lower_row(si) if ti >= si else None
+        val = NEG_INF if row is None else float(row[ti, r])
         if val == NEG_INF:
             raise NotCausallyRelated(f"{p} !<= {q}")
-        lo, _ = self.tables()
-        ts, vals = self.f.ts, self.f.vals
-        cmax, _ = _running_extrema(vals, self.window) if not self.f.is_zero else (None, None)
-        r = self._rcell(self.X.dist[xi, yi], upper=False)
+        ts, cmax = self.f.ts, self._cmax
         states = [(ti, r)]
         weights = []
         t, rr = ti, r
@@ -248,14 +314,14 @@ class GeneralizedCone:
             found = False
             for u in range(max(si, t - self.window), t):
                 dt = ts[t] - ts[u]
-                c = cmax[t - u][u] if cmax is not None else 0.0
+                c = cmax[t - u][u]
                 for k in range(rr + 1):
                     d_eff = k * self.dr
                     if c * d_eff > dt + 1e-12:
                         break
                     w = math.sqrt(max(dt * dt - (c * d_eff) ** 2, 0.0))
-                    prev = lo[si, u, rr - k]
-                    if prev > NEG_INF and abs(prev + w - lo[si, t, rr]) <= 1e-9 * (1 + abs(val)):
+                    prev = row[u, rr - k]
+                    if prev > NEG_INF and abs(prev + w - row[t, rr]) <= 1e-9 * (1 + abs(val)):
                         states.append((u, rr - k))
                         weights.append(w)
                         t, rr = u, rr - k
@@ -331,8 +397,8 @@ class GeneralizedCone:
         if lam <= 0:
             raise ValueError("lambda must be positive")
         other = self.with_scaled_warp_fiber(lam)
-        lo, _ = self.tables()
-        lo2, _ = other.tables()
+        lo = self.lower_table()
+        lo2 = other.lower_table()
         both = (lo > NEG_INF) & (lo2 > NEG_INF)
         dev = float(np.abs(lo[both] - lo2[both]).max()) if both.any() else 0.0
         if (lo > NEG_INF).sum() != (lo2 > NEG_INF).sum():

@@ -144,7 +144,7 @@ def _states(cone: GeneralizedCone, level: CoverLevel):
 
 
 def _ell_matrix(cone: GeneralizedCone, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    lo, _ = cone.tables()
+    lo = cone.lower_table()
     d = cone.X.dist[np.ix_(x, x)]
     if cone.dr > 0:
         r = np.ceil(d / cone.dr - 1e-9).astype(int)

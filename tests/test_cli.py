@@ -54,6 +54,28 @@ def test_geodesic(workdir):
     assert rep["tau_length"] == pytest.approx(2.0, abs=1e-9)
 
 
+def test_geodesic_length_is_tau_lo_on_curved_cone(tmp_path):
+    # each call loads a fresh cone: tau builds the full tables, geodesic
+    # only its source row, and both must give the same lower value
+    ts = np.linspace(0.2, 2.0, 61)
+    cone = {"warp": {"a": 0.2, "b": 2.0, "ts": list(ts),
+                     "vals": list(1.0 + 0.5 * np.sin(2.0 * ts))},
+            "fiber": {"n": 7, "base": 0,
+                      "dist": [abs(i - j) * 0.15 for i in range(7)
+                               for j in range(7)]},
+            "N": 2.0, "distSteps": 24, "window": 8}
+    path = tmp_path / "curved.json"
+    path.write_text(json.dumps(cone))
+    for p, q in [("2,1", "55,5"), ("9,6", "50,3")]:
+        args = ["--cone", path, "--p", p, "--q", q]
+        assert run_cli(["--out", tmp_path / "o_tau", "tau", *args]) == 0
+        assert run_cli(["--out", tmp_path / "o_geo", "geodesic", *args]) == 0
+        tau = json.loads((tmp_path / "o_tau" / "report.json").read_text())
+        geo = json.loads((tmp_path / "o_geo" / "report.json").read_text())
+        assert tau["pair"]["lo"] > 0.0
+        assert geo["tau_length"] == tau["pair"]["lo"]
+
+
 def test_tcbb_exit_codes(workdir):
     out = workdir / "o_tcbb"
     code = run_cli(["--out", out, "tcbb", "--cone", workdir / "cone.json",

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conelab.cone import GeneralizedCone, minkowski_strip
 from conelab.errors import NotCausallyRelated, ResourceLimit
-from conelab.metricspace import segment, single_point
+from conelab.metricspace import circle_arc, segment, single_point
 from conelab.warp import WarpingFunction
 
 
@@ -255,3 +256,118 @@ def test_json_roundtrip(strip_small):
     lo0, _ = strip_small.tables()
     lo1, _ = cone.tables()
     np.testing.assert_allclose(lo0, lo1)
+
+
+# -- the lower DP kernel against the unrestricted loop ------------------------
+
+
+def reference_lower(cone):
+    """The lower DP with every edge update over every row and column: the
+    oracle the restricted kernel must match bit for bit."""
+    ts, vals = cone.f.ts, cone.f.vals
+    n, m, dr, W = cone.f.n, cone.m, cone.dr, cone.window
+    if cone.f.is_zero:
+        dt = ts[None, :] - ts[:, None]
+        T = np.where(dt >= 0, dt, -np.inf)[:, :, None]
+        return np.broadcast_to(T, (n, n, m)).copy()
+    T = np.full((n, n, m), -np.inf)
+    T[np.arange(n), np.arange(n), 0] = 0.0
+    deltas = np.arange(m) * dr
+    for t in range(1, n):
+        for u in range(max(0, t - W), t):
+            c = vals[u:t + 1].max()
+            dt = ts[t] - ts[u]
+            feas = dt >= c * deltas
+            w = np.sqrt(np.maximum(dt * dt - (c * deltas) ** 2, 0.0))
+            src = T[:, u, :]
+            dst = T[:, t, :]
+            for k in range(m):
+                if not feas[k]:
+                    break
+                if k == 0:
+                    np.maximum(dst, src + w[0], out=dst)
+                else:
+                    np.maximum(dst[:, k:], src[:, :m - k] + w[k],
+                               out=dst[:, k:])
+    return T
+
+
+def _kernel_cones():
+    yield pytest.param(minkowski_strip(time_steps=40, fiber_points=21),
+                       id="strip_small")
+    arc = circle_arc(1.0, 0.8, 9)
+    ts = np.linspace(0.5, 2.0, 31)
+    yield pytest.param(GeneralizedCone(WarpingFunction(ts, ts.copy()),
+                                       segment(1.0, 11), dist_steps=20,
+                                       window=8), id="f(t)=t")
+    ts = np.linspace(-math.pi / 2 * 0.96, math.pi / 2 * 0.96, 31)
+    yield pytest.param(GeneralizedCone(WarpingFunction(ts, np.cos(ts)), arc,
+                                       dist_steps=16, window=8), id="cos-arc")
+    ts = np.linspace(0.0, math.pi, 31)
+    yield pytest.param(GeneralizedCone(WarpingFunction(ts, np.sin(ts)), arc,
+                                       N=2.0, dist_steps=16, window=8),
+                       id="sin-arc")
+    ts = np.linspace(0.0, 1.0, 11)
+    yield pytest.param(GeneralizedCone(WarpingFunction(ts, np.zeros(11)),
+                                       segment(1.0, 5), dist_steps=4,
+                                       window=4), id="zero")
+    ts = np.linspace(0.0, 1.0, 13)
+    yield pytest.param(GeneralizedCone(WarpingFunction(ts, 1.0 + ts),
+                                       segment(1.0, 7), dist_steps=12,
+                                       window=50), id="window>=n")
+
+
+def _assert_kernel_exact(cone):
+    full = cone._build_lower()
+    assert np.array_equal(full, reference_lower(cone))
+    for s in range(cone.f.n):
+        assert np.array_equal(cone._lower_rows([s])[0], full[s])
+    some = [1, cone.f.n // 2, cone.f.n - 1]
+    assert np.array_equal(cone._lower_rows(some), full[some])
+
+
+@pytest.mark.parametrize("cone", list(_kernel_cones()))
+def test_lower_kernel_matches_reference(cone):
+    _assert_kernel_exact(cone)
+
+
+@st.composite
+def _small_warped_cones(draw):
+    n = draw(st.integers(3, 14))
+    steps = draw(st.lists(st.floats(0.02, 0.4), min_size=n - 1,
+                          max_size=n - 1))
+    ts = np.concatenate([[0.0], np.cumsum(steps)])
+    vals = np.array(draw(st.lists(st.floats(0.05, 3.0), min_size=n,
+                                  max_size=n)))
+    if draw(st.booleans()):
+        vals[0] = 0.0
+    if draw(st.booleans()):
+        vals[-1] = 0.0
+    fiber = segment(draw(st.floats(0.1, 2.0)), draw(st.integers(2, 6)))
+    return GeneralizedCone(WarpingFunction(ts, vals), fiber,
+                           dist_steps=draw(st.integers(1, 12)),
+                           window=draw(st.integers(1, n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_warped_cones())
+def test_lower_kernel_property(cone):
+    _assert_kernel_exact(cone)
+
+
+def test_maximizer_fresh_cone_reads_one_row():
+    ts = np.linspace(0.0, math.pi, 41)
+    make = lambda: GeneralizedCone(WarpingFunction(ts, np.sin(ts)),
+                                   circle_arc(1.0, 0.8, 9), N=2.0,
+                                   dist_steps=16, window=8)
+    built = make()
+    built.tables()
+    for p, q in [((3, 0), (35, 6)), ((10, 2), (30, 2)), ((0, 8), (40, 1))]:
+        fresh = make()
+        g = fresh.maximizer(p, q)
+        assert fresh._lo is None and fresh._hi is None
+        ref = built.maximizer(p, q)
+        assert g.states == ref.states
+        assert g.weights == ref.weights
+        assert g.tau_length == ref.tau_length
+        assert g.tau_length == built.signed_separation(p, q)
