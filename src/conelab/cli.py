@@ -31,16 +31,14 @@ class ExperimentConfig:
 
     command: str
     out: Path
-    threads: int = 1
     options: dict = field(default_factory=dict)
 
     @classmethod
     def from_argv(cls, argv=None) -> "ExperimentConfig":
         args = build_parser().parse_args(argv)
         opts = {k: v for k, v in vars(args).items()
-                if k not in ("out", "threads", "command")}
-        return cls(command=args.command, out=Path(args.out),
-                   threads=args.threads, options=opts)
+                if k not in ("out", "command")}
+        return cls(command=args.command, out=Path(args.out), options=opts)
 
 
 def _error_code(exc: Exception) -> str:
@@ -83,8 +81,10 @@ def _load_cone(path: str) -> GeneralizedCone:
 
 
 def _parse_point(s: str):
-    a, b = s.split(",")
-    return int(a), int(b)
+    a, b = (int(v) for v in s.split(","))
+    if a < 0 or b < 0:
+        raise ValueError(f"grid point {s!r} has a negative index")
+    return a, b
 
 
 def _verdict_exit(verdict) -> int:
@@ -268,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="conelab",
                                  description="warped-cone geometry lab")
     ap.add_argument("--out", default="out", help="output directory")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker cap (recorded; pipelines are deterministic)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
@@ -310,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=float, required=True)
     p.add_argument("--flavor", choices=("entropic", "renyi"), default="entropic")
     p.add_argument("--tol", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)  # recorded; pipeline is deterministic
 
     p = add("tmcp", run_tmcp)
     p.add_argument("--cone", required=True)
@@ -319,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--N", type=float, required=True)
     p.add_argument("--tol", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)  # recorded; pipeline is deterministic
 
     p = add("gh", run_gh)
     p.add_argument("--A", required=True)
@@ -376,8 +372,8 @@ def run(config: ExperimentConfig) -> int:
     """Execute one pipeline; writes report.json (+ tables) under config.out.
 
     Exit status: 0 PASS, 1 error, 2 FAIL, 3 INCONCLUSIVE."""
-    args = argparse.Namespace(out=str(config.out), threads=config.threads,
-                              command=config.command, **config.options)
+    args = argparse.Namespace(out=str(config.out), command=config.command,
+                              **config.options)
     t0 = time.time()
     try:
         report, code = args.fn(args, config.out)
@@ -391,7 +387,6 @@ def run(config: ExperimentConfig) -> int:
                                    "message": str(exc)}, t0)
         print(f"error: {_error_code(exc)}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    report.setdefault("threads", config.threads)
     _write_report(config.out, report, t0)
     print(json.dumps({k: report[k] for k in sorted(report)
                       if k in ("command", "verdict", "pass", "min_margin",

@@ -259,26 +259,44 @@ class GeneralizedCone:
 
     # -- lookups -------------------------------------------------------------
 
-    def _rcell(self, d: float, upper: bool) -> int:
+    def _cells(self, d, upper: bool) -> np.ndarray:
+        """Distance-grid cells of the fiber distances d: ceil(d/dr - 1e-9)
+        for the lower table, floor(d/dr + 1e-9) for the upper; 0 when
+        dr == 0.
+
+        The absolute 1e-9 slack absorbs the float error of distances that
+        are exact multiples of dr.  It moves a read by one cell only when
+        d/dr lies within 1e-9 of an integer: just below it, hi is read one
+        cell past the exact floor; just above it, lo is read one cell
+        before the exact ceiling."""
+        d = np.asarray(d, dtype=float)
         if self.dr == 0.0:
-            return 0
+            return np.zeros(d.shape, dtype=np.intp)
         x = d / self.dr
-        return int(math.floor(x + 1e-9)) if upper else int(math.ceil(x - 1e-9))
+        return (np.floor(x + 1e-9) if upper else np.ceil(x - 1e-9)).astype(np.intp)
+
+    @cached_property
+    def _fiber_cells(self):
+        """(lower, upper) cells of every fiber pair, indexed by `upper`."""
+        return self._cells(self.X.dist, False), self._cells(self.X.dist, True)
+
+    def separations(self, P, Q, upper: bool = False):
+        """Signed separations table[P_t, Q_t, cells[P_x, Q_x]] of the lower
+        (default) or upper table; -inf where not causal.
+
+        P = (t, x) and Q = (t, x) hold time and fiber indices, as ints or
+        integer arrays that broadcast against each other.  Backward pairs
+        need no guard: both tables hold -inf wherever t < s."""
+        (pt, px), (qt, qx) = P, Q
+        table = self.upper_table() if upper else self.lower_table()
+        return table[pt, qt, self._fiber_cells[upper][px, qx]]
 
     def signed_separation(self, p, q) -> float:
         """Canonical signed separation (lower table); -inf when not causal."""
-        (si, xi), (ti, yi) = p, q
-        if ti < si:
-            return NEG_INF
-        lo = self.lower_table()
-        return float(lo[si, ti, self._rcell(self.X.dist[xi, yi], upper=False)])
+        return float(self.separations(p, q))
 
     def signed_separation_upper(self, p, q) -> float:
-        (si, xi), (ti, yi) = p, q
-        if ti < si:
-            return NEG_INF
-        hi = self.upper_table()
-        return float(hi[si, ti, self._rcell(self.X.dist[xi, yi], upper=True)])
+        return float(self.separations(p, q, upper=True))
 
     def causally_related(self, p, q) -> bool:
         return self.signed_separation(p, q) >= 0.0
@@ -301,7 +319,7 @@ class GeneralizedCone:
 
         Reads only the source row lo[si], so `hi` is never built here."""
         (si, xi), (ti, yi) = p, q
-        r = self._rcell(self.X.dist[xi, yi], upper=False)
+        r = int(self._fiber_cells[False][xi, yi])
         row = self._lower_row(si) if ti >= si else None
         val = NEG_INF if row is None else float(row[ti, r])
         if val == NEG_INF:
@@ -339,14 +357,11 @@ class GeneralizedCone:
                             tau_length=float(val))
 
     def causal_diamond(self, p, q):
-        """Grid states u with p <= u <= q under the canonical relation."""
-        out = []
-        for a in range(p[0], q[0] + 1):
-            for x in range(self.X.n):
-                u = (a, x)
-                if self.causally_related(p, u) and self.causally_related(u, q):
-                    out.append(u)
-        return out
+        """Grid states u with p <= u <= q under the canonical relation, in
+        time-major order."""
+        u = (np.arange(p[0], q[0] + 1)[:, None], np.arange(self.X.n))
+        inside = (self.separations(p, u) >= 0.0) & (self.separations(u, q) >= 0.0)
+        return [(int(p[0] + a), int(x)) for a, x in zip(*np.nonzero(inside))]
 
     def imprisonment_bound(self, time_len: float, fiber_diam: float) -> float:
         """Metric arclength bound for causal curves in a cover set.

@@ -21,13 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
 
 from .cone import GeneralizedCone
 from .errors import BoundaryPoint, SlopeBoundViolated
 from .kappa import pi_kappa
 from .metricspace import FiniteMetricSpace, ball_indices, gh_distance
+from .transport import transport_lp
 from .warp import (WarpingFunction, fk_concavity, log_slope_bound,
                    normalize_and_bound)
 
@@ -143,17 +142,6 @@ def _states(cone: GeneralizedCone, level: CoverLevel):
     return t, x
 
 
-def _ell_matrix(cone: GeneralizedCone, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    lo = cone.lower_table()
-    d = cone.X.dist[np.ix_(x, x)]
-    if cone.dr > 0:
-        r = np.ceil(d / cone.dr - 1e-9).astype(int)
-    else:
-        r = np.zeros_like(d, dtype=int)
-    L = lo[t[:, None], t[None, :], r]
-    return L
-
-
 @dataclass(frozen=True)
 class ConvergenceModulus:
     i: int
@@ -186,8 +174,8 @@ def uniform_modulus(seq: ConeSequence, i: int, k: int, l: int,
     lv_i, lv_l = seq.covers[i][k - 1], seq.covers[-1][k - 1]
     ti, xi = _states(cone, lv_i)
     tl, xl = _states(seq.limit, lv_l)
-    Li = _ell_matrix(cone, ti, xi)
-    Ll = _ell_matrix(seq.limit, tl, xl)
+    Li = cone.separations((ti[:, None], xi[:, None]), (ti, xi))
+    Ll = seq.limit.separations((tl[:, None], xl[:, None]), (tl, xl))
     to_limit, _ = seq.fiber_maps[(i, k)]
     pos_in_ball = {int(g): a for a, g in enumerate(lv_i.fiber_idx)}
     mapped_fiber = np.array([lv_l.fiber_idx[to_limit[pos_in_ball[int(g)]]]
@@ -372,21 +360,6 @@ def ell_converge_check(seq: ConeSequence, schedule=None, delta=None,
     }
 
 
-def _w1(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    n0, n1 = cost.shape
-    ii, jj = np.meshgrid(np.arange(n0), np.arange(n1), indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
-    rows = np.concatenate([ii, jj + n0])
-    cols = np.concatenate([np.arange(ii.size), np.arange(ii.size)])
-    A = coo_matrix((np.ones(2 * ii.size), (rows, cols)),
-                   shape=(n0 + n1, ii.size))
-    res = linprog(cost.ravel(), A_eq=A, b_eq=np.concatenate([a, b]),
-                  bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"W1 LP failed: {res.message}")
-    return float(res.fun)
-
-
 def measured_converge_check(seq: ConeSequence, k: int, atom_cap: int = 400) -> list:
     """Per-i W1 distances between normalized restricted reference measures,
     transported into the limit cover through the witness correspondence.
@@ -411,7 +384,11 @@ def measured_converge_check(seq: ConeSequence, k: int, atom_cap: int = 400) -> l
         mapped = np.array([lv_l.fiber_idx[to_limit[pos[int(g)]]] for g in xi])
         cost = (np.abs(c.f.ts[ti][:, None] - seq.limit.f.ts[tl][None, :])
                 + fmax * seq.limit.X.dist[np.ix_(mapped, xl)])
-        out.append(_w1(cost, ai, bl))
+        ii, jj = np.indices(cost.shape).reshape(2, -1)
+        res = transport_lp(cost.ravel(), ii, jj, ai, bl)
+        if not res.success:
+            raise RuntimeError(f"W1 LP failed: {res.message}")
+        out.append(float(res.fun))
     return out
 
 

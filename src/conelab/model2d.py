@@ -357,6 +357,15 @@ def comparison_interval(K: float, a, b1, c1, b2, c2):
     return T_lo, T_hi
 
 
+# The six separations of a draw, in the slot order (yx, yz1, yz2, xz1, xz2,
+# z1z2), as forward pairs (a, b), a < b, of the four time-sorted points:
+# a future draw is (y, x, z1, z2) = points 0..3 and reads each slot forward;
+# a past draw is (y, x, z1, z2) = points 3..0 and reads each slot backward,
+# which is again a forward pair of the sorted points.
+_SLOT_PAIRS = {False: (np.array([0, 0, 0, 1, 1, 2]), np.array([1, 2, 3, 2, 3, 3])),
+               True: (np.array([2, 1, 0, 1, 0, 0]), np.array([3, 3, 3, 2, 2, 1]))}
+
+
 def _draw_config(cone, rng, reverse: bool, min_sep: float, pi_bound: float):
     """One rejection-sampling attempt; returns a FourPointConfig or a
     rejection tag.  Past configurations reuse the future code path on the
@@ -364,39 +373,24 @@ def _draw_config(cone, rng, reverse: bool, min_sep: float, pi_bound: float):
     nt, nx = cone.f.n, cone.X.n
     tidx = np.sort(rng.integers(0, nt, size=4))
     xs = rng.integers(0, nx, size=4)
-    pts = list(zip(tidx.tolist(), xs.tolist()))
-    if reverse:
-        y, x, z1, z2 = pts[3], pts[2], pts[1], pts[0]
-        sep = lambda u, v: cone.signed_separation(v, u)
-        sep_hi = lambda u, v: cone.signed_separation_upper(v, u)
-    else:
-        y, x, z1, z2 = pts
-        sep = cone.signed_separation
-        sep_hi = cone.signed_separation_upper
-    l_yx = sep(y, x)
-    l_xz1 = sep(x, z1)
-    l_z12 = sep(z1, z2)
-    if l_yx < min_sep or l_xz1 < min_sep or l_z12 < 0.0:
+    a, b = _SLOT_PAIRS[reverse]
+    P, Q = (tidx[a], xs[a]), (tidx[b], xs[b])
+    l_yx, l_yz1, l_yz2, l_xz1, l_xz2, l_z12 = cone.separations(P, Q).tolist()
+    if min(l_yx, l_yz1, l_yz2, l_xz1, l_xz2) < min_sep or l_z12 < 0.0:
         return "relation"
-    l_yz1 = sep(y, z1)
-    l_yz2 = sep(y, z2)
-    l_xz2 = sep(x, z2)
-    if l_yz1 < min_sep or l_yz2 < min_sep or l_xz2 < min_sep:
-        return "relation"
-    if l_yz2 >= pi_bound or sep_hi(y, z2) >= pi_bound:
+    h_yx, h_yz1, h_yz2, h_xz1, h_xz2, h_z12 = cone.separations(
+        P, Q, upper=True).tolist()
+    if l_yz2 >= pi_bound or h_yz2 >= pi_bound:
         return "domain"
-    bounds = {
-        "yx": (l_yx, sep_hi(y, x)),
-        "yz1": (l_yz1, sep_hi(y, z1)),
-        "yz2": (l_yz2, sep_hi(y, z2)),
-        "xz1": (l_xz1, sep_hi(x, z1)),
-        "xz2": (l_xz2, sep_hi(x, z2)),
-    }
+    bounds = {"yx": (l_yx, h_yx), "yz1": (l_yz1, h_yz1), "yz2": (l_yz2, h_yz2),
+              "xz1": (l_xz1, h_xz1), "xz2": (l_xz2, h_xz2)}
+    pts = list(zip(tidx.tolist(), xs.tolist()))
     return FourPointConfig(tau_yx=l_yx, tau_yz1=l_yz1, tau_yz2=l_yz2,
                            tau_xz1=l_xz1, tau_xz2=l_xz2,
-                           tau_z1z2=max(sep_hi(z1, z2), 0.0),
+                           tau_z1z2=max(h_z12, 0.0),
                            kind="past" if reverse else "future",
-                           points=(y, x, z1, z2), bounds=bounds)
+                           points=tuple(pts[::-1] if reverse else pts),
+                           bounds=bounds)
 
 
 def tcbb_verify(cone, K: float, samples: int = 200, tol: float = 0.02,

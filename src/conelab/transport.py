@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 
 from .errors import (AtomNotInPast, NoMaximizer, NotCausallyCouplable,
                      NotTimelikeDualizable, ZeroReferenceCell)
@@ -82,12 +83,21 @@ def _sorted_measure(mu: DiscreteMeasure) -> DiscreteMeasure:
 
 def separation_matrix(cone, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
                       upper: bool = False) -> np.ndarray:
-    sep = cone.signed_separation_upper if upper else cone.signed_separation
-    out = np.empty((len(mu0.points), len(mu1.points)))
-    for i, p in enumerate(mu0.points):
-        for j, q in enumerate(mu1.points):
-            out[i, j] = sep(p, q)
-    return out
+    """Signed separations from the atoms of mu0 (rows) to those of mu1."""
+    (t0, x0), (t1, x1) = np.array(mu0.points).T, np.array(mu1.points).T
+    return cone.separations((t0[:, None], x0[:, None]), (t1, x1), upper=upper)
+
+
+def transport_lp(cost, ii, jj, a, b):
+    """HiGHS solution of min cost . x, x >= 0, over the plan entries
+    (ii, jj) of a len(a) x len(b) transport plan with row sums a and
+    column sums b.  Returns scipy's OptimizeResult; callers judge it."""
+    n0, nv = len(a), len(ii)
+    rows = np.concatenate([ii, jj + n0])
+    cols = np.concatenate([np.arange(nv), np.arange(nv)])
+    A = coo_matrix((np.ones(2 * nv), (rows, cols)), shape=(n0 + len(b), nv))
+    return linprog(cost, A_eq=A, b_eq=np.concatenate([a, b]), bounds=(0, None),
+                   method="highs")
 
 
 @dataclass(frozen=True)
@@ -136,20 +146,13 @@ def solve_lp(cone, mu0: DiscreteMeasure, mu1: DiscreteMeasure, p: float,
     if not feas.any(axis=1).all() or not feas.any(axis=0).all():
         raise NotCausallyCouplable("an atom has no admissible partner")
     ii, jj = np.nonzero(feas)
-    nv = ii.size
-    n0, n1 = len(mu0.points), len(mu1.points)
     cost = -(np.maximum(L[ii, jj], 0.0) ** p)
-    rows = np.concatenate([ii, jj + n0])
-    cols = np.concatenate([np.arange(nv), np.arange(nv)])
-    from scipy.sparse import coo_matrix
-    A = coo_matrix((np.ones(2 * nv), (rows, cols)), shape=(n0 + n1, nv))
-    b = np.concatenate([mu0.masses, mu1.masses])
-    res = linprog(cost, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    res = transport_lp(cost, ii, jj, mu0.masses, mu1.masses)
     if res.status == 2:
         raise NotCausallyCouplable("no coupling supported on admissible pairs")
     if not res.success:
         raise RuntimeError(f"LP solver failed: {res.message}")
-    table = np.zeros((n0, n1))
+    table = np.zeros(L.shape)
     table[ii, jj] = np.maximum(res.x, 0.0)
     p_value = float((np.maximum(L, 0.0) ** p * np.where(feas, table, 0.0)).sum())
     return CausalCoupling(mu0=mu0, mu1=mu1, table=table, p=p, p_value=p_value)
@@ -291,6 +294,18 @@ def _verdict(min_margin: float, tol: float, bracket: float) -> str:
     return "FAIL"
 
 
+def _margin_report(cone, margins: dict, tol: float) -> dict:
+    """The report tail of per-slot (lower, upper) margins: their finite
+    minimum, the bracket width and the verdict."""
+    finite = [v for pair in margins.values() for v in pair if math.isfinite(v)]
+    min_margin = min(finite) if finite else -math.inf
+    bracket = max(abs(a - b) for a, b in margins.values()) if margins else 0.0
+    bracket = max(bracket, cone.bracket_width())
+    return {"margins": {str(t): list(v) for t, v in margins.items()},
+            "min_margin": min_margin, "bracket_width": bracket,
+            "verdict": _verdict(min_margin, tol, bracket)}
+
+
 def _density_excluded(measure: DiscreteMeasure, cone, baseline: DiscreteMeasure,
                       cap_ratio: float) -> bool:
     w = cone.reference_measure()
@@ -368,19 +383,12 @@ def tcd_verify(cone, mu0: DiscreteMeasure, mu1: DiscreteMeasure, p: float,
             m_lo = renyi_margin(mu_t, t, L_lo)
             m_hi = renyi_margin(mu_t, t, L_hi)
         margins[t] = (m_lo, m_hi)
-    finite = [v for pair in margins.values() for v in pair if math.isfinite(v)]
-    min_margin = min(finite) if finite else -math.inf
-    bracket = max(abs(a - b) for a, b in margins.values()) if margins else 0.0
-    bracket = max(bracket, cone.bracket_width())
     return {
         "flavor": flavor, "K": K, "N": N, "p": p, "tol": tol,
         "t_grid": list(t_grid), "excluded": excluded,
-        "margins": {str(t): list(v) for t, v in margins.items()},
-        "min_margin": min_margin,
         "ell_p": strict_coupling.ell_p,
         "theta_l2": [theta_lo, theta_hi],
-        "bracket_width": bracket,
-        "verdict": _verdict(min_margin, tol, bracket),
+        **_margin_report(cone, margins, tol),
     }
 
 
@@ -392,15 +400,16 @@ def tmcp_verify(cone, mu0: DiscreteMeasure, x1, K: float, N: float,
     The only admissible coupling is the product mu0 x delta_{x1}.  The t=1
     slot is always excluded (Dirac endpoint, density blow-up)."""
     x1 = (int(x1[0]), int(x1[1]))
-    bad = [q for q in mu0.points if cone.signed_separation(q, x1) <= 0.0]
+    atoms = tuple(np.array(mu0.points).T)
+    taus_lo = cone.separations(atoms, x1)
+    bad = [q for q, tau in zip(mu0.points, taus_lo) if tau <= 0.0]
     if bad:
         raise AtomNotInPast(f"atoms not strictly before x1: {bad}")
+    taus_hi = cone.separations(atoms, x1, upper=True)
     if t_grid is None:
         t_grid = [k / 8 for k in range(1, 8)]
     mu1 = DiscreteMeasure.dirac(x1)
     table = mu0.masses[:, None].copy()
-    taus_lo = np.array([cone.signed_separation(q, x1) for q in mu0.points])
-    taus_hi = np.array([cone.signed_separation_upper(q, x1) for q in mu0.points])
     coupling = CausalCoupling(mu0=mu0, mu1=mu1, table=table, p=p,
                               p_value=float((taus_lo ** p * mu0.masses).sum()))
     plan = build_dynamical_plan(cone, coupling)
@@ -419,15 +428,8 @@ def tmcp_verify(cone, mu0: DiscreteMeasure, x1, K: float, N: float,
         m_lo = entropy(mu_t, cone, "U", N) - distortion(K, N, 1.0 - t, theta_lo) * u0
         m_hi = entropy(mu_t, cone, "U", N) - distortion(K, N, 1.0 - t, theta_hi) * u0
         margins[t] = (m_lo, m_hi)
-    finite = [v for pair in margins.values() for v in pair if math.isfinite(v)]
-    min_margin = min(finite) if finite else -math.inf
-    bracket = max(abs(a - b) for a, b in margins.values()) if margins else 0.0
-    bracket = max(bracket, cone.bracket_width())
     return {
         "K": K, "N": N, "tol": tol, "t_grid": list(t_grid),
-        "excluded": excluded,
-        "margins": {str(t): list(v) for t, v in margins.items()},
-        "min_margin": min_margin, "theta_l2": [theta_lo, theta_hi],
-        "bracket_width": bracket,
-        "verdict": _verdict(min_margin, tol, bracket),
+        "excluded": excluded, "theta_l2": [theta_lo, theta_hi],
+        **_margin_report(cone, margins, tol),
     }

@@ -43,6 +43,11 @@ def test_tau_point_pair(workdir):
     assert rows[0] == "s,t,r,lo,hi"
     vals = rows[1].split(",")
     assert float(vals[3]) == 0.0
+    # a negative index would wrap around the tables: rejected as input
+    bad = workdir / "o_neg"
+    assert run_cli(["--out", bad, "tau", "--cone", workdir / "cone.json",
+                    "--p", "3,2", "--q=-1,2"]) == 1
+    assert json.loads((bad / "report.json").read_text())["error"] == "VALUE_ERROR"
 
 
 def test_geodesic(workdir):

@@ -158,7 +158,7 @@ def test_maximizer_limit_under_refinement():
     # re-evaluate the path on the fine tables: still causal, value close
     val = 0.0
     for (a, ra), (b, rb) in zip(g.states, g.states[1:]):
-        seg_val = lo_f[2 * a, 2 * b, fine._rcell(rb - ra, upper=False)]
+        seg_val = lo_f[2 * a, 2 * b, fine._cells(rb - ra, upper=False)]
         assert seg_val > -np.inf
         val += seg_val
     assert val >= g.tau_length - 1e-9
@@ -224,6 +224,22 @@ def test_causal_diamond_monotone_under_refinement():
     mapped = {(2 * a, x) for a, x in dia_c}
     assert mapped <= set(dia_f)
     assert len(dia_f) >= len(dia_c)
+    assert dia_c == reference_diamond(coarse, (2, 0), (18, 6))
+    assert dia_f == reference_diamond(fine, (4, 0), (36, 6))
+    assert fine.causal_diamond((9, 3), (30, 10)) \
+        == reference_diamond(fine, (9, 3), (30, 10))
+    assert coarse.causal_diamond((18, 6), (2, 0)) == []
+
+
+def reference_diamond(cone, p, q):
+    """causal_diamond as a double loop over grid states, time-major."""
+    out = []
+    for a in range(p[0], q[0] + 1):
+        for x in range(cone.X.n):
+            u = (a, x)
+            if cone.causally_related(p, u) and cone.causally_related(u, q):
+                out.append(u)
+    return out
 
 
 def test_imprisonment_bound(strip_small):
@@ -371,3 +387,64 @@ def test_maximizer_fresh_cone_reads_one_row():
         assert g.weights == ref.weights
         assert g.tau_length == ref.tau_length
         assert g.tau_length == built.signed_separation(p, q)
+
+
+# -- the one separation lookup against the scalar rule --------------------------
+
+
+def reference_separation(cone, p, q, upper=False):
+    """Scalar lookup: -inf for a backward pair, else the table entry at the
+    fiber distance rounded up (lower) or down (upper) onto the distance
+    grid, with an absolute 1e-9 slack, and cell 0 when dr == 0."""
+    (si, xi), (ti, yi) = p, q
+    if ti < si:
+        return -math.inf
+    if cone.dr == 0.0:
+        r = 0
+    else:
+        x = cone.X.dist[xi, yi] / cone.dr
+        r = math.floor(x + 1e-9) if upper else math.ceil(x - 1e-9)
+    table = cone.upper_table() if upper else cone.lower_table()
+    return float(table[si, ti, r])
+
+
+def _lookup_cones():
+    yield pytest.param(minkowski_strip(time_steps=40, fiber_points=21),
+                       id="strip_small")
+    ts = np.linspace(-math.pi / 2 * 0.96, math.pi / 2 * 0.96, 21)
+    yield pytest.param(GeneralizedCone(WarpingFunction(ts, np.cos(ts)),
+                                       circle_arc(1.0, 0.8, 9), dist_steps=8,
+                                       window=8, dist_refine=2), id="cos-arc")
+    ts = np.linspace(0.0, 1.0, 11)
+    yield pytest.param(GeneralizedCone(WarpingFunction(ts, np.zeros(11)),
+                                       segment(1.0, 5), dist_steps=4,
+                                       window=4), id="zero")
+    yield pytest.param(GeneralizedCone(WarpingFunction(ts, np.ones(11)),
+                                       single_point(), window=4),
+                       id="one-point")
+
+
+@pytest.mark.parametrize("cone", list(_lookup_cones()))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_separations_match_scalar_rule(cone, data):
+    n, nx = cone.f.n, cone.X.n
+    k, j = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    draw = lambda hi, size: np.array(data.draw(st.lists(
+        st.integers(0, hi - 1), min_size=size, max_size=size)), dtype=int)
+    pt, px = draw(n, k), draw(nx, k)
+    # the last column shares the first row's time: an equal-time pair
+    qt = np.append(draw(n, j), pt[0])
+    qx = draw(nx, j + 1)
+    for upper in (False, True):
+        got = cone.separations((pt[:, None], px[:, None]), (qt, qx),
+                               upper=upper)
+        assert got.shape == (k, j + 1)
+        for a in range(k):
+            for b in range(j + 1):
+                p = (int(pt[a]), int(px[a]))
+                q = (int(qt[b]), int(qx[b]))
+                want = reference_separation(cone, p, q, upper)
+                assert got[a, b] == want
+                assert cone.separations(p, q, upper=upper) == want
+        assert (got[pt[:, None] > qt[None, :]] == -math.inf).all()

@@ -157,7 +157,7 @@ def test_geodesic_precompactness(cos_seq):
         val = 0.0
         ok = True
         for (a, ra), (b, rb) in zip(geo.states, geo.states[1:]):
-            seg = lo_lim[a, b, limit._rcell(rb - ra, upper=False)]
+            seg = lo_lim[a, b, limit._cells(rb - ra, upper=False)]
             if seg == -np.inf:
                 ok = False
                 break

@@ -184,6 +184,19 @@ def test_tcbb_deterministic(strip_small):
     r2 = tcbb_verify(strip_small, K=0.0, samples=60, tol=0.02, seed=11)
     assert r1["worst_margin"] == r2["worst_margin"]
     assert r1["counts"] == r2["counts"]
+    # recorded with per-draw scalar lookups: a wrong slot in the gather of
+    # the six pairs changes them
+    assert r1["counts"] == {"valid": 60, "order": 0, "relation": 973,
+                            "domain": 0, "unrealizable": 0,
+                            "outside_chart": 0}
+    assert r1["worst_margin"] == 1.2499999229476089e-05
+    worst = r1["worst_config"]
+    assert worst["kind"] == "past"
+    assert worst["points"] == ((39, 14), (27, 18), (3, 5), (2, 6))
+    assert [worst[k] for k in ("tau_yx", "tau_yz1", "tau_yz2", "tau_xz1",
+                               "tau_xz2", "tau_z1z2")] == [
+        0.5656854249492381, 1.7428425057933379, 1.8056923733227017,
+        1.0074689665460224, 1.095650629422833, 1.2499999229476089e-05]
 
 
 def test_tcbb_insufficient_samples():
