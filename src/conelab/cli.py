@@ -80,11 +80,23 @@ def _load_cone(path: str) -> GeneralizedCone:
     return GeneralizedCone.from_json(_load_json(path))
 
 
-def _parse_point(s: str):
-    a, b = (int(v) for v in s.split(","))
-    if a < 0 or b < 0:
-        raise ValueError(f"grid point {s!r} has a negative index")
-    return a, b
+def _on_grid(point, cone: GeneralizedCone):
+    t, x = point
+    if not (0 <= t < cone.f.n and 0 <= x < cone.X.n):
+        raise ValueError(f"grid point {t},{x} lies outside the cone's "
+                         f"{cone.f.n} x {cone.X.n} grid")
+    return t, x
+
+
+def _parse_point(s: str, cone: GeneralizedCone):
+    return _on_grid([int(v) for v in s.split(",")], cone)
+
+
+def _load_measure(path: str, cone: GeneralizedCone):
+    mu = transport.DiscreteMeasure.from_json(_load_json(path))
+    for point in mu.points:
+        _on_grid(point, cone)
+    return mu
 
 
 def _verdict_exit(verdict) -> int:
@@ -105,7 +117,7 @@ def run_tau(args, outdir: Path) -> tuple:
               "window": cone.window}
     rows = []
     if args.p and args.q:
-        p, q = _parse_point(args.p), _parse_point(args.q)
+        p, q = _parse_point(args.p, cone), _parse_point(args.q, cone)
         lo = cone.signed_separation(p, q)
         hi = cone.signed_separation_upper(p, q)
         report["pair"] = {"p": list(p), "q": list(q), "lo": lo, "hi": hi}
@@ -119,7 +131,7 @@ def run_tau(args, outdir: Path) -> tuple:
 
 def run_geodesic(args, outdir: Path) -> tuple:
     cone = _load_cone(args.cone)
-    p, q = _parse_point(args.p), _parse_point(args.q)
+    p, q = _parse_point(args.p, cone), _parse_point(args.q, cone)
     geo = cone.maximizer(p, q)
     report = {"command": "geodesic", "tau_length": geo.tau_length,
               "character": geo.character(), "states": len(geo.states)}
@@ -138,8 +150,7 @@ def run_tcbb(args, outdir: Path) -> tuple:
 
 def run_ot(args, outdir: Path) -> tuple:
     cone = _load_cone(args.cone)
-    mu0 = transport.DiscreteMeasure.from_json(_load_json(args.mu0))
-    mu1 = transport.DiscreteMeasure.from_json(_load_json(args.mu1))
+    mu0, mu1 = _load_measure(args.mu0, cone), _load_measure(args.mu1, cone)
     coupling = transport.solve_lp(cone, mu0, mu1, args.p)
     slack = transport.check_cyclical_monotonicity(
         cone, coupling, args.p, seed=args.seed)
@@ -154,8 +165,7 @@ def run_ot(args, outdir: Path) -> tuple:
 
 def run_tcd(args, outdir: Path) -> tuple:
     cone = _load_cone(args.cone)
-    mu0 = transport.DiscreteMeasure.from_json(_load_json(args.mu0))
-    mu1 = transport.DiscreteMeasure.from_json(_load_json(args.mu1))
+    mu0, mu1 = _load_measure(args.mu0, cone), _load_measure(args.mu1, cone)
     rep = transport.tcd_verify(cone, mu0, mu1, args.p, args.K, args.N,
                                flavor=args.flavor, tol=args.tol)
     rep["command"] = "tcd"
@@ -164,8 +174,8 @@ def run_tcd(args, outdir: Path) -> tuple:
 
 def run_tmcp(args, outdir: Path) -> tuple:
     cone = _load_cone(args.cone)
-    mu0 = transport.DiscreteMeasure.from_json(_load_json(args.mu0))
-    rep = transport.tmcp_verify(cone, mu0, _parse_point(args.x1),
+    mu0 = _load_measure(args.mu0, cone)
+    rep = transport.tmcp_verify(cone, mu0, _parse_point(args.x1, cone),
                                 args.K, args.N, tol=args.tol)
     rep["command"] = "tmcp"
     return rep, _verdict_exit(rep["verdict"])
@@ -221,7 +231,7 @@ def run_precompact(args, outdir: Path) -> tuple:
 def run_tangent(args, outdir: Path) -> tuple:
     cone = _load_cone(args.cone)
     eps = [float(e) for e in args.eps.split(",")]
-    rep = converge.tangent_cone(cone, _parse_point(args.point), eps,
+    rep = converge.tangent_cone(cone, _parse_point(args.point, cone), eps,
                                 depth=args.depth)
     rep["command"] = "tangent"
     return rep, _verdict_exit(rep["verdict"])

@@ -30,6 +30,9 @@ from .transport import transport_lp
 from .warp import (WarpingFunction, fk_concavity, log_slope_bound,
                    normalize_and_bound)
 
+NEIGHBOR_CAP = 12   # nearest neighbours per state in a modulus search
+ATOM_CAP = 400      # atoms per side of a measured-convergence W1 LP
+
 
 @dataclass(frozen=True)
 class CoverLevel:
@@ -161,77 +164,67 @@ def default_delta(seq: ConeSequence, i: int, k: int) -> float:
     return 2.0 * (dt + seq.distortion[(i, k)])
 
 
+def _transported(seq: ConeSequence, i: int, k: int):
+    """States of cone i and of the limit on the k-th cover, and the cross
+    metric D[a, b] between i-state a, carried into the limit through the
+    recorded witness (time index kept, fiber point mapped), and limit
+    state b, in the limit-side proxy |dt| + (max f) * d_fiber."""
+    cone, limit = seq.cones[i], seq.limit
+    lv_i, lv_l = seq.covers[i][k - 1], seq.covers[-1][k - 1]
+    ti, xi = _states(cone, lv_i)
+    tl, xl = _states(limit, lv_l)
+    to_limit, _ = seq.fiber_maps[(i, k)]
+    mapped = np.tile(lv_l.fiber_idx[to_limit], lv_i.time_indices.size)
+    fmax = float(limit.f.vals[lv_l.time_indices].max())
+    D = (np.abs(cone.f.ts[ti][:, None] - limit.f.ts[tl][None, :])
+         + fmax * limit.X.dist[np.ix_(mapped, xl)])
+    return (ti, xi), (tl, xl), D
+
+
+def _joint_extrema(L, D, delta):
+    """(min, max) of L[u, v] over joint neighbour pairs within delta, for
+    every row pair (a, b): u and v range over the NEIGHBOR_CAP nearest
+    neighbours of rows a and b under D, with D[a, u] + D[b, v] <= delta.
+
+    Only causal target pairs (L >= 0) count: the source definition
+    compares against nearby separation values, and a spacelike neighbor
+    carries no finite value to compare with (even the identical sequence
+    has spacelike pairs arbitrarily close to null ones).  A row pair with
+    no such pair gets (+inf, -inf); L holds finite values or -inf, so
+    min < inf says a pair was found."""
+    s = D.shape[0]
+    nbr = np.argsort(D, axis=1)[:, :NEIGHBOR_CAP]
+    cost = np.take_along_axis(D, nbr, axis=1)
+    cost[~(cost <= delta)] = math.inf
+    # each row's costs ascend: only the first n slots hold a neighbour
+    n = int(np.isfinite(cost).sum(axis=1).max(initial=0))
+    lo = np.full((s, s), math.inf)
+    hi = np.full((s, s), -math.inf)
+    for a in range(n):
+        for b in range(n):
+            vals = L[np.ix_(nbr[:, a], nbr[:, b])]
+            ok = (cost[:, a][:, None] + cost[:, b][None, :]) <= delta
+            ok &= vals >= 0.0
+            np.minimum(lo, vals, out=lo, where=ok)
+            np.maximum(hi, vals, out=hi, where=ok)
+    return lo, hi
+
+
 def uniform_modulus(seq: ConeSequence, i: int, k: int, l: int,
-                    delta: float | None = None,
-                    neighbor_cap: int = 12) -> ConvergenceModulus:
+                    delta: float | None = None) -> ConvergenceModulus:
     """Worst property-(1) excess (eps1) and property-(2) deficiency (eps2)
     of the uniform-convergence definition at cover level k and threshold
     level 1/l, with the two remark set-inclusions evaluated at the achieved
     epsilon."""
     if delta is None:
         delta = default_delta(seq, i, k)
-    cone = seq.cones[i]
-    lv_i, lv_l = seq.covers[i][k - 1], seq.covers[-1][k - 1]
-    ti, xi = _states(cone, lv_i)
-    tl, xl = _states(seq.limit, lv_l)
-    Li = cone.separations((ti[:, None], xi[:, None]), (ti, xi))
+    (ti, xi), (tl, xl), D = _transported(seq, i, k)
+    Li = seq.cones[i].separations((ti[:, None], xi[:, None]), (ti, xi))
     Ll = seq.limit.separations((tl[:, None], xl[:, None]), (tl, xl))
-    to_limit, _ = seq.fiber_maps[(i, k)]
-    pos_in_ball = {int(g): a for a, g in enumerate(lv_i.fiber_idx)}
-    mapped_fiber = np.array([lv_l.fiber_idx[to_limit[pos_in_ball[int(g)]]]
-                             for g in xi])
-    fmax = float(seq.limit.f.vals[lv_l.time_indices].max())
-    # cross metric: limit-side proxy between transported i-states and limit states
-    D = (np.abs(cone.f.ts[ti][:, None] - seq.limit.f.ts[tl][None, :])
-         + fmax * seq.limit.X.dist[np.ix_(mapped_fiber, xl)])
-    Dl = (np.abs(seq.limit.f.ts[tl][:, None] - cone.f.ts[ti][None, :])
-          + fmax * seq.limit.X.dist[np.ix_(xl, mapped_fiber)])
+    minLl, maxLl = _joint_extrema(Ll, D, delta)    # i-state -> limit neighbors
+    minLi, _ = _joint_extrema(Li, D.T, delta)      # limit-state -> i neighbors
+    have_i, have_l = minLl < math.inf, minLi < math.inf
 
-    def neighbor_table(Dmat):
-        order = np.argsort(Dmat, axis=1)[:, :neighbor_cap]
-        cost = np.take_along_axis(Dmat, order, axis=1)
-        valid = cost <= delta
-        return order, np.where(valid, cost, math.inf)
-
-    nbr_i, cost_i = neighbor_table(D)      # i-state -> limit neighbors
-    nbr_l, cost_l = neighbor_table(Dl)     # limit-state -> i neighbors
-    P = nbr_i.shape[1]
-
-    def joint_extremum(L_target, nbr, cost, want_min=True):
-        """min/max of L_target over joint neighbor pairs within delta.
-
-        Only causal target pairs (finite values) count: the source
-        definition compares against nearby separation values, and a
-        spacelike neighbor carries no finite value to compare with (even
-        the identical sequence has spacelike pairs arbitrarily close to
-        null ones)."""
-        s = nbr.shape[0]
-        best = np.full((s, s), math.inf if want_min else -math.inf)
-        have = np.zeros((s, s), dtype=bool)
-        valid = L_target >= 0.0
-        for a in range(P):
-            ca = cost[:, a]
-            if not np.isfinite(ca).any():
-                continue
-            rows = L_target[nbr[:, a]]
-            rows_ok = valid[nbr[:, a]]
-            for b in range(P):
-                cb = cost[:, b]
-                mask = (ca[:, None] + cb[None, :]) <= delta
-                if not mask.any():
-                    continue
-                mask &= rows_ok[:, nbr[:, b]]
-                if not mask.any():
-                    continue
-                vals = rows[:, nbr[:, b]]
-                if want_min:
-                    best = np.where(mask, np.minimum(best, vals), best)
-                else:
-                    best = np.where(mask, np.maximum(best, vals), best)
-                have |= mask
-        return best, have
-
-    minLl, have_i = joint_extremum(Ll, nbr_i, cost_i, want_min=True)
     causal = Li >= 0.0
     usable = causal & have_i
     eps1 = 0.0
@@ -241,7 +234,6 @@ def uniform_modulus(seq: ConeSequence, i: int, k: int, l: int,
 
     level = Ll >= 1.0 / l
     ls_empty = not bool(level.any())
-    minLi, have_l = joint_extremum(Li, nbr_l, cost_l, want_min=True)
     eps2 = 0.0
     if (level & have_l).any():
         sel = level & have_l
@@ -249,14 +241,13 @@ def uniform_modulus(seq: ConeSequence, i: int, k: int, l: int,
     unmatched += int((level & ~have_l).sum())
 
     eps = max(eps1, eps2)
-    maxLl, have_max = joint_extremum(Ll, nbr_i, cost_i, want_min=False)
     # remark inclusion 1, at the level its proof actually yields:
     # {l_i >= 1/l - eps} lies within delta of {l_lim >= 1/l - 2 eps}
     inc1_lhs = Li >= (1.0 / l - eps)
-    inclusion1 = bool(np.all(maxLl[inc1_lhs & have_max] >= 1.0 / l - 2.0 * eps)) \
+    inclusion1 = bool(np.all(maxLl[inc1_lhs & have_i] >= 1.0 / l - 2.0 * eps)) \
         if inc1_lhs.any() else True
     # remark inclusion 2: delta-neighborhood of the level set has l_i >= 1/(2l)
-    near_level = have_max & (maxLl >= 1.0 / l)
+    near_level = maxLl >= 1.0 / l
     inclusion2 = bool(np.all(Li[near_level] >= 1.0 / (2.0 * l))) if near_level.any() else True
     return ConvergenceModulus(i=i, k=k, l=l, delta=float(delta),
                               eps1=eps1, eps2=eps2,
@@ -300,8 +291,7 @@ def theorem_conditions(seq: ConeSequence) -> dict:
     return per_ik
 
 
-def ell_converge_check(seq: ConeSequence, schedule=None, delta=None,
-                       pass_scale: float | None = None) -> dict:
+def ell_converge_check(seq: ConeSequence, schedule=None) -> dict:
     """Verdict report for ell-convergence of the sequence to its limit:
     (a) covered GH brackets, (b) the uniform non-imprisonment witness,
     (c) uniform-convergence moduli over the (k, l) schedule."""
@@ -316,12 +306,11 @@ def ell_converge_check(seq: ConeSequence, schedule=None, delta=None,
             # needs to absorb the witness misalignment: a macroscopic delta
             # would fold in the delta-oscillation of the separation near the
             # light cone, which does not shrink along the sequence
-            d = seq.alignment[(i, k)] * (1 + 1e-9) + 1e-9 if delta is None else delta
+            d = seq.alignment[(i, k)] * (1 + 1e-9) + 1e-9
             moduli[(i, k, l)] = uniform_modulus(seq, i, k, l, delta=d)
-    if pass_scale is None:
-        dt = float(np.diff(seq.limit.f.ts).max())
-        pass_scale = max(2.0 * dt, seq.limit.bracket_width(),
-                         seq.cones[nlast].bracket_width())
+    dt = float(np.diff(seq.limit.f.ts).max())
+    pass_scale = max(2.0 * dt, seq.limit.bracket_width(),
+                     seq.cones[nlast].bracket_width())
     last_moduli = [max(m.eps1, m.eps2) for key, m in moduli.items()
                    if key[0] == nlast]
     last_gh_upper = max(gh[k][nlast][1] for k in gh)
@@ -360,30 +349,20 @@ def ell_converge_check(seq: ConeSequence, schedule=None, delta=None,
     }
 
 
-def measured_converge_check(seq: ConeSequence, k: int, atom_cap: int = 400) -> list:
+def measured_converge_check(seq: ConeSequence, k: int) -> list:
     """Per-i W1 distances between normalized restricted reference measures,
     transported into the limit cover through the witness correspondence.
     Both sides are subsampled with the same stride when over the atom cap."""
-    lv_l = seq.covers[-1][k - 1]
-    tl_full, xl_full = _states(seq.limit, lv_l)
-    stride_l = max(1, int(np.ceil(tl_full.size / atom_cap)))
-    fmax = float(seq.limit.f.vals[lv_l.time_indices].max())
     out = []
     for i, c in enumerate(seq.cones):
-        lv_i = seq.covers[i][k - 1]
-        ti, xi = _states(c, lv_i)
-        stride = max(stride_l, int(np.ceil(ti.size / atom_cap)))
-        ti, xi = ti[::stride], xi[::stride]
-        tl, xl = tl_full[::stride], xl_full[::stride]
+        (ti, xi), (tl, xl), D = _transported(seq, i, k)
+        stride = max(1, int(np.ceil(max(ti.size, tl.size) / ATOM_CAP)))
+        ti, xi, tl, xl = ti[::stride], xi[::stride], tl[::stride], xl[::stride]
         wl = seq.limit.reference_measure()[tl, xl]
         bl = wl / wl.sum()
         wi = c.reference_measure()[ti, xi]
         ai = wi / wi.sum()
-        to_limit, _ = seq.fiber_maps[(i, k)]
-        pos = {int(g): a for a, g in enumerate(lv_i.fiber_idx)}
-        mapped = np.array([lv_l.fiber_idx[to_limit[pos[int(g)]]] for g in xi])
-        cost = (np.abs(c.f.ts[ti][:, None] - seq.limit.f.ts[tl][None, :])
-                + fmax * seq.limit.X.dist[np.ix_(mapped, xl)])
+        cost = D[::stride, ::stride]
         ii, jj = np.indices(cost.shape).reshape(2, -1)
         res = transport_lp(cost.ravel(), ii, jj, ai, bl)
         if not res.success:

@@ -50,6 +50,30 @@ def test_tau_point_pair(workdir):
     assert json.loads((bad / "report.json").read_text())["error"] == "VALUE_ERROR"
 
 
+@pytest.mark.parametrize("name, args", [
+    ("tau", ["--p", "3,2", "--q", "99,2"]),
+    ("geodesic", ["--p", "3,2", "--q", "30,9"]),
+    ("tmcp", ["--mu0", "mu0.json", "--x1", "50,1", "--K", 0.0, "--N", 2.0]),
+    ("ot", ["--mu0", "mu0.json", "--mu1", "far.json", "--seed", 1]),
+    ("tcd", ["--mu0", "neg.json", "--mu1", "mu1.json", "--K", 0.0,
+             "--N", 2.0]),
+])
+def test_off_grid_input_is_a_value_error(workdir, name, args):
+    # 41 x 5 grid: index 99, 9, 50 and an atom at x=99 lie past it, and a
+    # negative atom index would wrap around the tables
+    (workdir / "far.json").write_text(json.dumps(
+        [{"t": 38, "x": 99, "mass": 1.0}]))
+    (workdir / "neg.json").write_text(json.dumps(
+        [{"t": 2, "x": -1, "mass": 1.0}]))
+    args = [workdir / a if str(a).endswith(".json") else a for a in args]
+    out = workdir / f"o_off_{name}"
+    assert run_cli(["--out", out, name, "--cone", workdir / "cone.json",
+                    *args]) == 1
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "VALUE_ERROR"
+    assert "outside" in rep["message"]
+
+
 def test_geodesic(workdir):
     out = workdir / "o_geo"
     code = run_cli(["--out", out, "geodesic", "--cone", workdir / "cone.json",

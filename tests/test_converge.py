@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conelab.cone import GeneralizedCone
-from conelab.converge import (cone_sequence, covered_gh, ell_converge_check,
-                              imprisonment_constants, measured_converge_check,
-                              precompact_harness, tangent_cone,
-                              uniform_modulus)
+from conelab.converge import (NEIGHBOR_CAP, ConvergenceModulus,
+                              _joint_extrema, _transported,
+                              cone_sequence, covered_gh, default_delta,
+                              ell_converge_check, imprisonment_constants,
+                              measured_converge_check, precompact_harness,
+                              tangent_cone, uniform_modulus)
 from conelab.errors import BoundaryPoint
 from conelab.metricspace import segment
 from conelab.warp import WarpingFunction
@@ -166,6 +169,109 @@ def test_geodesic_precompactness(cos_seq):
             + cos_seq.distortion[(i, 1)]
         assert ok
         assert val >= limit.signed_separation(p, q) - tol
+
+
+def reference_joint_extremum(L, D, delta, want_min):
+    """The neighbour search as first written: one masked s x s pass per
+    pair of neighbour slots, min and max in separate calls."""
+    nbr = np.argsort(D, axis=1)[:, :NEIGHBOR_CAP]
+    cost = np.take_along_axis(D, nbr, axis=1)
+    cost = np.where(cost <= delta, cost, math.inf)
+    s, P = nbr.shape
+    best = np.full((s, s), math.inf if want_min else -math.inf)
+    have = np.zeros((s, s), dtype=bool)
+    valid = L >= 0.0
+    pick = np.minimum if want_min else np.maximum
+    for a in range(P):
+        ca = cost[:, a]
+        if not np.isfinite(ca).any():
+            continue
+        rows = L[nbr[:, a]]
+        rows_ok = valid[nbr[:, a]]
+        for b in range(P):
+            mask = (ca[:, None] + cost[:, b][None, :]) <= delta
+            if not mask.any():
+                continue
+            mask &= rows_ok[:, nbr[:, b]]
+            if not mask.any():
+                continue
+            vals = rows[:, nbr[:, b]]
+            best = np.where(mask, pick(best, vals), best)
+            have |= mask
+    return best, have
+
+
+@st.composite
+def _neighbour_problem(draw):
+    # a few distinct cost values give ties; rows of cost 1 have no
+    # neighbour within small deltas; -inf and negative L are not causal
+    s = draw(st.integers(1, 16))
+    m = draw(st.integers(1, 16))
+    costs = draw(st.lists(st.sampled_from([0.0, 0.01, 0.02, 0.05, 0.1, 1.0]),
+                          min_size=s * m, max_size=s * m))
+    ells = draw(st.lists(st.sampled_from([-math.inf, -0.5, 0.0, 0.25, 0.5,
+                                          1.0, 2.0]),
+                         min_size=m * m, max_size=m * m))
+    delta = draw(st.sampled_from([1e-9, 0.01, 0.03, 0.1, 0.25, 10.0]))
+    return (np.array(ells).reshape(m, m), np.array(costs).reshape(s, m),
+            delta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_neighbour_problem())
+def test_joint_extrema_matches_reference(problem):
+    L, D, delta = problem
+    lo, hi = _joint_extrema(L, D, delta)
+    ref_lo, have = reference_joint_extremum(L, D, delta, want_min=True)
+    ref_hi, have_max = reference_joint_extremum(L, D, delta, want_min=False)
+    assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+    assert np.array_equal(lo < math.inf, have)
+    assert np.array_equal(hi > -math.inf, have_max)
+
+
+def test_joint_extrema_matches_reference_on_cos_family(cos_seq):
+    # the modulus's own inputs: 1 occupied slot at 0.5 dt, 3 at 0.05 and
+    # all NEIGHBOR_CAP at the default delta
+    _, (tl, xl), D = _transported(cos_seq, 4, 1)
+    Ll = cos_seq.limit.separations((tl[:, None], xl[:, None]), (tl, xl))
+    dt = float(np.diff(cos_seq.limit.f.ts).max())
+    for delta in (1e-9, 0.5 * dt, 0.05, default_delta(cos_seq, 4, 1)):
+        lo, hi = _joint_extrema(Ll, D, delta)
+        assert np.array_equal(lo, reference_joint_extremum(Ll, D, delta, True)[0])
+        assert np.array_equal(hi, reference_joint_extremum(Ll, D, delta, False)[0])
+
+
+def test_modulus_and_measured_pinned(cos_seq):
+    # values recorded with the 144-pass search of reference_joint_extremum
+    def approx(m):
+        return ConvergenceModulus(**{
+            f: pytest.approx(v, rel=1e-12, abs=1e-15)
+            if isinstance(v, float) else v for f, v in vars(m).items()})
+    assert uniform_modulus(cos_seq, 4, 1, 2, delta=1e-9) == approx(
+        ConvergenceModulus(i=4, k=1, l=2, delta=1e-09,
+                           eps1=0.0008404569813160734, eps2=0.0,
+                           inclusion1=True, inclusion2=True,
+                           level_set_empty=False, unmatched_pairs=0))
+    assert uniform_modulus(cos_seq, 4, 1, 2) == approx(
+        ConvergenceModulus(i=4, k=1, l=2, delta=0.13891025907657029,
+                           eps1=0.21467548477765824, eps2=0.21383502779634217,
+                           inclusion1=True, inclusion2=False,
+                           level_set_empty=False, unmatched_pairs=0))
+    # a member on another time grid: the cross metric is not square, so
+    # the limit-side search must read its transpose
+    ts = 0.5 * np.linspace(-1.0, 1.0, NT + 1) ** 3 \
+        + 0.5 * np.linspace(-1.0, 1.0, NT + 1)
+    member = GeneralizedCone(WarpingFunction(ts, 1.0 + 0.2 * np.cos(ts)),
+                             segment(1.0, NX), N=2.0, window=8)
+    seq = cone_sequence([member], flat(), depth=1)
+    assert uniform_modulus(seq, 0, 1, 2, delta=0.05) == approx(
+        ConvergenceModulus(i=0, k=1, l=2, delta=0.05,
+                           eps1=0.08759408728442632, eps2=0.3250989507713193,
+                           inclusion1=True, inclusion2=False,
+                           level_set_empty=False, unmatched_pairs=0))
+    assert measured_converge_check(cos_seq, 1) == pytest.approx(
+        [0.01207552413859434, 0.006100436240881085, 0.003065242606527741,
+         0.00153629207765475, 0.0007690527639864249], rel=1e-9)
 
 
 def test_uniform_non_imprisonment_constants(cos_seq):
