@@ -164,27 +164,53 @@ def default_delta(seq: ConeSequence, i: int, k: int) -> float:
     return 2.0 * (dt + seq.distortion[(i, k)])
 
 
-def _transported(seq: ConeSequence, i: int, k: int):
+def _transported(seq: ConeSequence, i: int, k: int, atom_cap=None):
     """States of cone i and of the limit on the k-th cover, and the cross
     metric D[a, b] between i-state a, carried into the limit through the
     recorded witness (time index kept, fiber point mapped), and limit
-    state b, in the limit-side proxy |dt| + (max f) * d_fiber."""
+    state b, in the limit-side proxy |dt| + (max f) * d_fiber.  With an
+    atom_cap, both sides keep every stride-th state, one stride chosen so
+    that neither side holds more than atom_cap."""
     cone, limit = seq.cones[i], seq.limit
     lv_i, lv_l = seq.covers[i][k - 1], seq.covers[-1][k - 1]
     ti, xi = _states(cone, lv_i)
     tl, xl = _states(limit, lv_l)
     to_limit, _ = seq.fiber_maps[(i, k)]
     mapped = np.tile(lv_l.fiber_idx[to_limit], lv_i.time_indices.size)
+    if atom_cap is not None:
+        stride = max(1, int(np.ceil(max(ti.size, tl.size) / atom_cap)))
+        ti, xi, mapped = ti[::stride], xi[::stride], mapped[::stride]
+        tl, xl = tl[::stride], xl[::stride]
     fmax = float(limit.f.vals[lv_l.time_indices].max())
     D = (np.abs(cone.f.ts[ti][:, None] - limit.f.ts[tl][None, :])
          + fmax * limit.X.dist[np.ix_(mapped, xl)])
     return (ti, xi), (tl, xl), D
 
 
-def _joint_extrema(L, D, delta):
+def _limit_separations(seq: ConeSequence, k: int):
+    """Lower-table separations between every pair of limit states on the
+    k-th cover; the same for every member i."""
+    tl, xl = _states(seq.limit, seq.covers[-1][k - 1])
+    return seq.limit.separations((tl[:, None], xl[:, None]), (tl, xl))
+
+
+def _neighbours(D, delta):
+    """The NEIGHBOR_CAP nearest neighbours of every row of D and their
+    costs, +inf past delta.  Each row's costs ascend, so only the first n
+    slots, the most that any row fills within delta, are kept: copied, so
+    that the full s x s argsort is freed on return."""
+    nbr = np.argsort(D, axis=1)[:, :NEIGHBOR_CAP]
+    cost = np.take_along_axis(D, nbr, axis=1)
+    cost[~(cost <= delta)] = math.inf
+    n = int(np.isfinite(cost).sum(axis=1).max(initial=0))
+    return nbr[:, :n].copy(), cost[:, :n].copy()
+
+
+def _joint_extrema(L, nbr, cost, delta, want_max: bool = True):
     """(min, max) of L[u, v] over joint neighbour pairs within delta, for
-    every row pair (a, b): u and v range over the NEIGHBOR_CAP nearest
-    neighbours of rows a and b under D, with D[a, u] + D[b, v] <= delta.
+    every row pair (a, b): u and v range over the neighbours (nbr, cost)
+    of rows a and b from `_neighbours`, with cost[a, u] + cost[b, v] <=
+    delta.  The max is None unless wanted.
 
     Only causal target pairs (L >= 0) count: the source definition
     compares against nearby separation values, and a spacelike neighbor
@@ -192,22 +218,77 @@ def _joint_extrema(L, D, delta):
     has spacelike pairs arbitrarily close to null ones).  A row pair with
     no such pair gets (+inf, -inf); L holds finite values or -inf, so
     min < inf says a pair was found."""
-    s = D.shape[0]
-    nbr = np.argsort(D, axis=1)[:, :NEIGHBOR_CAP]
-    cost = np.take_along_axis(D, nbr, axis=1)
-    cost[~(cost <= delta)] = math.inf
-    # each row's costs ascend: only the first n slots hold a neighbour
-    n = int(np.isfinite(cost).sum(axis=1).max(initial=0))
+    s, n = nbr.shape
     lo = np.full((s, s), math.inf)
-    hi = np.full((s, s), -math.inf)
+    hi = np.full((s, s), -math.inf) if want_max else None
+    joint = np.empty((s, s))    # joint cost of one slot pair, reused
+    ok = np.empty((s, s), dtype=bool)
     for a in range(n):
         for b in range(n):
             vals = L[np.ix_(nbr[:, a], nbr[:, b])]
-            ok = (cost[:, a][:, None] + cost[:, b][None, :]) <= delta
+            np.add(cost[:, a][:, None], cost[:, b][None, :], out=joint)
+            np.less_equal(joint, delta, out=ok)
             ok &= vals >= 0.0
             np.minimum(lo, vals, out=lo, where=ok)
-            np.maximum(hi, vals, out=hi, where=ok)
+            if want_max:
+                np.maximum(hi, vals, out=hi, where=ok)
     return lo, hi
+
+
+def _moduli(seq: ConeSequence, i: int, k: int, levels, delta: float, Ll):
+    """`uniform_modulus` of member i at cover level k for every threshold
+    level l in `levels`, all from one neighbour search per side: the cross
+    metric, Li, both searches and eps1 depend only on (i, k) and delta.
+    Ll is `_limit_separations(seq, k)`.
+
+    Each s x s intermediate is dropped as soon as it is spent, and the
+    property-(2) side, which needs only a min, runs first, so at most six
+    s x s float arrays (Ll included) and a few boolean masks are alive at
+    once."""
+    (ti, xi), _, D = _transported(seq, i, k)
+    near_l = _neighbours(D, delta)      # i-state -> limit neighbours
+    near_i = _neighbours(D.T, delta)    # limit-state -> i neighbours
+    del D
+    Li = seq.cones[i].separations((ti[:, None], xi[:, None]), (ti, xi))
+
+    # property (2): limit pairs against the member's nearby values
+    minLi, _ = _joint_extrema(Li, *near_i, delta, want_max=False)
+    have_l = minLi < math.inf
+    gap = np.subtract(Ll, minLi, out=minLi)
+    part2 = []
+    for l in levels:
+        level = Ll >= 1.0 / l
+        part2.append((float(np.max(gap, where=level & have_l, initial=0.0)),
+                      int(np.count_nonzero(level & ~have_l)),
+                      not bool(level.any())))
+    del minLi, gap
+
+    # property (1): member pairs against the limit's nearby values
+    minLl, maxLl = _joint_extrema(Ll, *near_l, delta)
+    have_i = minLl < math.inf
+    causal = Li >= 0.0
+    gap = np.subtract(Li, minLl, out=minLl)
+    eps1 = float(np.max(gap, where=causal & have_i, initial=0.0))
+    unmatched = int(np.count_nonzero(causal & ~have_i))
+    del minLl, gap
+
+    out = []
+    for l, (eps2, unmatched_l, ls_empty) in zip(levels, part2):
+        eps = max(eps1, eps2)
+        # remark inclusion 1, at the level its proof actually yields:
+        # {l_i >= 1/l - eps} lies within delta of {l_lim >= 1/l - 2 eps}
+        inclusion1 = bool(np.all(maxLl >= 1.0 / l - 2.0 * eps,
+                                 where=(Li >= 1.0 / l - eps) & have_i))
+        # remark inclusion 2: delta-neighborhood of the level set has
+        # l_i >= 1/(2l)
+        inclusion2 = bool(np.all(Li >= 1.0 / (2.0 * l),
+                                 where=maxLl >= 1.0 / l))
+        out.append(ConvergenceModulus(
+            i=i, k=k, l=l, delta=float(delta), eps1=eps1, eps2=eps2,
+            inclusion1=inclusion1, inclusion2=inclusion2,
+            level_set_empty=ls_empty,
+            unmatched_pairs=unmatched + unmatched_l))
+    return out
 
 
 def uniform_modulus(seq: ConeSequence, i: int, k: int, l: int,
@@ -218,42 +299,7 @@ def uniform_modulus(seq: ConeSequence, i: int, k: int, l: int,
     epsilon."""
     if delta is None:
         delta = default_delta(seq, i, k)
-    (ti, xi), (tl, xl), D = _transported(seq, i, k)
-    Li = seq.cones[i].separations((ti[:, None], xi[:, None]), (ti, xi))
-    Ll = seq.limit.separations((tl[:, None], xl[:, None]), (tl, xl))
-    minLl, maxLl = _joint_extrema(Ll, D, delta)    # i-state -> limit neighbors
-    minLi, _ = _joint_extrema(Li, D.T, delta)      # limit-state -> i neighbors
-    have_i, have_l = minLl < math.inf, minLi < math.inf
-
-    causal = Li >= 0.0
-    usable = causal & have_i
-    eps1 = 0.0
-    if usable.any():
-        eps1 = float(np.maximum(Li[usable] - minLl[usable], 0.0).max())
-    unmatched = int((causal & ~have_i).sum())
-
-    level = Ll >= 1.0 / l
-    ls_empty = not bool(level.any())
-    eps2 = 0.0
-    if (level & have_l).any():
-        sel = level & have_l
-        eps2 = float(np.maximum(Ll[sel] - minLi[sel], 0.0).max())
-    unmatched += int((level & ~have_l).sum())
-
-    eps = max(eps1, eps2)
-    # remark inclusion 1, at the level its proof actually yields:
-    # {l_i >= 1/l - eps} lies within delta of {l_lim >= 1/l - 2 eps}
-    inc1_lhs = Li >= (1.0 / l - eps)
-    inclusion1 = bool(np.all(maxLl[inc1_lhs & have_i] >= 1.0 / l - 2.0 * eps)) \
-        if inc1_lhs.any() else True
-    # remark inclusion 2: delta-neighborhood of the level set has l_i >= 1/(2l)
-    near_level = maxLl >= 1.0 / l
-    inclusion2 = bool(np.all(Li[near_level] >= 1.0 / (2.0 * l))) if near_level.any() else True
-    return ConvergenceModulus(i=i, k=k, l=l, delta=float(delta),
-                              eps1=eps1, eps2=eps2,
-                              inclusion1=inclusion1, inclusion2=inclusion2,
-                              level_set_empty=ls_empty,
-                              unmatched_pairs=unmatched)
+    return _moduli(seq, i, k, [l], delta, _limit_separations(seq, k))[0]
 
 
 def imprisonment_constants(seq: ConeSequence) -> list:
@@ -297,17 +343,28 @@ def ell_converge_check(seq: ConeSequence, schedule=None) -> dict:
     (c) uniform-convergence moduli over the (k, l) schedule."""
     if schedule is None:
         schedule = [(k, l) for k in range(1, seq.depth + 1) for l in (1, 2, 4, 8)]
+    for k, l in schedule:
+        if not (1 <= k <= seq.depth and l > 0):
+            raise ValueError(f"schedule entry [{k}, {l}] needs 1 <= k <= "
+                             f"{seq.depth} (the cover depth) and l > 0")
     nlast = len(seq.cones) - 1
     gh = {k: covered_gh(seq, k) for k in range(1, seq.depth + 1)}
-    moduli = {}
-    for (k, l) in schedule:
+    # one neighbour search per (i, k) serves every level l scheduled at k
+    found = {}
+    for k in dict.fromkeys(k for k, _ in schedule):
+        levels = list(dict.fromkeys(l for kk, l in schedule if kk == k))
+        Ll = _limit_separations(seq, k)
         for i in range(len(seq.cones)):
             # verdicts compare transported states, so the neighborhood only
             # needs to absorb the witness misalignment: a macroscopic delta
             # would fold in the delta-oscillation of the separation near the
             # light cone, which does not shrink along the sequence
             d = seq.alignment[(i, k)] * (1 + 1e-9) + 1e-9
-            moduli[(i, k, l)] = uniform_modulus(seq, i, k, l, delta=d)
+            for m in _moduli(seq, i, k, levels, d, Ll):
+                found[(i, k, m.l)] = m
+        del Ll
+    moduli = {(i, k, l): found[(i, k, l)]
+              for k, l in schedule for i in range(len(seq.cones))}
     dt = float(np.diff(seq.limit.f.ts).max())
     pass_scale = max(2.0 * dt, seq.limit.bracket_width(),
                      seq.cones[nlast].bracket_width())
@@ -355,14 +412,11 @@ def measured_converge_check(seq: ConeSequence, k: int) -> list:
     Both sides are subsampled with the same stride when over the atom cap."""
     out = []
     for i, c in enumerate(seq.cones):
-        (ti, xi), (tl, xl), D = _transported(seq, i, k)
-        stride = max(1, int(np.ceil(max(ti.size, tl.size) / ATOM_CAP)))
-        ti, xi, tl, xl = ti[::stride], xi[::stride], tl[::stride], xl[::stride]
+        (ti, xi), (tl, xl), cost = _transported(seq, i, k, atom_cap=ATOM_CAP)
         wl = seq.limit.reference_measure()[tl, xl]
         bl = wl / wl.sum()
         wi = c.reference_measure()[ti, xi]
         ai = wi / wi.sum()
-        cost = D[::stride, ::stride]
         ii, jj = np.indices(cost.shape).reshape(2, -1)
         res = transport_lp(cost.ravel(), ii, jj, ai, bl)
         if not res.success:

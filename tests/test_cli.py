@@ -194,6 +194,22 @@ def test_sequence_commands(workdir):
                     "--k", 1]) == 0
 
 
+@pytest.mark.parametrize("entry", [[1, 0], [1, -2], [2, 1], [0, 1]])
+def test_ellconv_bad_schedule_is_a_value_error(workdir, entry):
+    # l = 0 divided by zero, l < 0 passed silently and k outside
+    # 1..coverDepth ended in a KeyError
+    cone = json.loads((workdir / "cone.json").read_text())
+    seq = {"cones": [cone], "limit": cone, "coverDepth": 1,
+           "schedule": [entry]}
+    p = workdir / "bad_seq.json"
+    p.write_text(json.dumps(seq))
+    out = workdir / "o_bad"
+    assert run_cli(["--out", out, "ellconv", "--seq", p]) == 1
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "VALUE_ERROR"
+    assert "schedule entry" in rep["message"]
+
+
 def test_precompact_command(workdir):
     ts = np.linspace(0.03, math.pi - 0.03, 41)
     warp = {"a": ts[0], "b": ts[-1], "ts": list(ts),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from conelab.cone import GeneralizedCone
 from conelab.converge import (NEIGHBOR_CAP, ConvergenceModulus,
-                              _joint_extrema, _transported,
-                              cone_sequence, covered_gh, default_delta,
+                              _joint_extrema, _neighbours, _states,
+                              _transported, cone_sequence, covered_gh, default_delta,
                               ell_converge_check, imprisonment_constants,
                               measured_converge_check, precompact_harness,
                               tangent_cone, uniform_modulus)
@@ -221,10 +222,13 @@ def _neighbour_problem(draw):
 @given(_neighbour_problem())
 def test_joint_extrema_matches_reference(problem):
     L, D, delta = problem
-    lo, hi = _joint_extrema(L, D, delta)
+    near = _neighbours(D, delta)
+    lo, hi = _joint_extrema(L, *near, delta)
     ref_lo, have = reference_joint_extremum(L, D, delta, want_min=True)
     ref_hi, have_max = reference_joint_extremum(L, D, delta, want_min=False)
     assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+    lo_only, no_hi = _joint_extrema(L, *near, delta, want_max=False)
+    assert np.array_equal(lo_only, ref_lo) and no_hi is None
     assert np.array_equal(lo < math.inf, have)
     assert np.array_equal(hi > -math.inf, have_max)
 
@@ -236,7 +240,7 @@ def test_joint_extrema_matches_reference_on_cos_family(cos_seq):
     Ll = cos_seq.limit.separations((tl[:, None], xl[:, None]), (tl, xl))
     dt = float(np.diff(cos_seq.limit.f.ts).max())
     for delta in (1e-9, 0.5 * dt, 0.05, default_delta(cos_seq, 4, 1)):
-        lo, hi = _joint_extrema(Ll, D, delta)
+        lo, hi = _joint_extrema(Ll, *_neighbours(D, delta), delta)
         assert np.array_equal(lo, reference_joint_extremum(Ll, D, delta, True)[0])
         assert np.array_equal(hi, reference_joint_extremum(Ll, D, delta, False)[0])
 
@@ -272,6 +276,59 @@ def test_modulus_and_measured_pinned(cos_seq):
     assert measured_converge_check(cos_seq, 1) == pytest.approx(
         [0.01207552413859434, 0.006100436240881085, 0.003065242606527741,
          0.00153629207765475, 0.0007690527639864249], rel=1e-9)
+
+
+def test_ell_converge_moduli_pinned():
+    # an interleaved schedule with a repeated entry: keys keep schedule
+    # order (first occurrence), values recorded with one uniform_modulus
+    # call per (i, k, l)
+    nt, nx = 20, 11
+    ts = 0.5 * np.linspace(-1.0, 1.0, nt + 1) ** 3 \
+        + 0.5 * np.linspace(-1.0, 1.0, nt + 1)
+    member = GeneralizedCone(WarpingFunction(ts, 1.0 + 0.2 * np.cos(ts)),
+                             segment(1.0, nx), N=2.0, window=8)
+    seq = cone_sequence([member, flat(scale=1.25, nt=nt, nx=nx),
+                         flat(fiber_len=1.5, nt=nt, nx=nx)],
+                        flat(nt=nt, nx=nx), depth=2)
+    rep = ell_converge_check(seq, schedule=[(1, 4), (2, 1), (1, 1), (1, 4)])
+    d0, d1, d2 = 0.26800000126799994, 1e-09, 0.5000000015
+    d0k2 = 0.29200000129200016
+    expected = {  # key: (eps1, eps2, inc1, inc2, delta, level_set_empty)
+        "0,1,4": (0.4220191327991595, 0.524660717285228, True, False, d0, False),
+        "1,1,4": (0.0, 0.5999999999999999, True, False, d1, False),
+        "2,1,4": (0.670820393249937, 0.9797958971132712, True, False, d2, False),
+        "0,2,1": (0.5219481069154944, 0.6167633653628604, True, False, d0k2, False),
+        "1,2,1": (0.0, 0.24067630741830315, True, True, d1, False),
+        "2,2,1": (0.670820393249937, 1.341640775963162, True, False, d2, False),
+        "0,1,1": (0.4220191327991595, 0.18399999999999972, True, True, d0, False),
+        "1,1,1": (0.0, 0.0, True, True, d1, False),
+        "2,1,1": (0.670820393249937, 0.5, True, True, d2, False),
+    }
+    fields = ("eps1", "eps2", "inc1", "inc2", "delta", "level_set_empty")
+    assert list(rep["moduli"]) == list(expected)
+    for key, vals in expected.items():
+        assert rep["moduli"][key] == dict(zip(fields, vals)), key
+    # the wrapper gives the same modulus as the batched check
+    m = uniform_modulus(seq, 0, 2, 1, delta=d0k2)
+    assert (m.eps1, m.eps2, m.inclusion1, m.inclusion2, m.delta,
+            m.level_set_empty) == expected["0,2,1"]
+
+
+def test_ell_converge_footprint():
+    # one modulus keeps at most about six s x s float arrays alive, the
+    # limit's separation matrix included; numpy reports its buffers to
+    # tracemalloc, so the peak is deterministic
+    seq = cone_sequence([cos_family_cone(i) for i in (1, 16)],
+                        cos_family_limit(), depth=1)
+    s = _states(seq.limit, seq.covers[-1][0])[0].size
+    ell_converge_check(seq, schedule=[(1, 1)])     # builds the tables
+    tracemalloc.start()
+    try:
+        ell_converge_check(seq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * s * s * 8
 
 
 def test_uniform_non_imprisonment_constants(cos_seq):
