@@ -1,9 +1,10 @@
-"""Experiment runner: config-driven pipelines with deterministic reports.
+"""Command-line pipelines with deterministic reports.
 
-Every pipeline writes report.json (sorted keys, no timestamps;  identical
-config and seed give byte-identical bytes) plus CSV tables; wall-clock
-metadata goes to a run_meta.json sidecar.  Exit codes: 0 PASS, 1 error,
-2 FAIL, 3 INCONCLUSIVE.
+Every pipeline writes report.json (sorted keys, no timestamps; identical
+arguments and seed give byte-identical bytes) plus CSV tables; wall-clock
+metadata goes to a run_meta.json sidecar.  Each `run_<command>` returns
+its report; `main` tags it with the command and maps it to the exit code:
+0 PASS, 1 error, 2 FAIL, 3 INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -13,32 +14,14 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
 
 from . import converge, curvature, metricspace, model2d, transport, warp
 from .cone import GeneralizedCone
 from .errors import ConelabError
 
 EXIT_PASS, EXIT_ERROR, EXIT_FAIL, EXIT_INCONCLUSIVE = 0, 1, 2, 3
-
-
-@dataclass
-class ExperimentConfig:
-    """A parsed pipeline invocation: command, inputs, parameters, output."""
-
-    command: str
-    out: Path
-    options: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_argv(cls, argv=None) -> "ExperimentConfig":
-        args = build_parser().parse_args(argv)
-        opts = {k: v for k, v in vars(args).items()
-                if k not in ("out", "command")}
-        return cls(command=args.command, out=Path(args.out), options=opts)
 
 
 def _error_code(exc: Exception) -> str:
@@ -99,7 +82,10 @@ def _load_measure(path: str, cone: GeneralizedCone):
     return mu
 
 
-def _verdict_exit(verdict) -> int:
+def _exit_code(report: dict) -> int:
+    """The one exit rule: the report's verdict, or tcbb's boolean pass;
+    a report with neither (tau, geodesic, ot, gh, preset) passes."""
+    verdict = report.get("verdict", report.get("pass", True))
     if verdict in ("PASS", True):
         return EXIT_PASS
     if verdict == "INCONCLUSIVE":
@@ -110,12 +96,11 @@ def _verdict_exit(verdict) -> int:
 # -- pipelines ----------------------------------------------------------------
 
 
-def run_tau(args, outdir: Path) -> tuple:
+def run_tau(args, outdir: Path) -> dict:
     cone = _load_cone(args.cone)
-    report = {"command": "tau", "bracket_width": cone.bracket_width(),
+    report = {"bracket_width": cone.bracket_width(),
               "time_points": cone.f.n, "dist_points": cone.m,
               "window": cone.window}
-    rows = []
     if args.p and args.q:
         p, q = _parse_point(args.p, cone), _parse_point(args.q, cone)
         lo = cone.signed_separation(p, q)
@@ -126,29 +111,26 @@ def run_tau(args, outdir: Path) -> tuple:
     else:
         rows = list(cone.export_rows())
     _write_csv(outdir, "tau.csv", ("s", "t", "r", "lo", "hi"), rows)
-    return report, EXIT_PASS
+    return report
 
 
-def run_geodesic(args, outdir: Path) -> tuple:
+def run_geodesic(args, outdir: Path) -> dict:
     cone = _load_cone(args.cone)
     p, q = _parse_point(args.p, cone), _parse_point(args.q, cone)
     geo = cone.maximizer(p, q)
-    report = {"command": "geodesic", "tau_length": geo.tau_length,
-              "character": geo.character(), "states": len(geo.states)}
     _write_csv(outdir, "geodesic.csv", ("time_index", "fiber_distance"),
                geo.states)
-    return report, EXIT_PASS
+    return {"tau_length": geo.tau_length, "character": geo.character(),
+            "states": len(geo.states)}
 
 
-def run_tcbb(args, outdir: Path) -> tuple:
-    cone = _load_cone(args.cone)
-    rep = model2d.tcbb_verify(cone, K=args.K, samples=args.samples,
-                              tol=args.tol, seed=args.seed)
-    rep["command"] = "tcbb"
-    return rep, EXIT_PASS if rep["pass"] else EXIT_FAIL
+def run_tcbb(args, outdir: Path) -> dict:
+    return model2d.tcbb_verify(_load_cone(args.cone), K=args.K,
+                               samples=args.samples, tol=args.tol,
+                               seed=args.seed)
 
 
-def run_ot(args, outdir: Path) -> tuple:
+def run_ot(args, outdir: Path) -> dict:
     cone = _load_cone(args.cone)
     mu0, mu1 = _load_measure(args.mu0, cone), _load_measure(args.mu1, cone)
     coupling = transport.solve_lp(cone, mu0, mu1, args.p)
@@ -156,107 +138,90 @@ def run_ot(args, outdir: Path) -> tuple:
         cone, coupling, args.p, seed=args.seed)
     rows = [(i, j, coupling.table[i, j]) for i, j in coupling.support()]
     _write_csv(outdir, "coupling.csv", ("i", "j", "mass"), rows)
-    report = {"command": "ot", "p": args.p, "p_value": coupling.p_value,
-              "ell_p": coupling.ell_p, "support": len(rows),
-              "cyclical_slack": slack,
-              "bracket_width": cone.bracket_width()}
-    return report, EXIT_PASS
+    return {"p": args.p, "p_value": coupling.p_value,
+            "ell_p": coupling.ell_p, "support": len(rows),
+            "cyclical_slack": slack, "bracket_width": cone.bracket_width()}
 
 
-def run_tcd(args, outdir: Path) -> tuple:
+def run_tcd(args, outdir: Path) -> dict:
     cone = _load_cone(args.cone)
     mu0, mu1 = _load_measure(args.mu0, cone), _load_measure(args.mu1, cone)
-    rep = transport.tcd_verify(cone, mu0, mu1, args.p, args.K, args.N,
-                               flavor=args.flavor, tol=args.tol)
-    rep["command"] = "tcd"
-    return rep, _verdict_exit(rep["verdict"])
+    return transport.tcd_verify(cone, mu0, mu1, args.p, args.K, args.N,
+                                flavor=args.flavor, tol=args.tol)
 
 
-def run_tmcp(args, outdir: Path) -> tuple:
+def run_tmcp(args, outdir: Path) -> dict:
     cone = _load_cone(args.cone)
     mu0 = _load_measure(args.mu0, cone)
-    rep = transport.tmcp_verify(cone, mu0, _parse_point(args.x1, cone),
-                                args.K, args.N, tol=args.tol)
-    rep["command"] = "tmcp"
-    return rep, _verdict_exit(rep["verdict"])
+    return transport.tmcp_verify(cone, mu0, _parse_point(args.x1, cone),
+                                 args.K, args.N, tol=args.tol)
 
 
-def run_gh(args, outdir: Path) -> tuple:
+def run_gh(args, outdir: Path) -> dict:
     A = metricspace.FiniteMetricSpace.from_json(_load_json(args.A))
     B = metricspace.FiniteMetricSpace.from_json(_load_json(args.B))
     lo, up, wit = metricspace.gh_distance(A, B, args.mode)
-    report = {"command": "gh", "mode": args.mode, "lower": lo, "upper": up,
-              "witness_distortion": wit.distortion,
-              "witness_pairs": [list(p) for p in wit.pairs]}
-    return report, EXIT_PASS
+    return {"mode": args.mode, "lower": lo, "upper": up,
+            "witness_distortion": wit.distortion,
+            "witness_pairs": [list(p) for p in wit.pairs]}
 
 
-def _load_sequence(path: str, depth: int):
+def _load_sequence(path: str):
+    """The cone sequence of a sequence file, covered to its coverDepth
+    (default 2), and the file's contents."""
     spec = _load_json(path)
     cones = [GeneralizedCone.from_json(c) for c in spec["cones"]]
     limit = GeneralizedCone.from_json(spec["limit"])
-    depth = int(spec.get("coverDepth", depth))
+    depth = spec.get("coverDepth", 2)
     return converge.cone_sequence(cones, limit, depth=depth), spec
 
 
-def run_ellconv(args, outdir: Path) -> tuple:
-    seq, spec = _load_sequence(args.seq, args.depth)
-    schedule = [tuple(s) for s in spec.get("schedule", [])] or None
-    rep = converge.ell_converge_check(seq, schedule=schedule)
-    rep["command"] = "ellconv"
+def run_ellconv(args, outdir: Path) -> dict:
+    seq, spec = _load_sequence(args.seq)
+    rep = converge.ell_converge_check(seq, schedule=spec.get("schedule") or None)
     rows = [(key, v["eps1"], v["eps2"]) for key, v in rep["moduli"].items()]
     _write_csv(outdir, "moduli.csv", ("i_k_l", "eps1", "eps2"), rows)
-    return rep, _verdict_exit(rep["verdict"])
+    return rep
 
 
-def run_measured(args, outdir: Path) -> tuple:
-    seq, _ = _load_sequence(args.seq, args.depth)
+def run_measured(args, outdir: Path) -> dict:
+    seq, _ = _load_sequence(args.seq)
     dists = converge.measured_converge_check(seq, args.k)
     trend_ok = len(dists) < 2 or dists[-1] <= dists[0] + 1e-12
-    report = {"command": "measured", "k": args.k, "w1": dists,
-              "verdict": "PASS" if trend_ok else "INCONCLUSIVE"}
     _write_csv(outdir, "measured.csv", ("i", "w1"), list(enumerate(dists)))
-    return report, _verdict_exit(report["verdict"])
+    return {"k": args.k, "w1": dists,
+            "verdict": "PASS" if trend_ok else "INCONCLUSIVE"}
 
 
-def run_precompact(args, outdir: Path) -> tuple:
+def run_precompact(args, outdir: Path) -> dict:
     spec = _load_json(args.seq)
     cones = [GeneralizedCone.from_json(c) for c in spec["cones"]]
-    rep = converge.precompact_harness(cones, K=args.K, N=args.N, D=args.D,
-                                      depth=args.depth)
-    rep["command"] = "precompact"
-    return rep, _verdict_exit(rep["verdict"])
+    return converge.precompact_harness(cones, K=args.K, N=args.N, D=args.D,
+                                       depth=args.depth)
 
 
-def run_tangent(args, outdir: Path) -> tuple:
+def run_tangent(args, outdir: Path) -> dict:
     cone = _load_cone(args.cone)
     eps = [float(e) for e in args.eps.split(",")]
-    rep = converge.tangent_cone(cone, _parse_point(args.point, cone), eps,
-                                depth=args.depth)
-    rep["command"] = "tangent"
-    return rep, _verdict_exit(rep["verdict"])
+    return converge.tangent_cone(cone, _parse_point(args.point, cone), eps,
+                                 depth=args.depth)
 
 
-def run_ricci(args, outdir: Path) -> tuple:
+def run_ricci(args, outdir: Path) -> dict:
     f = warp.WarpingFunction.from_json(_load_json(args.warp))
     rep = curvature.ricci_reduction(f, args.K, args.n, args.fiber_bound)
     d = curvature.oneill_diagnostics(f, args.n)
     _write_csv(outdir, "oneill.csv", ("t", "time_time", "mixed", "tangential"),
                zip(d["t"], d["time_time"], d["mixed"], d["tangential"]))
-    out = rep.to_json()
-    out["command"] = "ricci"
-    return out, EXIT_PASS if rep.verdict else EXIT_FAIL
+    return rep.to_json()
 
 
-def run_sectional(args, outdir: Path) -> tuple:
+def run_sectional(args, outdir: Path) -> dict:
     f = warp.WarpingFunction.from_json(_load_json(args.warp))
-    rep = curvature.sectional_reduction(f, args.K, args.fiber_bound)
-    out = rep.to_json()
-    out["command"] = "sectional"
-    return out, EXIT_PASS if rep.verdict else EXIT_FAIL
+    return curvature.sectional_reduction(f, args.K, args.fiber_bound).to_json()
 
 
-def run_preset(args, outdir: Path) -> tuple:
+def run_preset(args, outdir: Path) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     if args.kind == "fms":
         if args.name == "segment":
@@ -271,7 +236,7 @@ def run_preset(args, outdir: Path) -> tuple:
     path = outdir / f"{args.name}.json"
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True)
-    return {"command": "preset", "written": str(path)}, EXIT_PASS
+    return {"written": str(path)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,12 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("ellconv", run_ellconv)
     p.add_argument("--seq", required=True)
-    p.add_argument("--depth", type=int, default=2)
 
     p = add("measured", run_measured)
     p.add_argument("--seq", required=True)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--depth", type=int, default=2)
 
     p = add("precompact", run_precompact)
     p.add_argument("--seq", required=True)
@@ -378,35 +341,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def run(config: ExperimentConfig) -> int:
-    """Execute one pipeline; writes report.json (+ tables) under config.out.
+def main(argv=None) -> int:
+    """Run one pipeline; writes report.json (+ tables) under --out.
 
     Exit status: 0 PASS, 1 error, 2 FAIL, 3 INCONCLUSIVE."""
-    args = argparse.Namespace(out=str(config.out), command=config.command,
-                              **config.options)
+    args = build_parser().parse_args(argv)
+    out = Path(args.out)
     t0 = time.time()
     try:
-        report, code = args.fn(args, config.out)
-    except ConelabError as exc:
-        _write_report(config.out, {"error": _error_code(exc),
-                                   "message": str(exc)}, t0)
+        report = args.fn(args, out)
+    except (ConelabError, ValueError, OSError, KeyError) as exc:
+        _write_report(out, {"error": _error_code(exc), "message": str(exc)}, t0)
         print(f"error: {_error_code(exc)}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-        _write_report(config.out, {"error": _error_code(exc),
-                                   "message": str(exc)}, t0)
-        print(f"error: {_error_code(exc)}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    _write_report(config.out, report, t0)
+    report["command"] = args.command
+    _write_report(out, report, t0)
     print(json.dumps({k: report[k] for k in sorted(report)
                       if k in ("command", "verdict", "pass", "min_margin",
                                "worst_margin", "lower", "upper", "ell_p")},
                      sort_keys=True))
-    return code
-
-
-def main(argv=None) -> int:
-    return run(ExperimentConfig.from_argv(argv))
+    return _exit_code(report)
 
 
 if __name__ == "__main__":

@@ -46,6 +46,7 @@ MAX_TABLE_ENTRIES = 2.0e8
 # -inf entries a lower-DP row block may sweep before it is split: about the
 # work that the numpy call overhead of one more block costs
 ROW_BLOCK_WASTE = 2048
+N_MU = 48   # positive multipliers on the upper envelope's mu-grid
 
 
 def _running_extrema(vals: np.ndarray, window: int):
@@ -86,8 +87,7 @@ class GeneralizedCone:
 
     def __init__(self, f: WarpingFunction, X: FiniteMetricSpace, N: float = 1.0,
                  dist_steps: int | None = None, window: int = 8,
-                 dist_refine: int = 1, fiber_weights=None,
-                 max_entries: float = MAX_TABLE_ENTRIES):
+                 dist_refine: int = 1, fiber_weights=None):
         if N < 1.0:
             raise ValueError("measure exponent N must be >= 1")
         self.f = f
@@ -112,10 +112,10 @@ class GeneralizedCone:
         if window is None or window >= nt:
             window = nt - 1
         self.window = max(1, int(window))
-        if nt * nt * self.m > max_entries:
+        if nt * nt * self.m > MAX_TABLE_ENTRIES:
             raise ResourceLimit(
                 f"table would hold {nt * nt * self.m:.3g} entries "
-                f"(budget {max_entries:.3g})")
+                f"(budget {MAX_TABLE_ENTRIES:.3g})")
         if fiber_weights is None:
             fiber_weights = np.ones(X.n)
         self.fiber_weights = np.asarray(fiber_weights, dtype=float)
@@ -185,7 +185,7 @@ class GeneralizedCone:
         """The full lower table: the DP kernel on every source."""
         return self._lower_rows(np.arange(self.f.n))
 
-    def _build_upper(self, n_mu: int = 48) -> np.ndarray:
+    def _build_upper(self) -> np.ndarray:
         """Certified upper table via Lagrange duality for the step-min cone.
 
         With g = step-wise min of f (so tau_f <= tau_g by warping
@@ -209,7 +209,7 @@ class GeneralizedCone:
         pos = cpos[~zero] if (~zero).any() else np.array([1.0])
         mus = np.concatenate([
             [0.0],
-            np.geomspace(max(pos.min() * 1e-3, 1e-9), pos.max() * 2e3, n_mu)])
+            np.geomspace(max(pos.min() * 1e-3, 1e-9), pos.max() * 2e3, N_MU)])
         tgrid = ts[None, :] - ts[:, None]          # Phi at mu = 0
         crossing = (zcount[None, :] - zcount[:, None]) > 0
         hi = np.where(tgrid >= 0, tgrid, NEG_INF)
@@ -300,9 +300,6 @@ class GeneralizedCone:
 
     def causally_related(self, p, q) -> bool:
         return self.signed_separation(p, q) >= 0.0
-
-    def chronological(self, p, q) -> bool:
-        return self.signed_separation(p, q) > 0.0
 
     def bracket_width(self) -> float:
         """Max over grid entries of hi - lo on the causally related set."""
@@ -473,13 +470,13 @@ class GridGeodesic:
             out.append(out[-1] + w)
         return out
 
-    def character(self, null_tol: float = 1e-9):
+    def character(self):
         """'timelike' | 'null' | 'mixed', judged step-wise."""
         kinds = set()
         ts = self.cone.f.ts
         for (a, _), (b, _), w in zip(self.states, self.states[1:], self.weights):
             dt = ts[b] - ts[a]
-            kinds.add("null" if w <= null_tol + 1e-6 * dt else "timelike")
+            kinds.add("null" if w <= 1e-9 + 1e-6 * dt else "timelike")
         if len(kinds) > 1:
             return "mixed"
         return kinds.pop() if kinds else "timelike"

@@ -18,6 +18,7 @@ INCONCLUSIVE.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +26,15 @@ import numpy as np
 from .cone import GeneralizedCone
 from .errors import BoundaryPoint, SlopeBoundViolated
 from .kappa import pi_kappa
-from .metricspace import FiniteMetricSpace, ball_indices, gh_distance
+from .metricspace import (FiniteMetricSpace, ball_indices, ball_subspace,
+                          gh_distance)
 from .transport import transport_lp
-from .warp import (WarpingFunction, fk_concavity, log_slope_bound,
+from .warp import (WarpingFunction, fk_concavity, log_slope_bound, log_slopes,
                    normalize_and_bound)
 
 NEIGHBOR_CAP = 12   # nearest neighbours per state in a modulus search
 ATOM_CAP = 400      # atoms per side of a measured-convergence W1 LP
+CLUSTER_TOL = 0.05  # grid-wise spread of one limit cluster, precompactness
 
 
 @dataclass(frozen=True)
@@ -72,28 +75,27 @@ class ConeSequence:
     depth: int
     covers: list        # covers[i] for cones, covers[-1] for the limit
     fiber_maps: dict    # (i, k) -> (to_limit array, distortion)
-    base_shift: dict    # (i, k) -> max |t_i - t_limit| over the window
     distortion: dict    # (i, k) -> recorded correspondence distortion bound
     alignment: dict     # (i, k) -> positional misalignment of the witness
 
 
 def cone_sequence(cones, limit, depth: int = 2) -> ConeSequence:
+    if isinstance(depth, bool) or not isinstance(depth, numbers.Integral) \
+            or depth < 1:
+        raise ValueError(f"cover depth must be an integer >= 1, got {depth!r}")
     ncones = [c.f.n for c in cones] + [limit.f.n]
     if len(set(ncones)) != 1:
         raise ValueError("sequence members need equal time-grid sizes")
     covers = [build_cover(c, depth) for c in cones] + [build_cover(limit, depth)]
-    fiber_maps, base_shift, distortion, alignment = {}, {}, {}, {}
+    # the fiber balls of the covers, as spaces based at the ball centre
+    limit_balls = [ball_subspace(limit.X, 2.0 ** k) for k in range(1, depth + 1)]
+    fiber_maps, distortion, alignment = {}, {}, {}
     for i, c in enumerate(cones):
         for k in range(1, depth + 1):
             lv_i, lv_l = covers[i][k - 1], covers[-1][k - 1]
-            bi = lv_i.fiber_idx
-            bl = lv_l.fiber_idx
-            A = FiniteMetricSpace(c.X.dist[np.ix_(bi, bi)],
-                                  int(np.flatnonzero(bi == c.X.base)[0]))
-            B = FiniteMetricSpace(limit.X.dist[np.ix_(bl, bl)],
-                                  int(np.flatnonzero(bl == limit.X.base)[0]))
-            _, up, wit = gh_distance(A, B, "heuristic")
-            to_limit = np.zeros(len(bi), dtype=int)
+            B = limit_balls[k - 1]
+            _, _, wit = gh_distance(ball_subspace(c.X, 2.0 ** k), B, "heuristic")
+            to_limit = np.zeros(lv_i.fiber_idx.size, dtype=int)
             for a, b in wit.pairs:
                 to_limit[a] = b
             fiber_maps[(i, k)] = (to_limit, wit.distortion)
@@ -101,17 +103,14 @@ def cone_sequence(cones, limit, depth: int = 2) -> ConeSequence:
             ia, il = lv_i.time_indices, lv_l.time_indices
             n = min(ia.size, il.size)
             shift = float(np.abs(c.f.ts[ia[:n]] - limit.f.ts[il[:n]]).max())
-            base_shift[(i, k)] = shift
             fmax = float(limit.f.vals[il].max())
             supdf = float(np.abs(c.f(limit.f.ts[il]) - limit.f.vals[il]).max())
-            fiber_diam = float(limit.X.dist[np.ix_(bl, bl)].max(initial=0.0))
-            distortion[(i, k)] = shift + supdf * max(fiber_diam, 1.0) \
+            distortion[(i, k)] = shift + supdf * max(B.diam, 1.0) \
                 + fmax * wit.distortion
             alignment[(i, k)] = shift + fmax * wit.distortion
     return ConeSequence(cones=list(cones), limit=limit, depth=depth,
                         covers=covers, fiber_maps=fiber_maps,
-                        base_shift=base_shift, distortion=distortion,
-                        alignment=alignment)
+                        distortion=distortion, alignment=alignment)
 
 
 def _diam_bracket(cone: GeneralizedCone, level: CoverLevel):
@@ -343,10 +342,18 @@ def ell_converge_check(seq: ConeSequence, schedule=None) -> dict:
     (c) uniform-convergence moduli over the (k, l) schedule."""
     if schedule is None:
         schedule = [(k, l) for k in range(1, seq.depth + 1) for l in (1, 2, 4, 8)]
-    for k, l in schedule:
-        if not (1 <= k <= seq.depth and l > 0):
-            raise ValueError(f"schedule entry [{k}, {l}] needs 1 <= k <= "
-                             f"{seq.depth} (the cover depth) and l > 0")
+    if not isinstance(schedule, (list, tuple)):
+        raise ValueError(f"schedule must be a list of [k, l] entries, "
+                         f"got {schedule!r}")
+    for entry in schedule:
+        pair = isinstance(entry, (list, tuple)) and len(entry) == 2
+        k, l = entry if pair else (None, None)
+        numeric = (isinstance(k, numbers.Integral) and isinstance(l, numbers.Real)
+                   and not isinstance(k, bool) and not isinstance(l, bool))
+        if not (numeric and 1 <= k <= seq.depth and l > 0):
+            raise ValueError(f"schedule entry {entry!r} needs an integer k, "
+                             f"1 <= k <= {seq.depth} (the cover depth), and "
+                             f"a number l > 0")
     nlast = len(seq.cones) - 1
     gh = {k: covered_gh(seq, k) for k in range(1, seq.depth + 1)}
     # one neighbour search per (i, k) serves every level l scheduled at k
@@ -410,6 +417,9 @@ def measured_converge_check(seq: ConeSequence, k: int) -> list:
     """Per-i W1 distances between normalized restricted reference measures,
     transported into the limit cover through the witness correspondence.
     Both sides are subsampled with the same stride when over the atom cap."""
+    if not 1 <= k <= seq.depth:
+        raise ValueError(f"cover level k={k} needs 1 <= k <= {seq.depth} "
+                         f"(the cover depth)")
     out = []
     for i, c in enumerate(seq.cones):
         (ti, xi), (tl, xl), cost = _transported(seq, i, k, atom_cap=ATOM_CAP)
@@ -426,10 +436,10 @@ def measured_converge_check(seq: ConeSequence, k: int) -> list:
 
 
 def precompact_harness(cones, K: float, N: float, D: float,
-                       depth: int = 2, cluster_tol: float = 0.05,
-                       schedule=None) -> dict:
+                       depth: int = 2) -> dict:
     """Normalize, certify the log-slope bound, extract a grid-wise limit
-    candidate, and run the ell-convergence check on the selected
+    candidate (normalized warpings within CLUSTER_TOL of each other cluster
+    together), and run the ell-convergence check on the selected
     subsequence."""
     for idx, c in enumerate(cones):
         span = c.f.b - c.f.a
@@ -448,10 +458,7 @@ def precompact_harness(cones, K: float, N: float, D: float,
                 f"{rep.max_violation:.3g} at t={c.f.ts[1 + j]:.4g}")
         g, lam, ok = normalize_and_bound(c.f, K)
         if not ok:
-            dq = np.diff(np.log(np.maximum(g.vals, 1e-300))) / np.diff(g.ts)
-            ls = np.maximum(np.maximum(dq[1:], -dq[:-1]), 0.0)
-            bound = log_slope_bound(g, K)
-            slack = float(np.diff(g.ts).max()) * (1.0 + abs(K)) + 1e-9
+            ls, bound = log_slopes(g), log_slope_bound(g, K)
             j = int(np.argmax(ls - bound))
             raise SlopeBoundViolated(
                 f"cone {idx}: log-slope {ls[j]:.4g} exceeds bound "
@@ -465,27 +472,29 @@ def precompact_harness(cones, K: float, N: float, D: float,
     selected = list(range(len(normalized)))
     for j in range(vals.shape[1]):
         col = vals[selected, j]
-        if col.max() - col.min() <= cluster_tol:
+        if col.max() - col.min() <= CLUSTER_TOL:
             continue
         anchor = vals[selected[0], j]
-        selected = [i for i in selected if abs(vals[i, j] - anchor) <= cluster_tol]
+        selected = [i for i in selected if abs(vals[i, j] - anchor) <= CLUSTER_TOL]
     limit_f = WarpingFunction(normalized[selected[-1]].f.ts,
                               vals[selected[-1]])
     last = normalized[selected[-1]]
     limit = GeneralizedCone(limit_f, last.X, N=last.N,
                             dist_steps=last.dist_steps, window=last.window)
     seq = cone_sequence([normalized[i] for i in selected], limit, depth=depth)
-    report = ell_converge_check(seq, schedule=schedule)
+    report = ell_converge_check(seq)
     return {"selected": selected, "verdict": report["verdict"],
             "ell_report": report,
             "limit_warp": limit_f.to_json()}
 
 
 def tangent_cone(cone: GeneralizedCone, point, eps_list, frame: float = 1.0,
-                 time_steps: int = 40, depth: int = 2, tol: float = 1e-3) -> dict:
+                 time_steps: int = 40, depth: int = 2) -> dict:
     """Rescale around an interior point by each eps, compare against the
     constant-warping product candidate, and report whether the rescaled
-    warpings flatten at rate 2*eps."""
+    warpings flatten at rate 2*eps (up to 1e-3)."""
+    if not eps_list or min(eps_list) <= 0:
+        raise ValueError(f"eps values must be positive, got {list(eps_list)}")
     ti, xi = int(point[0]), int(point[1])
     if ti <= 0 or ti >= cone.f.n - 1:
         raise BoundaryPoint("tangent point must be an interior grid point")
@@ -495,6 +504,7 @@ def tangent_cone(cone: GeneralizedCone, point, eps_list, frame: float = 1.0,
         raise BoundaryPoint("warping vanishes at the requested point")
     eps_list = sorted(eps_list, reverse=True)
     room = min(t0 - cone.f.a, cone.f.b - t0)
+    centred = FiniteMetricSpace(cone.X.dist, xi)
     rescaled = []
     devs = []
     for eps in eps_list:
@@ -502,10 +512,8 @@ def tangent_cone(cone: GeneralizedCone, point, eps_list, frame: float = 1.0,
         sgrid = np.linspace(-fr, fr, time_steps + 1)
         gvals = cone.f(t0 + eps * sgrid)
         g = WarpingFunction(sgrid, np.maximum(gvals, 1e-12))
-        ball = ball_indices(
-            FiniteMetricSpace(cone.X.dist, xi), eps * (2.0 ** depth))
-        sub = cone.X.dist[np.ix_(ball, ball)] / eps
-        Xe = FiniteMetricSpace(sub, int(np.flatnonzero(ball == xi)[0]))
+        ball = ball_subspace(centred, eps * (2.0 ** depth))
+        Xe = FiniteMetricSpace(ball.dist / eps, ball.base)
         rescaled.append(GeneralizedCone(g, Xe, N=cone.N,
                                         dist_steps=max(1, Xe.n - 1) if Xe.n > 1 else None,
                                         window=cone.window))
@@ -514,14 +522,12 @@ def tangent_cone(cone: GeneralizedCone, point, eps_list, frame: float = 1.0,
     limit = GeneralizedCone(WarpingFunction(sgrid, np.full(sgrid.size, f0)),
                             FiniteMetricSpace(np.zeros((1, 1)), 0),
                             N=cone.N, window=cone.window)
-    flat_ok = all(dev <= 2.0 * eps + tol
+    flat_ok = all(dev <= 2.0 * eps + 1e-3
                   for dev, eps in zip(devs, eps_list))
     seq = cone_sequence(rescaled, limit, depth=depth)
     report = ell_converge_check(seq)
-    verdict = "PASS" if flat_ok and report["verdict"] == "PASS" else report["verdict"]
-    if not flat_ok:
-        verdict = "FAIL"
     return {"eps": list(eps_list), "warp_deviation": devs,
             "flattening_ok": flat_ok, "limit_warp_value": f0,
             "fiber_tangent_points": int(rescaled[-1].X.n),
-            "ell_report": report, "verdict": verdict}
+            "ell_report": report,
+            "verdict": report["verdict"] if flat_ok else "FAIL"}

@@ -46,13 +46,13 @@ def _kf_bias_allowance(f: WarpingFunction, K: float) -> float:
     return 2.0 * h * (1.0 + abs(K)) * m * m
 
 
-def ricci_reduction(f: WarpingFunction, K: float, n: int, fiber_ric_bound: float,
-                    tol: float | None = None) -> CurvatureReductionReport:
+def ricci_reduction(f: WarpingFunction, K: float, n: int,
+                    fiber_ric_bound: float) -> CurvatureReductionReport:
     """Full Ricci lower bound >= nK of the warped product over an
     n-dimensional fiber: FK-concavity plus fiber Ricci >= (n-1) K_f."""
     if f.n < 3:
         raise GridTooCoarse("need at least 3 grid points")
-    rep = fk_concavity(f, K, tol=tol)
+    rep = fk_concavity(f, K)
     c2tol = _kf_bias_allowance(f, K)
     cond2 = fiber_ric_bound >= (n - 1) * rep.Kf - (n - 1) * c2tol - 1e-9
     return CurvatureReductionReport(
@@ -63,14 +63,14 @@ def ricci_reduction(f: WarpingFunction, K: float, n: int, fiber_ric_bound: float
         verdict=bool(rep.is_concave and cond2))
 
 
-def sectional_reduction(f: WarpingFunction, K: float, fiber_sec_bound: float,
-                        tol: float | None = None) -> CurvatureReductionReport:
+def sectional_reduction(f: WarpingFunction, K: float,
+                        fiber_sec_bound: float) -> CurvatureReductionReport:
     """Riemann lower bound of the warped product: FK-concavity plus fiber
     sectional curvature >= K_f.  Not monotone in K: passing at K says
     nothing about K' < K (K_f grows as K decreases)."""
     if f.n < 3:
         raise GridTooCoarse("need at least 3 grid points")
-    rep = fk_concavity(f, K, tol=tol)
+    rep = fk_concavity(f, K)
     c2tol = _kf_bias_allowance(f, K)
     cond2 = fiber_sec_bound >= rep.Kf - c2tol - 1e-9
     return CurvatureReductionReport(

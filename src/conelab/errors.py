@@ -22,7 +22,7 @@ class MollifyFailed(ConelabError):
 
 
 class ResourceLimit(ConelabError):
-    """Requested table exceeds the configured size budget."""
+    """Requested table exceeds the size budget, MAX_TABLE_ENTRIES."""
 
 
 class NotCausallyRelated(ConelabError):

@@ -116,22 +116,18 @@ class Correspondence:
         db = B.dist[idx[:, 1][:, None], idx[:, 1][None, :]]
         return Correspondence(pairs, float(np.abs(da - db).max()))
 
-    @staticmethod
-    def identity(A: FiniteMetricSpace) -> "Correspondence":
-        return Correspondence.build(A, A, [(i, i) for i in range(A.n)])
-
 
 def ball_subspace(X: FiniteMetricSpace, radius: float) -> FiniteMetricSpace:
     """Restriction to the closed ball of the given radius around the base."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    keep = np.flatnonzero(X.dist[X.base] <= radius + METRIC_TOL)
-    sub = X.dist[np.ix_(keep, keep)]
-    new_base = int(np.flatnonzero(keep == X.base)[0])
-    return FiniteMetricSpace(sub, new_base)
+    keep = ball_indices(X, radius)
+    return FiniteMetricSpace(X.dist[np.ix_(keep, keep)],
+                             int(np.flatnonzero(keep == X.base)[0]))
 
 
 def ball_indices(X: FiniteMetricSpace, radius: float) -> np.ndarray:
+    """Indices of the closed ball of the given radius around the base."""
     return np.flatnonzero(X.dist[X.base] <= radius + METRIC_TOL)
 
 

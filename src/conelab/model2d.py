@@ -29,6 +29,7 @@ from .kappa import pi_kappa
 NEG_INF = -math.inf
 RESIDUAL_TOL = 1e-8
 QUADRIC_TOL = 1e-12
+REALIZE_SLACK = 1e-10   # float slack of the closed-form realization's roots
 
 
 def _gd(x: float) -> float:
@@ -137,8 +138,8 @@ class FourPointConfig:
             raise ValueError("tau(z1,z2) must be >= 0")
 
 
-def _solve_zbar(K: float, a: float, b: float, c: float, side: float,
-                slack: float = 1e-12) -> ModelPoint:
+def _solve_zbar(K: float, a: float, b: float, c: float,
+                side: float) -> ModelPoint:
     """Model point with tau(ybar, .) = b and tau(xbar, .) = c.
 
     ybar sits at the chart origin, xbar at chart time a * sqrt|K| on the
@@ -149,7 +150,7 @@ def _solve_zbar(K: float, a: float, b: float, c: float, side: float,
     if K == 0.0:
         t = (a * a + b * b - c * c) / (2.0 * a)
         v = t * t - b * b
-        if v < -slack * max(1.0, b * b):
+        if v < -REALIZE_SLACK * max(1.0, b * b):
             raise Unrealizable(f"flat elimination gives x^2 = {v:.3e} < 0")
         return ModelPoint(0.0, t, side * math.sqrt(max(v, 0.0)))
     if K < 0.0:
@@ -159,7 +160,7 @@ def _solve_zbar(K: float, a: float, b: float, c: float, side: float,
             raise Unrealizable("axis separation too close to the conjugate sweep")
         Sb = (Cc - Cb * math.cos(abar)) / math.sin(abar)
         h2 = Cb * Cb + Sb * Sb
-        if h2 < 1.0 - slack:
+        if h2 < 1.0 - REALIZE_SLACK:
             raise Unrealizable(f"cosh^2 chi = {h2:.6f} < 1")
         chi = math.acosh(max(1.0, math.sqrt(h2)))
         return ModelPoint(K, math.atan2(Sb, Cb), side * chi)
@@ -168,13 +169,13 @@ def _solve_zbar(K: float, a: float, b: float, c: float, side: float,
     S = (math.cosh(abar) * Eb - Ec) / math.sinh(abar)
     ch = math.sqrt(1.0 + S * S)
     cosphi = Eb / ch
-    if cosphi > 1.0 + slack:
+    if cosphi > 1.0 + REALIZE_SLACK:
         raise Unrealizable(f"cos phi = {cosphi:.6f} > 1")
     phi = math.acos(min(1.0, cosphi))
     return ModelPoint(K, math.asinh(S), side * phi)
 
 
-def realize_comparison(cfg: FourPointConfig, K: float, slack: float = 1e-10):
+def realize_comparison(cfg: FourPointConfig, K: float):
     """Comparison quadruple (ybar, xbar, z1bar, z2bar) in the K-model.
 
     z1bar and z2bar sit on opposite sides of the axis through ybar, xbar.
@@ -187,8 +188,8 @@ def realize_comparison(cfg: FourPointConfig, K: float, slack: float = 1e-10):
     rk = math.sqrt(abs(K)) if K != 0.0 else 1.0
     ybar = ModelPoint(K, 0.0, 0.0)
     xbar = ModelPoint(K, cfg.tau_yx * (rk if K != 0.0 else 1.0), 0.0)
-    z1bar = _solve_zbar(K, cfg.tau_yx, cfg.tau_yz1, cfg.tau_xz1, +1.0, slack)
-    z2bar = _solve_zbar(K, cfg.tau_yx, cfg.tau_yz2, cfg.tau_xz2, -1.0, slack)
+    z1bar = _solve_zbar(K, cfg.tau_yx, cfg.tau_yz1, cfg.tau_xz1, +1.0)
+    z2bar = _solve_zbar(K, cfg.tau_yx, cfg.tau_yz2, cfg.tau_xz2, -1.0)
     # realize-then-measure consistency
     checks = [
         (model_tau_nonneg(K, ybar, xbar), cfg.tau_yx),
@@ -203,10 +204,10 @@ def realize_comparison(cfg: FourPointConfig, K: float, slack: float = 1e-10):
     return ybar, xbar, z1bar, z2bar
 
 
-def config_margin(cfg: FourPointConfig, K: float, slack: float = 1e-10) -> float:
+def config_margin(cfg: FourPointConfig, K: float) -> float:
     """tau(z1,z2) - taubar(z1bar, z2bar): negative beyond tolerance means
     the 4-point condition fails for this configuration."""
-    _, _, z1bar, z2bar = realize_comparison(cfg, K, slack)
+    _, _, z1bar, z2bar = realize_comparison(cfg, K)
     try:
         tbar = model_tau_nonneg(K, z1bar, z2bar)
     except OutsideChart:
@@ -394,15 +395,13 @@ def _draw_config(cone, rng, reverse: bool, min_sep: float, pi_bound: float):
 
 
 def tcbb_verify(cone, K: float, samples: int = 200, tol: float = 0.02,
-                seed: int = 0, min_sep: float | None = None,
-                max_draw_factor: int = 400) -> dict:
+                seed: int = 0, max_draw_factor: int = 400) -> dict:
     """Sample 4-point configurations on the cone grid and compare against
     the K-model.  The left side of the margin uses the upper table, the
     five constraints use the canonical (lower) separation, so a margin
     below -tol is a genuine violation up to bracket width.
     """
-    if min_sep is None:
-        min_sep = 4.0 * float(np.mean(np.diff(cone.f.ts))) * max(1.0, cone.f.max())
+    min_sep = 4.0 * float(np.mean(np.diff(cone.f.ts))) * max(1.0, cone.f.max())
     pi_bound = pi_kappa(-K)
     rng = np.random.default_rng(seed)
     counts = {"valid": 0, "order": 0, "relation": 0, "domain": 0,

@@ -27,6 +27,7 @@ from .kappa import pi_kappa, sin_kappa
 
 MASS_TOL = 1e-12
 MARGINAL_TOL = 1e-10
+DENSITY_CAP_RATIO = 1e6   # verifier slices denser than this are excluded
 
 
 @dataclass(frozen=True)
@@ -50,12 +51,6 @@ class DiscreteMeasure:
         if len(set(self.points)) != len(self.points):
             raise ValueError("duplicate atoms")
         m.setflags(write=False)
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "DiscreteMeasure":
-        pts = [p for p, _ in pairs]
-        ms = np.array([w for _, w in pairs], dtype=float)
-        return cls(tuple(pts), ms / ms.sum() if abs(ms.sum() - 1) > MASS_TOL else ms)
 
     @classmethod
     def dirac(cls, point) -> "DiscreteMeasure":
@@ -120,9 +115,9 @@ class CausalCoupling:
     def ell_p(self) -> float:
         return self.p_value ** (1.0 / self.p)
 
-    def support(self, tol: float = 1e-12):
+    def support(self):
         return [(i, j) for i in range(self.table.shape[0])
-                for j in range(self.table.shape[1]) if self.table[i, j] > tol]
+                for j in range(self.table.shape[1]) if self.table[i, j] > 1e-12]
 
     def l2_tau_norm(self, cone, upper: bool = False) -> float:
         L = separation_matrix(cone, self.mu0, self.mu1, upper=upper)
@@ -306,19 +301,20 @@ def _margin_report(cone, margins: dict, tol: float) -> dict:
             "verdict": _verdict(min_margin, tol, bracket)}
 
 
-def _density_excluded(measure: DiscreteMeasure, cone, baseline: DiscreteMeasure,
-                      cap_ratio: float) -> bool:
+def _density_excluded(measure: DiscreteMeasure, cone,
+                      baseline: DiscreteMeasure) -> bool:
+    """Whether some atom's density exceeds DENSITY_CAP_RATIO times the
+    baseline's median density."""
     w = cone.reference_measure()
     dens = lambda mu: np.array([m / w[a, b] if w[a, b] > 0 else math.inf
                                 for (a, b), m in zip(mu.points, mu.masses)])
     base = np.median(dens(baseline))
-    return bool((dens(measure) > cap_ratio * base).any())
+    return bool((dens(measure) > DENSITY_CAP_RATIO * base).any())
 
 
 def tcd_verify(cone, mu0: DiscreteMeasure, mu1: DiscreteMeasure, p: float,
                K: float, N: float, flavor: str = "entropic",
-               t_grid=None, tol: float = 0.05,
-               density_cap_ratio: float = 1e6) -> dict:
+               t_grid=None, tol: float = 0.05) -> dict:
     """Margin report for the entropic or Renyi timelike curvature-dimension
     inequality along an optimal plan.  Margins are recomputed with the
     upper separations so the verdict can distinguish FAIL from bracket
@@ -373,7 +369,7 @@ def tcd_verify(cone, mu0: DiscreteMeasure, mu1: DiscreteMeasure, p: float,
 
     for t in t_grid:
         mu_t = plan.slice_at(t)
-        if _density_excluded(mu_t, cone, strict_coupling.mu0, density_cap_ratio):
+        if _density_excluded(mu_t, cone, strict_coupling.mu0):
             excluded.append(t)
             continue
         if flavor == "entropic":
@@ -393,8 +389,7 @@ def tcd_verify(cone, mu0: DiscreteMeasure, mu1: DiscreteMeasure, p: float,
 
 
 def tmcp_verify(cone, mu0: DiscreteMeasure, x1, K: float, N: float,
-                t_grid=None, tol: float = 0.05, p: float = 0.5,
-                density_cap_ratio: float = 1e6) -> dict:
+                t_grid=None, tol: float = 0.05) -> dict:
     """Entropic measure-contraction margins toward the Dirac at x1.
 
     The only admissible coupling is the product mu0 x delta_{x1}.  The t=1
@@ -410,8 +405,9 @@ def tmcp_verify(cone, mu0: DiscreteMeasure, x1, K: float, N: float,
         t_grid = [k / 8 for k in range(1, 8)]
     mu1 = DiscreteMeasure.dirac(x1)
     table = mu0.masses[:, None].copy()
-    coupling = CausalCoupling(mu0=mu0, mu1=mu1, table=table, p=p,
-                              p_value=float((taus_lo ** p * mu0.masses).sum()))
+    # the plan reads only support and masses; the cost fields hold p = 1
+    coupling = CausalCoupling(mu0=mu0, mu1=mu1, table=table, p=1.0,
+                              p_value=float((taus_lo * mu0.masses).sum()))
     plan = build_dynamical_plan(cone, coupling)
     theta_lo = float(np.sqrt((taus_lo ** 2 * mu0.masses).sum()))
     theta_hi = float(np.sqrt((taus_hi ** 2 * mu0.masses).sum()))
@@ -422,7 +418,7 @@ def tmcp_verify(cone, mu0: DiscreteMeasure, x1, K: float, N: float,
             excluded.append(t)
             continue
         mu_t = plan.slice_at(t)
-        if _density_excluded(mu_t, cone, mu0, density_cap_ratio):
+        if _density_excluded(mu_t, cone, mu0):
             excluded.append(t)
             continue
         m_lo = entropy(mu_t, cone, "U", N) - distortion(K, N, 1.0 - t, theta_lo) * u0

@@ -94,13 +94,23 @@ def slope(f: WarpingFunction, i: int) -> float:
     return max(fwd, -bwd, 0.0)
 
 
-def slopes(f: WarpingFunction) -> np.ndarray:
-    """Vector of local slopes at all grid points."""
-    ts, vals = f.ts, f.vals
+def _one_sided_slopes(ts, vals) -> np.ndarray:
+    """max{forward quotient, -backward quotient, 0} of vals at every grid
+    point; the missing quotient at an endpoint does not count."""
     dq = np.diff(vals) / np.diff(ts)
     fwd = np.concatenate([dq, [-math.inf]])
     bwd = np.concatenate([[math.inf], dq])
     return np.maximum(np.maximum(fwd, -bwd), 0.0)
+
+
+def slopes(f: WarpingFunction) -> np.ndarray:
+    """Vector of local slopes at all grid points."""
+    return _one_sided_slopes(f.ts, f.vals)
+
+
+def log_slopes(g: WarpingFunction) -> np.ndarray:
+    """Local slopes of log g at the interior grid points."""
+    return _one_sided_slopes(g.ts, np.log(np.maximum(g.vals, 1e-300)))[1:-1]
 
 
 def second_differences(f: WarpingFunction) -> np.ndarray:
@@ -133,16 +143,16 @@ class ConcavityReport:
     tol: float
 
 
-def fk_concavity(f: WarpingFunction, K: float, tol: float | None = None) -> ConcavityReport:
-    """Check the discrete f'' + K f <= 0 condition and compute K_f.
+def fk_concavity(f: WarpingFunction, K: float) -> ConcavityReport:
+    """Check the discrete f'' + K f <= 0 condition, up to
+    `default_concavity_tol`, and compute K_f.
 
     K_f = -min(K f^2 + slope^2) over the whole grid, boundary conventions
     included; argmin_G is the grid point attaining the minimum.
     """
     if f.n < 3:
         raise GridTooCoarse("need at least 3 grid points")
-    if tol is None:
-        tol = default_concavity_tol(f, K)
+    tol = default_concavity_tol(f, K)
     res = second_differences(f) + K * f.vals[1:-1]
     G = K * f.vals ** 2 + slopes(f) ** 2
     i0 = int(np.argmin(G))
@@ -164,7 +174,7 @@ def log_slope_bound(f: WarpingFunction, K: float):
     return np.maximum(left, right)
 
 
-def normalize_and_bound(f: WarpingFunction, K: float, slack: float | None = None):
+def normalize_and_bound(f: WarpingFunction, K: float):
     """Scale to max 1 and test the log-slope comparison bound.
 
     Returns (g, lam, slope_bound_ok).  lam is the removed maximum; the bound
@@ -178,15 +188,8 @@ def normalize_and_bound(f: WarpingFunction, K: float, slack: float | None = None
     if not rep.is_concave:
         raise ValueError("normalize_and_bound expects an FK-concave input")
     g = WarpingFunction(f.ts, f.vals / lam)
-    if slack is None:
-        slack = float(np.diff(f.ts).max()) * (1.0 + abs(K)) + 1e-9
-    with np.errstate(divide="ignore"):
-        u = np.log(np.maximum(g.vals, 1e-300))
-    dq = np.diff(u) / np.diff(g.ts)
-    fwd = np.concatenate([dq, [-math.inf]])
-    bwd = np.concatenate([[math.inf], dq])
-    log_slopes = np.maximum(np.maximum(fwd, -bwd), 0.0)[1:-1]
-    ok = bool(np.all(log_slopes <= log_slope_bound(f, K) + slack))
+    slack = float(np.diff(f.ts).max()) * (1.0 + abs(K)) + 1e-9
+    ok = bool(np.all(log_slopes(g) <= log_slope_bound(f, K) + slack))
     return g, float(lam), ok
 
 

@@ -210,6 +210,90 @@ def test_ellconv_bad_schedule_is_a_value_error(workdir, entry):
     assert "schedule entry" in rep["message"]
 
 
+def _write_seq(workdir, **fields):
+    cone = json.loads((workdir / "cone.json").read_text())
+    p = workdir / "seq_case.json"
+    p.write_text(json.dumps({"cones": [cone], "limit": cone,
+                             "coverDepth": 1, **fields}))
+    return p
+
+
+@pytest.mark.parametrize("name, seq_fields, args, message", [
+    ("measured", {}, ["--k", 2], "cover level k=2"),
+    ("measured", {}, ["--k=-1"], "cover level k=-1"),
+    ("measured", {}, ["--k", 0], "cover level k=0"),
+    ("measured", {"coverDepth": 0}, ["--k", 1], "cover depth must be"),
+    ("ellconv", {"coverDepth": 0}, [], "cover depth must be"),
+    ("ellconv", {"coverDepth": 1.5}, [], "cover depth must be"),
+    ("ellconv", {"schedule": [[1.0, 2]]}, [], "schedule entry [1.0, 2]"),
+    ("ellconv", {"schedule": [[1, "2"]]}, [], "schedule entry [1, '2']"),
+    ("ellconv", {"schedule": [1]}, [], "schedule entry 1 "),
+    ("ellconv", {"schedule": [[True, 2]]}, [], "schedule entry [True, 2]"),
+    ("ellconv", {"schedule": 5}, [], "schedule must be a list"),
+    ("tangent", None, ["--eps", "0"], "eps values must be positive"),
+    ("tangent", None, ["--eps=-0.1"], "eps values must be positive"),
+])
+def test_bad_sequence_input_is_a_value_error(workdir, name, seq_fields, args,
+                                             message):
+    # each of these ended in a traceback or an unrelated error report
+    if seq_fields is None:
+        args = ["--cone", workdir / "cone.json", "--point", "20,2", *args]
+    else:
+        args = ["--seq", _write_seq(workdir, **seq_fields), *args]
+    out = workdir / "o_bad_input"
+    assert run_cli(["--out", out, name, *args]) == 1
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "VALUE_ERROR"
+    assert message in rep["message"]
+
+
+def test_every_report_carries_its_command(workdir):
+    w = workdir
+    seq = _write_seq(w, schedule=[[1, 2]])
+    (w / "pseq.json").write_text(json.dumps({"cones": [json.loads(
+        (w / "cone.json").read_text())]}))
+    cone = ["--cone", w / "cone.json"]
+    runs = {
+        "tau": cone + ["--p", "3,2", "--q", "30,2"],
+        "geodesic": cone + ["--p", "0,2", "--q", "40,2"],
+        "tcbb": cone + ["--K", 0.0, "--samples", 20, "--seed", 3],
+        "ot": cone + ["--mu0", w / "mu0.json", "--mu1", w / "mu1.json",
+                      "--seed", 1],
+        "tcd": cone + ["--mu0", w / "mu0.json", "--mu1", w / "mu1.json",
+                       "--K", 0.0, "--N", 2.0],
+        "tmcp": cone + ["--mu0", w / "mu0.json", "--x1", "38,2",
+                        "--K", 0.0, "--N", 2.0],
+        "gh": ["--A", w / "fib.json", "--B", w / "fib.json"],
+        "ellconv": ["--seq", seq],
+        "measured": ["--seq", seq],
+        "precompact": ["--seq", w / "pseq.json", "--K", 0.0, "--N", 2.0,
+                       "--D", 4.0, "--depth", 1],
+        "tangent": cone + ["--point", "20,2", "--eps", "0.5,0.25"],
+        "ricci": ["--warp", w / "warp.json", "--K", 1.0, "--n", 2,
+                  "--fiber-bound", 1.0],
+        "sectional": ["--warp", w / "warp.json", "--K", 1.0,
+                      "--fiber-bound", -1.0],
+        "preset": ["warp", "sin", "--n", 11],
+    }
+    for name, args in runs.items():
+        out = w / f"o_cmd_{name}"
+        assert run_cli(["--out", out, name, *args]) in (0, 2, 3), name
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["command"] == name
+
+
+@pytest.mark.parametrize("name, args", [
+    ("ricci", ["--n", 2]),
+    ("sectional", []),
+])
+def test_fail_report_exits_2(workdir, name, args):
+    out = workdir / f"o_fail_{name}"
+    code = run_cli(["--out", out, name, "--warp", workdir / "warp.json",
+                    "--K", 1.0, *args, "--fiber-bound", -100.0])
+    assert code == 2
+    assert json.loads((out / "report.json").read_text())["verdict"] is False
+
+
 def test_precompact_command(workdir):
     ts = np.linspace(0.03, math.pi - 0.03, 41)
     warp = {"a": ts[0], "b": ts[-1], "ts": list(ts),

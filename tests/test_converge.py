@@ -404,8 +404,7 @@ def test_precompact_alternating_selects_even_cluster():
     cones = [GeneralizedCone(WarpingFunction(ts, tent if i % 2 == 0 else bump),
                              segment(1.0, 11), N=2.0, window=8)
              for i in range(6)]
-    rep = precompact_harness(cones, K=0.0, N=2.0, D=4.0, depth=1,
-                             cluster_tol=0.05)
+    rep = precompact_harness(cones, K=0.0, N=2.0, D=4.0, depth=1)
     assert rep["selected"] == [0, 2, 4]
 
 
