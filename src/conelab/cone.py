@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotCausallyRelated, ResourceLimit
-from .metricspace import FiniteMetricSpace, ball_indices
+from .metricspace import FiniteMetricSpace
 from .warp import WarpingFunction
 
 NEG_INF = -math.inf
@@ -47,19 +47,6 @@ MAX_TABLE_ENTRIES = 2.0e8
 # work that the numpy call overhead of one more block costs
 ROW_BLOCK_WASTE = 2048
 N_MU = 48   # positive multipliers on the upper envelope's mu-grid
-
-
-def _running_extrema(vals: np.ndarray, window: int):
-    """Interval max of the sampled warping over [i, j] for j-i <= window.
-
-    Returns dict keyed by span s=j-i with arrays over i."""
-    n = vals.size
-    cmax = {1: np.maximum(vals[:-1], vals[1:])}
-    for s in range(2, window + 1):
-        if n - s < 1:
-            break
-        cmax[s] = np.maximum(cmax[s - 1][:-1], vals[s:])
-    return cmax
 
 
 def _row_blocks(reach: np.ndarray):
@@ -128,8 +115,25 @@ class GeneralizedCone:
 
     @cached_property
     def _cmax(self):
-        """Window maxima of f, shared by the lower DP and the backtrace."""
-        return _running_extrema(self.f.vals, self.window)
+        """Interval max of f over [u, u + s] for spans s <= window: a dict
+        keyed by s with arrays over u."""
+        vals = self.f.vals
+        cmax = {1: np.maximum(vals[:-1], vals[1:])}
+        for s in range(2, min(self.window, vals.size - 1) + 1):
+            cmax[s] = np.maximum(cmax[s - 1][:-1], vals[s:])
+        return cmax
+
+    def _edge(self, u: int, t: int):
+        """The DP edges u -> t: (nk, w), where the shifts k < nk are the
+        feasible ones, dt >= C k dr with C = max_[u,t] f, and w holds the
+        weights sqrt(dt^2 - (C k dr)^2) of all m shifts (0 past nk).  The
+        one edge rule of the lower DP and of its backtrace."""
+        c = self._cmax[t - u][u]
+        dt = self.f.ts[t] - self.f.ts[u]
+        cd = c * (np.arange(self.m) * self.dr)
+        feas = dt >= cd
+        nk = self.m if feas.all() else int(np.argmin(feas))
+        return nk, np.sqrt(np.maximum(dt * dt - cd ** 2, 0.0))
 
     def _lower_rows(self, sources) -> np.ndarray:
         """Rows lo[s] of the lower table for the ascending source indices.
@@ -148,16 +152,13 @@ class GeneralizedCone:
         staircase.  Every skipped candidate is -inf + w = -inf, so each row
         comes out bit-identical whichever sources are computed with it."""
         src = np.asarray(sources, dtype=int)
-        ts = self.f.ts
-        n, m, dr, W = self.f.n, self.m, self.dr, self.window
+        n, m, W = self.f.n, self.m, self.window
         if self.f.is_zero:
-            dt = ts[None, :] - ts[src, None]
+            dt = self.f.ts[None, :] - self.f.ts[src, None]
             T = np.where(dt >= 0, dt, NEG_INF)[:, :, None]
             return np.broadcast_to(T, (src.size, n, m)).copy()
-        cmax = self._cmax
         T = np.full((src.size, n, m), NEG_INF)
         T[np.arange(src.size), src, 0] = 0.0
-        deltas = np.arange(m) * dr
         active = np.searchsorted(src, np.arange(n), side="right")
         blocks = {}
         buf = np.empty((src.size, m))
@@ -166,11 +167,7 @@ class GeneralizedCone:
             fin = T[:active[t - 1], t - 1, ::-1] > NEG_INF
             blocks[t - 1] = _row_blocks(m - 1 - np.argmax(fin, axis=1))
             for u in range(max(src[0], t - W), t):
-                c = cmax[t - u][u]
-                dt = ts[t] - ts[u]
-                feas = dt >= c * deltas
-                nk = m if feas.all() else int(np.argmin(feas))
-                w = np.sqrt(np.maximum(dt * dt - (c * deltas) ** 2, 0.0))
+                nk, w = self._edge(u, t)
                 for rows, reach in blocks[u]:
                     srow, drow = T[rows, u, :], T[rows, t, :]
                     for k in range(nk):
@@ -195,13 +192,10 @@ class GeneralizedCone:
         lines; Phi is prefix-summable, so the reverse triangle inequality
         is exact by min-splitting.  Negative envelope values certify
         non-causality (tau >= 0 would force the dual >= 0)."""
+        if self.f.is_zero:     # g = f = 0: both tables are the time gaps
+            return self._lower_rows(np.arange(self.f.n))
         ts, vals = self.f.ts, self.f.vals
-        n, m = self.f.n, self.m
         dt = np.diff(ts)
-        if self.f.is_zero:
-            d = ts[None, :] - ts[:, None]
-            T = np.where(d >= 0, d, NEG_INF)[:, :, None]
-            return np.broadcast_to(T, (n, n, m)).copy()
         c = np.minimum(vals[:-1], vals[1:])
         zero = c <= 0.0
         zcount = np.concatenate([[0], np.cumsum(zero)])
@@ -213,7 +207,7 @@ class GeneralizedCone:
         tgrid = ts[None, :] - ts[:, None]          # Phi at mu = 0
         crossing = (zcount[None, :] - zcount[:, None]) > 0
         hi = np.where(tgrid >= 0, tgrid, NEG_INF)
-        hi = np.repeat(hi[:, :, None], m, axis=2)
+        hi = np.repeat(hi[:, :, None], self.m, axis=2)
         rvals = self.dist_grid
         # lines through zero-min steps are +inf: those pairs keep mu = 0
         oki, okj = np.nonzero((tgrid >= 0) & ~crossing)
@@ -314,37 +308,34 @@ class GeneralizedCone:
     def maximizer(self, p, q) -> "GridGeodesic":
         """DP-optimal causal grid path realizing the lower-table value.
 
-        Reads only the source row lo[si], so `hi` is never built here."""
+        Reads only the source row lo[si], so `hi` is never built here.  The
+        backtrace walks the DP's own edges (`_edge`): from state (t, rr) it
+        takes the first edge, by u and then by shift k ascending, whose
+        source value plus weight matches lo[si, t, rr]."""
         (si, xi), (ti, yi) = p, q
         r = int(self._fiber_cells[False][xi, yi])
         row = self._lower_row(si) if ti >= si else None
         val = NEG_INF if row is None else float(row[ti, r])
         if val == NEG_INF:
             raise NotCausallyRelated(f"{p} !<= {q}")
-        ts, cmax = self.f.ts, self._cmax
+        tol = 1e-9 * (1 + abs(val))
         states = [(ti, r)]
         weights = []
         t, rr = ti, r
         while (t, rr) != (si, 0):
-            found = False
             for u in range(max(si, t - self.window), t):
-                dt = ts[t] - ts[u]
-                c = cmax[t - u][u]
-                for k in range(rr + 1):
-                    d_eff = k * self.dr
-                    if c * d_eff > dt + 1e-12:
-                        break
-                    w = math.sqrt(max(dt * dt - (c * d_eff) ** 2, 0.0))
-                    prev = row[u, rr - k]
-                    if prev > NEG_INF and abs(prev + w - row[t, rr]) <= 1e-9 * (1 + abs(val)):
-                        states.append((u, rr - k))
-                        weights.append(w)
-                        t, rr = u, rr - k
-                        found = True
-                        break
-                if found:
+                nk, w = self._edge(u, t)
+                K = min(nk, rr + 1)
+                # row[u, rr - k] + w[k] for the feasible shifts k < K; a -inf
+                # source gives an infinite miss
+                hit = np.abs(row[u, rr::-1][:K] + w[:K] - row[t, rr]) <= tol
+                if hit.any():
+                    k = int(np.argmax(hit))
+                    states.append((u, rr - k))
+                    weights.append(w[k])
+                    t, rr = u, rr - k
                     break
-            if not found:
+            else:
                 raise NotCausallyRelated("backtrace failed; table inconsistent")
         states.reverse()
         weights.reverse()
@@ -388,27 +379,26 @@ class GeneralizedCone:
 
     # -- rescaling ---------------------------------------------------------------
 
+    def _like(self, ts, vals, dist) -> "GeneralizedCone":
+        """The cone on warping samples (ts, vals) and fiber distances dist
+        (same base point), with this cone's N, grid options and weights."""
+        return GeneralizedCone(WarpingFunction(ts, vals),
+                               FiniteMetricSpace(dist, self.X.base), N=self.N,
+                               dist_steps=self.dist_steps, window=self.window,
+                               fiber_weights=self.fiber_weights)
+
     def rescale(self, eps: float) -> "GeneralizedCone":
         """The 1/eps-rescaled cone: times and fiber distances divided by eps;
         signed separations scale by 1/eps on corresponding grid pairs."""
         if eps <= 0:
             raise ValueError("eps must be positive")
-        f2 = WarpingFunction(self.f.ts / eps, self.f.vals)
-        X2 = FiniteMetricSpace(self.X.dist / eps, self.X.base)
-        return GeneralizedCone(f2, X2, N=self.N, dist_steps=self.dist_steps,
-                               window=self.window, fiber_weights=self.fiber_weights)
-
-    def with_scaled_warp_fiber(self, lam: float) -> "GeneralizedCone":
-        f2 = WarpingFunction(self.f.ts, self.f.vals * lam)
-        X2 = FiniteMetricSpace(self.X.dist / lam, self.X.base)
-        return GeneralizedCone(f2, X2, N=self.N, dist_steps=self.dist_steps,
-                               window=self.window, fiber_weights=self.fiber_weights)
+        return self._like(self.f.ts / eps, self.f.vals, self.X.dist / eps)
 
     def scaling_isomorphism_check(self, lam: float) -> float:
         """Max |l - l'| over grid pairs for the (lam f, X/lam) cone."""
         if lam <= 0:
             raise ValueError("lambda must be positive")
-        other = self.with_scaled_warp_fiber(lam)
+        other = self._like(self.f.ts, self.f.vals * lam, self.X.dist / lam)
         lo = self.lower_table()
         lo2 = other.lower_table()
         both = (lo > NEG_INF) & (lo2 > NEG_INF)
@@ -487,7 +477,7 @@ class GridGeodesic:
         Along a timelike maximizer the fiber speed is proportional to
         1/f^2, so these values should agree across edges up to grid error;
         kept as a diagnostic only (the tables never use it)."""
-        ts, vals = self.cone.f.ts, self.cone.f.vals
+        vals = self.cone.f.vals
         out = []
         for (a, ra), (b, rb), w in zip(self.states, self.states[1:],
                                        self.weights):

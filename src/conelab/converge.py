@@ -39,9 +39,14 @@ CLUSTER_TOL = 0.05  # grid-wise spread of one limit cluster, precompactness
 
 @dataclass(frozen=True)
 class CoverLevel:
+    """One cover set: the time window [t_lo, t_hi] x the fiber ball
+    fiber_idx, with its window length, ball diameter and window max of f."""
     t_lo: int
     t_hi: int
     fiber_idx: np.ndarray
+    t_len: float
+    fiber_diam: float
+    fmax: float
 
     @property
     def time_indices(self):
@@ -64,7 +69,11 @@ def build_cover(cone: GeneralizedCone, depth: int):
         if levels:
             lo = min(lo, levels[-1].t_lo)
             hi = max(hi, levels[-1].t_hi)
-        levels.append(CoverLevel(lo, hi, ball_indices(cone.X, 2.0 ** k)))
+        bi = ball_indices(cone.X, 2.0 ** k)
+        levels.append(CoverLevel(
+            lo, hi, bi, t_len=float(ts[hi] - ts[lo]),
+            fiber_diam=float(cone.X.dist[np.ix_(bi, bi)].max(initial=0.0)),
+            fmax=float(cone.f.vals[lo:hi + 1].max())))
     return levels
 
 
@@ -103,24 +112,18 @@ def cone_sequence(cones, limit, depth: int = 2) -> ConeSequence:
             ia, il = lv_i.time_indices, lv_l.time_indices
             n = min(ia.size, il.size)
             shift = float(np.abs(c.f.ts[ia[:n]] - limit.f.ts[il[:n]]).max())
-            fmax = float(limit.f.vals[il].max())
             supdf = float(np.abs(c.f(limit.f.ts[il]) - limit.f.vals[il]).max())
-            distortion[(i, k)] = shift + supdf * max(B.diam, 1.0) \
-                + fmax * wit.distortion
-            alignment[(i, k)] = shift + fmax * wit.distortion
+            distortion[(i, k)] = shift + supdf * max(lv_l.fiber_diam, 1.0) \
+                + lv_l.fmax * wit.distortion
+            alignment[(i, k)] = shift + lv_l.fmax * wit.distortion
     return ConeSequence(cones=list(cones), limit=limit, depth=depth,
                         covers=covers, fiber_maps=fiber_maps,
                         distortion=distortion, alignment=alignment)
 
 
 def _diam_bracket(cone: GeneralizedCone, level: CoverLevel):
-    ts = cone.f.ts
-    tlen = float(ts[level.t_hi] - ts[level.t_lo])
-    bi = level.fiber_idx
-    fd = float(cone.X.dist[np.ix_(bi, bi)].max(initial=0.0))
-    fmin = float(cone.f.vals.min())
-    fmax = float(cone.f.vals[level.time_indices].max())
-    return max(tlen, fmin * fd), tlen + fmax * fd
+    tlen, fd = level.t_len, level.fiber_diam
+    return max(tlen, float(cone.f.vals.min()) * fd), tlen + level.fmax * fd
 
 
 def covered_gh(seq: ConeSequence, k: int):
@@ -180,9 +183,8 @@ def _transported(seq: ConeSequence, i: int, k: int, atom_cap=None):
         stride = max(1, int(np.ceil(max(ti.size, tl.size) / atom_cap)))
         ti, xi, mapped = ti[::stride], xi[::stride], mapped[::stride]
         tl, xl = tl[::stride], xl[::stride]
-    fmax = float(limit.f.vals[lv_l.time_indices].max())
     D = (np.abs(cone.f.ts[ti][:, None] - limit.f.ts[tl][None, :])
-         + fmax * limit.X.dist[np.ix_(mapped, xl)])
+         + lv_l.fmax * limit.X.dist[np.ix_(mapped, xl)])
     return (ti, xi), (tl, xl), D
 
 
@@ -309,10 +311,7 @@ def imprisonment_constants(seq: ConeSequence) -> list:
         vals = []
         for i, c in enumerate(seq.cones):
             lv = seq.covers[i][k - 1]
-            tlen = float(c.f.ts[lv.t_hi] - c.f.ts[lv.t_lo])
-            bi = lv.fiber_idx
-            fd = float(c.X.dist[np.ix_(bi, bi)].max(initial=0.0))
-            vals.append(c.imprisonment_bound(tlen, fd))
+            vals.append(c.imprisonment_bound(lv.t_len, lv.fiber_diam))
         out.append(max(vals) if vals else 0.0)
     return out
 
@@ -325,12 +324,10 @@ def theorem_conditions(seq: ConeSequence) -> dict:
     for i, c in enumerate(seq.cones):
         for k in range(1, seq.depth + 1):
             lv_i, lv_l = seq.covers[i][k - 1], seq.covers[-1][k - 1]
-            base_i = float(c.f.ts[lv_i.t_hi] - c.f.ts[lv_i.t_lo])
-            base_l = float(seq.limit.f.ts[lv_l.t_hi] - seq.limit.f.ts[lv_l.t_lo])
             _, fib = seq.fiber_maps[(i, k)]
             il = lv_l.time_indices
             supdf = float(np.abs(c.f(seq.limit.f.ts[il]) - seq.limit.f.vals[il]).max())
-            per_ik[(i, k)] = {"base_gh": 0.5 * abs(base_i - base_l),
+            per_ik[(i, k)] = {"base_gh": 0.5 * abs(lv_i.t_len - lv_l.t_len),
                               "fiber_witness_distortion": fib,
                               "sup_f_diff": supdf}
     return per_ik
@@ -456,7 +453,7 @@ def precompact_harness(cones, K: float, N: float, D: float,
             raise ValueError(
                 f"cone {idx} not FK-concave: residual "
                 f"{rep.max_violation:.3g} at t={c.f.ts[1 + j]:.4g}")
-        g, lam, ok = normalize_and_bound(c.f, K)
+        g, _, ok = normalize_and_bound(c.f, K)
         if not ok:
             ls, bound = log_slopes(g), log_slope_bound(g, K)
             j = int(np.argmax(ls - bound))

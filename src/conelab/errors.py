@@ -53,10 +53,6 @@ class NotCausallyCouplable(ConelabError):
     """The set of causal couplings between the marginals is empty."""
 
 
-class NoMaximizer(ConelabError):
-    """A coupling support pair is not causally related."""
-
-
 class ZeroReferenceCell(ConelabError):
     """An atom sits on a cell of zero reference weight (density undefined)."""
 

@@ -45,11 +45,12 @@ class FiniteMetricSpace:
         off = d + np.eye(n) * (1.0 + d.max(initial=0.0))
         if n > 1 and off.min() <= 0.0:
             raise ValueError("distinct points at distance <= 0")
-        # triangle inequality, checked in full for moderate sizes
+        # triangle inequality, checked in full for moderate sizes, one row
+        # i at a time: min_j d[i, j] + d[j, k] against d[i, k]
         if n <= 400:
-            via = (d[:, :, None] + d[None, :, :]).min(axis=1)
-            if (d - via).max() > METRIC_TOL:
-                raise ValueError("triangle inequality violated")
+            for row in d:
+                if (row - (row[:, None] + d).min(axis=0)).max() > METRIC_TOL:
+                    raise ValueError("triangle inequality violated")
         d.setflags(write=False)
 
     @property
@@ -173,18 +174,19 @@ def _greedy_completion(da, db):
     return cur, phi, psi
 
 
-def _feasible_assignment(diff_pp, diff_cross, diff_ss, v: float):
+def _feasible_assignment(diff_pp, diff_ss, v: float):
     """Forward-checking search for map pairs (phi, psi) with distortion <= v.
 
     Variables are the phi rows (domains over B) followed by the psi rows
     (domains over A); domains are bitmasks, most-constrained-first order.
+    diff_pp[i, j, b, b'] = |da[i, j] - db[b, b']| serves both the phi-phi
+    constraints and, indexed as [i, a, b, k], the phi-psi ones.
     Returns (phi, psi) or None."""
-    na, nb = diff_cross.shape[0], diff_cross.shape[2]
+    na, nb = diff_pp.shape[0], diff_pp.shape[2]
     nv = na + nb
     # pairwise compatibility masks: allowed[u][val][w] = bitmask for w
     ok_pp = diff_pp <= v
     ok_cc = diff_ss <= v
-    ok_cr = diff_cross <= v
 
     def pack(bools):
         out = 0
@@ -199,13 +201,13 @@ def _feasible_assignment(diff_pp, diff_cross, diff_ss, v: float):
             for j in range(na):
                 allowed[i][b][j] = pack(ok_pp[i, j, b, :])
             for l in range(nb):
-                allowed[i][b][na + l] = pack(ok_cr[i, :, b, l])
+                allowed[i][b][na + l] = pack(ok_pp[i, :, b, l])
     for k in range(nb):
         for a in range(na):
             for l in range(nb):
                 allowed[na + k][a][na + l] = pack(ok_cc[k, l, a, :])
             for j in range(na):
-                allowed[na + k][a][j] = pack(ok_cr[j, a, :, k])
+                allowed[na + k][a][j] = pack(ok_pp[j, a, :, k])
 
     full = [(1 << nb) - 1] * na + [(1 << na) - 1] * nb
     assign = [-1] * nv
@@ -239,14 +241,12 @@ def _feasible_assignment(diff_pp, diff_cross, diff_ss, v: float):
 
 
 def _exact_search(A: FiniteMetricSpace, B: FiniteMetricSpace, upper0: float):
-    """Exact minimal correspondence distortion via binary search over the
-    finite candidate set {|d_A - d_B|} with a feasibility CSP per value."""
+    """Pairs of a correspondence of minimal distortion, via binary search
+    over the finite candidate set {|d_A - d_B|} with a feasibility CSP per
+    value."""
     da, db = A.dist, B.dist
     na, nb = A.n, B.n
-    # diff_pp[i,j,b,b'] = |da[i,j] - db[b,b']|; the same tensor indexed as
-    # [i,a,b,k] covers the cross constraints between phi and psi rows
     diff_pp = np.abs(da[:, :, None, None] - db[None, None, :, :])
-    diff_cr = diff_pp
     diff_ss = np.abs(db[:, :, None, None] - da[None, None, :, :])
     g_dis, g_phi, g_psi = _greedy_completion(da, db)
     upper = min(upper0, g_dis)
@@ -256,18 +256,16 @@ def _exact_search(A: FiniteMetricSpace, B: FiniteMetricSpace, upper0: float):
     best = None
     while lo_i <= hi_i:
         mid = (lo_i + hi_i) // 2
-        got = _feasible_assignment(diff_pp, diff_cr, diff_ss, float(values[mid]))
+        got = _feasible_assignment(diff_pp, diff_ss, float(values[mid]))
         if got is not None:
-            best = (float(values[mid]), got)
+            best = got
             hi_i = mid - 1
         else:
             lo_i = mid + 1
-    if best is None:
-        best = (g_dis, (g_phi, g_psi))
-    dis, (phi, psi) = best
+    phi, psi = (g_phi, g_psi) if best is None else best
     pairs = [(i, int(phi[i])) for i in range(na)]
     pairs += [(int(psi[j]), j) for j in range(nb)]
-    return dis, pairs
+    return pairs
 
 
 def _heuristic_lower(A: FiniteMetricSpace, B: FiniteMetricSpace) -> float:
@@ -296,8 +294,7 @@ def gh_distance(A: FiniteMetricSpace, B: FiniteMetricSpace, mode: str = "heurist
         return lower, upper, witness
     if max(A.n, B.n) > 8:
         raise SizeLimit(f"exact GH search capped at 8 points, got {max(A.n, B.n)}")
-    dis, pairs = _exact_search(A, B, witness.distortion)
-    witness = Correspondence.build(A, B, pairs)
+    witness = Correspondence.build(A, B, _exact_search(A, B, witness.distortion))
     val = 0.5 * witness.distortion
     return val, val, witness
 

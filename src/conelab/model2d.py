@@ -407,8 +407,7 @@ def tcbb_verify(cone, K: float, samples: int = 200, tol: float = 0.02,
     counts = {"valid": 0, "order": 0, "relation": 0, "domain": 0,
               "unrealizable": 0, "outside_chart": 0}
     worst = math.inf
-    worst_cfg = None
-    margins = []
+    worst_cfg = worst_pts = None
     draws = 0
     while counts["valid"] < samples and draws < max_draw_factor * samples:
         draws += 1
@@ -422,7 +421,7 @@ def tcbb_verify(cone, K: float, samples: int = 200, tol: float = 0.02,
             t_lo, _ = comparison_interval(K, got.bounds["yx"],
                                           got.bounds["yz1"], got.bounds["xz1"],
                                           got.bounds["yz2"], got.bounds["xz2"])
-            realize_comparison(got, K)  # point realization must also exist
+            realized = realize_comparison(got, K)  # must exist too
             m = got.tau_z1z2 - t_lo
         except (Unrealizable, DomainViolation):
             counts["unrealizable"] += 1
@@ -431,9 +430,8 @@ def tcbb_verify(cone, K: float, samples: int = 200, tol: float = 0.02,
             counts["outside_chart"] += 1
             continue
         counts["valid"] += 1
-        margins.append(m)
         if m < worst:
-            worst, worst_cfg = m, got
+            worst, worst_cfg, worst_pts = m, got, realized
     if counts["valid"] < 10:
         raise InsufficientSamples(f"only {counts['valid']} valid configs "
                                   f"after {draws} draws")
@@ -444,15 +442,11 @@ def tcbb_verify(cone, K: float, samples: int = 200, tol: float = 0.02,
             "tau_yz2": worst_cfg.tau_yz2, "tau_xz1": worst_cfg.tau_xz1,
             "tau_xz2": worst_cfg.tau_xz2, "tau_z1z2": worst_cfg.tau_z1z2,
             "kind": worst_cfg.kind, "points": worst_cfg.points,
-        }
-        try:
-            realized = realize_comparison(worst_cfg, K)
-            worst_dump["realized"] = [
+            "realized": [
                 {"time": pt.time, "space": pt.space,
                  "coords": [float(v) for v in np.atleast_1d(pt.coords)]}
-                for pt in realized]
-        except (Unrealizable, DomainViolation):
-            pass
+                for pt in worst_pts],
+        }
     return {
         "K": K, "tol": tol, "seed": seed, "samples": counts["valid"],
         "counts": counts, "worst_margin": worst,

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from .errors import (AtomNotInPast, NoMaximizer, NotCausallyCouplable,
+from .errors import (AtomNotInPast, NotCausallyCouplable,
                      NotTimelikeDualizable, ZeroReferenceCell)
 from .kappa import pi_kappa, sin_kappa
 
@@ -119,8 +119,9 @@ class CausalCoupling:
         return [(i, j) for i in range(self.table.shape[0])
                 for j in range(self.table.shape[1]) if self.table[i, j] > 1e-12]
 
-    def l2_tau_norm(self, cone, upper: bool = False) -> float:
-        L = separation_matrix(cone, self.mu0, self.mu1, upper=upper)
+    def l2_tau_norm(self, L) -> float:
+        """L2 norm, against the plan, of the positive part of the separation
+        matrix L between the atoms of mu0 (rows) and mu1 (columns)."""
         sup = self.table > 1e-15
         vals = np.where(sup, np.maximum(L, 0.0), 0.0)
         return float(np.sqrt((vals ** 2 * self.table).sum()))
@@ -212,11 +213,11 @@ class DynamicalPlan:
 
 
 def build_dynamical_plan(cone, coupling: CausalCoupling) -> DynamicalPlan:
+    """One maximizer per support pair of the coupling; a pair that is not
+    causally related raises NotCausallyRelated."""
     geos, masses, ends = [], [], []
     for i, j in coupling.support():
         pa, qa = coupling.mu0.points[i], coupling.mu1.points[j]
-        if cone.signed_separation(pa, qa) == -math.inf:
-            raise NoMaximizer(f"support pair {pa} -> {qa} not causal")
         geos.append(cone.maximizer(pa, qa))
         masses.append(coupling.table[i, j])
         ends.append((pa, qa))
@@ -227,12 +228,17 @@ def build_dynamical_plan(cone, coupling: CausalCoupling) -> DynamicalPlan:
 # -- entropies ---------------------------------------------------------------
 
 
+def _atom_weights(measure: DiscreteMeasure, cone) -> np.ndarray:
+    """The cone's reference cell weight at each atom of the measure."""
+    t, x = np.array(measure.points).T
+    return cone.reference_measure()[t, x]
+
+
 def entropy(measure: DiscreteMeasure, cone, kind: str, N: float | None = None) -> float:
     """Entropy functionals against the cone's reference cell weights.
 
     kind: 'renyi' (S_N), 'boltzmann' (Ent), or 'U' (U_N = exp(-Ent/N))."""
-    w = cone.reference_measure()
-    weights = np.array([w[a, b] for a, b in measure.points])
+    weights = _atom_weights(measure, cone)
     if kind == "renyi":
         if N is None or N < 1:
             raise ValueError("renyi entropy needs N >= 1")
@@ -305,9 +311,11 @@ def _density_excluded(measure: DiscreteMeasure, cone,
                       baseline: DiscreteMeasure) -> bool:
     """Whether some atom's density exceeds DENSITY_CAP_RATIO times the
     baseline's median density."""
-    w = cone.reference_measure()
-    dens = lambda mu: np.array([m / w[a, b] if w[a, b] > 0 else math.inf
-                                for (a, b), m in zip(mu.points, mu.masses)])
+    def dens(mu):       # +inf on zero-weight cells
+        w = _atom_weights(mu, cone)
+        return np.divide(mu.masses, w, out=np.full(w.shape, math.inf),
+                         where=w > 0)
+
     base = np.median(dens(baseline))
     return bool((dens(measure) > DENSITY_CAP_RATIO * base).any())
 
@@ -334,12 +342,12 @@ def tcd_verify(cone, mu0: DiscreteMeasure, mu1: DiscreteMeasure, p: float,
         raise NotTimelikeDualizable(
             "no optimal coupling concentrated on strictly timelike pairs")
     plan = build_dynamical_plan(cone, strict_coupling)
-    theta_lo = strict_coupling.l2_tau_norm(cone, upper=False)
-    theta_hi = strict_coupling.l2_tau_norm(cone, upper=True)
-    margins = {}
-    excluded = []
     L_lo = separation_matrix(cone, strict_coupling.mu0, strict_coupling.mu1)
     L_hi = separation_matrix(cone, strict_coupling.mu0, strict_coupling.mu1, upper=True)
+    theta_lo = strict_coupling.l2_tau_norm(L_lo)
+    theta_hi = strict_coupling.l2_tau_norm(L_hi)
+    margins = {}
+    excluded = []
 
     def entropic_margin(mu_t, t, theta):
         s0 = distortion(K, N, 1.0 - t, theta)
@@ -349,9 +357,8 @@ def tcd_verify(cone, mu0: DiscreteMeasure, mu1: DiscreteMeasure, p: float,
         return entropy(mu_t, cone, "U", N) - rhs
 
     def renyi_margin(mu_t, t, L):
-        w = cone.reference_measure()
-        w0 = np.array([w[a, b] for a, b in strict_coupling.mu0.points])
-        w1 = np.array([w[a, b] for a, b in strict_coupling.mu1.points])
+        w0 = _atom_weights(strict_coupling.mu0, cone)
+        w1 = _atom_weights(strict_coupling.mu1, cone)
         if (w0 <= 0).any() or (w1 <= 0).any():
             raise ZeroReferenceCell("marginal atom on a zero-weight cell")
         rho0 = strict_coupling.mu0.masses / w0

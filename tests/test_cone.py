@@ -448,3 +448,44 @@ def test_separations_match_scalar_rule(cone, data):
                 assert got[a, b] == want
                 assert cone.separations(p, q, upper=upper) == want
         assert (got[pt[:, None] > qt[None, :]] == -math.inf).all()
+
+
+# -- the backtrace walks the lower DP's own edges --------------------------------
+
+
+def _backtrace_cones():
+    yield from _lookup_cones()
+    ts = np.linspace(0.0, 1.0, 9)
+    yield pytest.param(GeneralizedCone(WarpingFunction(ts, 1.0 + 0.5 * np.sin(3.0 * ts)),
+                                       segment(1.0, 7), dist_steps=12,
+                                       window=20), id="varying-window>=n-1")
+
+
+@pytest.mark.parametrize("cone", list(_backtrace_cones()))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_maximizer_steps_are_dp_edges(cone, data):
+    n, nx = cone.f.n, cone.X.n
+    s, t = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                     max_size=2)))
+    p = (s, data.draw(st.integers(0, nx - 1)))
+    q = (t, data.draw(st.integers(0, nx - 1)))
+    tau = cone.signed_separation(p, q)
+    # known gap: the zero-warping table holds ts[t] - ts[s] at every
+    # distance cell, also at t == s, where no grid path ends.  The backtrace
+    # takes shift 0 first, reaches (s, r > 0) and stops, so every pair at a
+    # positive cell raises; the steps it does return must still be DP edges
+    gap = cone.f.is_zero and cone._fiber_cells[False][p[1], q[1]] > 0
+    if tau == -math.inf or gap:
+        with pytest.raises(NotCausallyRelated):
+            cone.maximizer(p, q)
+        return
+    g = cone.maximizer(p, q)
+    ts, vals = cone.f.ts, cone.f.vals
+    for (a, ra), (b, rb), w in zip(g.states, g.states[1:], g.weights):
+        assert 0 < b - a <= cone.window
+        k = round((rb - ra) / cone.dr) if cone.dr > 0 else 0
+        assert vals[a:b + 1].max() * (k * cone.dr) <= ts[b] - ts[a]
+        assert w == cone._edge(a, b)[1][k]
+    assert abs(sum(g.weights) - g.tau_length) <= 1e-9 * (1 + abs(tau))
+    assert g.tau_length == tau

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,19 @@ def test_json_roundtrip():
     Y = FiniteMetricSpace.from_json(X.to_json())
     np.testing.assert_allclose(X.dist, Y.dist)
     assert Y.base == 3
+
+
+def test_triangle_check_memory_is_quadratic():
+    # the check runs one row at a time: a full n x n x n sum would peak at
+    # about 400 n^2 doubles here
+    n = 400
+    tracemalloc.start()
+    try:
+        segment(1.0, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * n * n * 8
 
 
 def test_invalid_tables_rejected():

@@ -197,6 +197,13 @@ def test_tcbb_deterministic(strip_small):
                                "tau_xz2", "tau_z1z2")] == [
         0.5656854249492381, 1.7428425057933379, 1.8056923733227017,
         1.0074689665460224, 1.095650629422833, 1.2499999229476089e-05]
+    cfg = FourPointConfig(**{k: worst[k] for k in (
+        "tau_yx", "tau_yz1", "tau_yz2", "tau_xz1", "tau_xz2", "tau_z1z2")},
+        kind=worst["kind"], points=worst["points"])
+    assert worst["realized"] == [
+        {"time": pt.time, "space": pt.space,
+         "coords": [float(v) for v in np.atleast_1d(pt.coords)]}
+        for pt in realize_comparison(cfg, 0.0)]
 
 
 def test_tcbb_insufficient_samples():

@@ -6,9 +6,11 @@ import pytest
 
 from conelab.cone import GeneralizedCone, minkowski_strip
 from conelab.errors import (AtomNotInPast, NotCausallyCouplable,
-                            NotTimelikeDualizable, ZeroReferenceCell)
+                            NotCausallyRelated, NotTimelikeDualizable,
+                            ZeroReferenceCell)
 from conelab.metricspace import segment
-from conelab.transport import (DiscreteMeasure, build_dynamical_plan,
+from conelab.transport import (CausalCoupling, DiscreteMeasure,
+                               build_dynamical_plan,
                                check_cyclical_monotonicity, distortion,
                                entropy, separation_matrix, solve_lp,
                                tcd_verify, tmcp_verify)
@@ -165,6 +167,17 @@ def test_plan_mass_conservation(strip_small):
     plan = build_dynamical_plan(strip_small, solve_lp(strip_small, m0, m1, 0.5))
     for t in np.linspace(0, 1, 9):
         assert abs(math.fsum(plan.slice_at(float(t)).masses) - 1.0) <= 1e-12
+
+
+def test_plan_rejects_non_causal_support_pair(strip_small):
+    # (30, 0) -> (10, 0) runs backward in time; (0, 0) -> (40, 20) is causal
+    m0 = DiscreteMeasure.uniform([(0, 0), (30, 0)])
+    m1 = DiscreteMeasure.uniform([(10, 0), (40, 20)])
+    coupling = CausalCoupling(mu0=m0, mu1=m1, table=np.array([[0.0, 0.5],
+                                                              [0.5, 0.0]]),
+                              p=1.0, p_value=0.0)
+    with pytest.raises(NotCausallyRelated):
+        build_dynamical_plan(strip_small, coupling)
 
 
 def test_entropy_closed_forms(strip_small):
