@@ -311,7 +311,8 @@ class GeneralizedCone:
         Reads only the source row lo[si], so `hi` is never built here.  The
         backtrace walks the DP's own edges (`_edge`): from state (t, rr) it
         takes the first edge, by u and then by shift k ascending, whose
-        source value plus weight matches lo[si, t, rr]."""
+        source value plus weight matches lo[si, t, rr]; an edge from time si
+        must start at cell 0."""
         (si, xi), (ti, yi) = p, q
         r = int(self._fiber_cells[False][xi, yi])
         row = self._lower_row(si) if ti >= si else None
@@ -329,6 +330,8 @@ class GeneralizedCone:
                 # row[u, rr - k] + w[k] for the feasible shifts k < K; a -inf
                 # source gives an infinite miss
                 hit = np.abs(row[u, rr::-1][:K] + w[:K] - row[t, rr]) <= tol
+                if u == si:
+                    hit[:rr] = False    # paths start at (si, 0)
                 if hit.any():
                     k = int(np.argmax(hit))
                     states.append((u, rr - k))

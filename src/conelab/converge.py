@@ -28,12 +28,11 @@ from .errors import BoundaryPoint, SlopeBoundViolated
 from .kappa import pi_kappa
 from .metricspace import (FiniteMetricSpace, ball_indices, ball_subspace,
                           gh_distance)
-from .transport import transport_lp
+from .transport import flow_lp
 from .warp import (WarpingFunction, fk_concavity, log_slope_bound, log_slopes,
                    normalize_and_bound)
 
 NEIGHBOR_CAP = 12   # nearest neighbours per state in a modulus search
-ATOM_CAP = 400      # atoms per side of a measured-convergence W1 LP
 CLUSTER_TOL = 0.05  # grid-wise spread of one limit cluster, precompactness
 
 
@@ -166,25 +165,24 @@ def default_delta(seq: ConeSequence, i: int, k: int) -> float:
     return 2.0 * (dt + seq.distortion[(i, k)])
 
 
-def _transported(seq: ConeSequence, i: int, k: int, atom_cap=None):
-    """States of cone i and of the limit on the k-th cover, and the cross
-    metric D[a, b] between i-state a, carried into the limit through the
-    recorded witness (time index kept, fiber point mapped), and limit
-    state b, in the limit-side proxy |dt| + (max f) * d_fiber.  With an
-    atom_cap, both sides keep every stride-th state, one stride chosen so
-    that neither side holds more than atom_cap."""
-    cone, limit = seq.cones[i], seq.limit
+def _cross_states(seq: ConeSequence, i: int, k: int):
+    """States (t, x) of cone i and of the limit on the k-th cover, and the
+    limit fiber point each i-state is carried to by the recorded witness
+    (its time index is kept)."""
     lv_i, lv_l = seq.covers[i][k - 1], seq.covers[-1][k - 1]
-    ti, xi = _states(cone, lv_i)
-    tl, xl = _states(limit, lv_l)
     to_limit, _ = seq.fiber_maps[(i, k)]
     mapped = np.tile(lv_l.fiber_idx[to_limit], lv_i.time_indices.size)
-    if atom_cap is not None:
-        stride = max(1, int(np.ceil(max(ti.size, tl.size) / atom_cap)))
-        ti, xi, mapped = ti[::stride], xi[::stride], mapped[::stride]
-        tl, xl = tl[::stride], xl[::stride]
+    return _states(seq.cones[i], lv_i), mapped, _states(seq.limit, lv_l)
+
+
+def _transported(seq: ConeSequence, i: int, k: int):
+    """The `_cross_states` of cone i and the limit on the k-th cover, and
+    the cross metric D[a, b] between i-state a, carried into the limit, and
+    limit state b, in the limit-side proxy |dt| + (max f) * d_fiber."""
+    cone, limit = seq.cones[i], seq.limit
+    (ti, xi), mapped, (tl, xl) = _cross_states(seq, i, k)
     D = (np.abs(cone.f.ts[ti][:, None] - limit.f.ts[tl][None, :])
-         + lv_l.fmax * limit.X.dist[np.ix_(mapped, xl)])
+         + seq.covers[-1][k - 1].fmax * limit.X.dist[np.ix_(mapped, xl)])
     return (ti, xi), (tl, xl), D
 
 
@@ -410,25 +408,49 @@ def ell_converge_check(seq: ConeSequence, schedule=None) -> dict:
     }
 
 
+def _w1(src, dst, X: FiniteMetricSpace, fmax: float) -> float:
+    """W1 between the atoms src = (times, fiber points of X, masses) and
+    dst for the cost |t - t'| + fmax * d_X(x, x').  That cost is the
+    shortest-path metric of the product of the time path through both
+    grids and the essential edges of the fiber points in use, so W1 is a
+    min-cost flow on that graph (Beckmann's formulation)."""
+    (t0, x0, a), (t1, x1, b) = src, dst
+    times, tin = np.unique(np.concatenate([t0, t1]), return_inverse=True)
+    pts, xin = np.unique(np.concatenate([x0, x1]), return_inverse=True)
+    nt, nx = times.size, pts.size
+    supply = np.zeros(nt * nx)
+    np.add.at(supply, tin * nx + xin, np.concatenate([a, -b]))
+    ea, ec = FiniteMetricSpace(X.dist[np.ix_(pts, pts)]).essential_edges()
+    node = np.arange(nt * nx).reshape(nt, nx)
+    tails = np.concatenate([node[:-1].ravel(), node[:, ea].ravel()])
+    heads = np.concatenate([node[1:].ravel(), node[:, ec].ravel()])
+    if tails.size == 0:
+        return 0.0      # one node, which both measures fill
+    cost = np.concatenate([np.repeat(np.diff(times), nx),
+                           np.tile(fmax * X.dist[pts[ea], pts[ec]], nt)])
+    res = flow_lp(np.concatenate([tails, heads]), np.concatenate([heads, tails]),
+                  np.tile(cost, 2), supply)
+    if not res.success:
+        raise RuntimeError(f"W1 flow LP failed: {res.message}")
+    return float(res.fun)
+
+
 def measured_converge_check(seq: ConeSequence, k: int) -> list:
-    """Per-i W1 distances between normalized restricted reference measures,
-    transported into the limit cover through the witness correspondence.
-    Both sides are subsampled with the same stride when over the atom cap."""
+    """Per-i W1 distances between normalized restricted reference measures
+    on every state of the k-th cover, the member's transported into the
+    limit cover through the witness correspondence."""
     if not 1 <= k <= seq.depth:
         raise ValueError(f"cover level k={k} needs 1 <= k <= {seq.depth} "
                          f"(the cover depth)")
+    limit = seq.limit
     out = []
     for i, c in enumerate(seq.cones):
-        (ti, xi), (tl, xl), cost = _transported(seq, i, k, atom_cap=ATOM_CAP)
-        wl = seq.limit.reference_measure()[tl, xl]
-        bl = wl / wl.sum()
+        (ti, xi), mapped, (tl, xl) = _cross_states(seq, i, k)
         wi = c.reference_measure()[ti, xi]
-        ai = wi / wi.sum()
-        ii, jj = np.indices(cost.shape).reshape(2, -1)
-        res = transport_lp(cost.ravel(), ii, jj, ai, bl)
-        if not res.success:
-            raise RuntimeError(f"W1 LP failed: {res.message}")
-        out.append(float(res.fun))
+        wl = limit.reference_measure()[tl, xl]
+        out.append(_w1((c.f.ts[ti], mapped, wi / wi.sum()),
+                       (limit.f.ts[tl], xl, wl / wl.sum()),
+                       limit.X, seq.covers[-1][k - 1].fmax))
     return out
 
 

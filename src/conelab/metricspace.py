@@ -19,10 +19,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import SizeLimit
 
 METRIC_TOL = 1e-9
+SPLIT_ULPS = 8      # relative slack, in ulps, of an essential-edge split test
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,34 @@ class FiniteMetricSpace:
     @property
     def diam(self) -> float:
         return float(self.dist.max(initial=0.0))
+
+    def essential_edges(self):
+        """The pairs (a, c), a < c, that no third point b splits, i.e. with
+        d(a, b) + d(b, c) > d(a, c) beyond a few-ulp relative slack, as two
+        index arrays.  Their shortest-path metric is d; that is checked to
+        1e-12 (1 + diam), and a table that fails it raises ValueError."""
+        # imported here: only W1 needs csgraph, and loading it with the
+        # package raised every pipeline's peak RSS by about 1 MB
+        from scipy.sparse.csgraph import shortest_path
+        d, n = self.dist, self.n
+        slack = 1.0 + SPLIT_ULPS * np.finfo(float).eps
+        tails, heads = [], []
+        for a in range(n):
+            # split[b, c]: b lies on a shortest way from a to c
+            split = d[a][:, None] + d <= d[a] * slack
+            split[a] = False
+            np.fill_diagonal(split, False)
+            c = np.flatnonzero(~split[:, a + 1:].any(axis=0)) + a + 1
+            tails.append(np.full(c.size, a))
+            heads.append(c)
+        tails, heads = np.concatenate(tails), np.concatenate(heads)
+        graph = csr_matrix((d[tails, heads], (tails, heads)), shape=(n, n))
+        err = np.abs(shortest_path(graph, directed=False) - d).max(initial=0.0)
+        if not err <= 1e-12 * (1.0 + self.diam):
+            raise ValueError(f"shortest paths over the essential edges miss "
+                             f"the distance table by {err:.3g}: not a "
+                             f"metric to working precision")
+        return tails, heads
 
     def separation(self) -> float:
         """Smallest positive distance (inf for a single point)."""

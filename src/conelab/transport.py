@@ -95,6 +95,18 @@ def transport_lp(cost, ii, jj, a, b):
                    method="highs")
 
 
+def flow_lp(tails, heads, cost, supply):
+    """HiGHS solution of the min-cost flow min cost . x, x >= 0, over the
+    arcs tails[e] -> heads[e], where every node's outflow minus inflow is
+    its supply (the supplies sum to zero).  Returns scipy's OptimizeResult;
+    callers judge it."""
+    na = len(tails)
+    A = coo_matrix((np.concatenate([np.ones(na), -np.ones(na)]),
+                    (np.concatenate([tails, heads]), np.tile(np.arange(na), 2))),
+                   shape=(len(supply), na))
+    return linprog(cost, A_eq=A, b_eq=supply, bounds=(0, None), method="highs")
+
+
 @dataclass(frozen=True)
 class CausalCoupling:
     mu0: DiscreteMeasure

@@ -247,6 +247,23 @@ def test_bad_sequence_input_is_a_value_error(workdir, name, seq_fields, args,
     assert message in rep["message"]
 
 
+def test_measured_rejects_a_fiber_that_is_no_metric(workdir):
+    # within METRIC_TOL of a metric, but d(0, 2) exceeds the way through 1
+    # by 1e-10: no graph reproduces it, so W1 has no sparse flow
+    cone = json.loads((workdir / "cone.json").read_text())
+    d = np.array([[0.0, 0.5, 1.0 + 1e-10], [0.5, 0.0, 0.5],
+                  [1.0 + 1e-10, 0.5, 0.0]])
+    cone["fiber"] = {"n": 3, "base": 0, "dist": list(d.ravel())}
+    p = workdir / "near_metric_seq.json"
+    p.write_text(json.dumps({"cones": [cone], "limit": cone,
+                             "coverDepth": 1}))
+    out = workdir / "o_near"
+    assert run_cli(["--out", out, "measured", "--seq", p, "--k", 1]) == 1
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "VALUE_ERROR"
+    assert "shortest paths" in rep["message"]
+
+
 def test_every_report_carries_its_command(workdir):
     w = workdir
     seq = _write_seq(w, schedule=[[1, 2]])

@@ -13,7 +13,8 @@ from conelab.converge import (NEIGHBOR_CAP, ConvergenceModulus,
                               measured_converge_check, precompact_harness,
                               tangent_cone, uniform_modulus)
 from conelab.errors import BoundaryPoint
-from conelab.metricspace import segment
+from conelab.metricspace import FiniteMetricSpace, circle_arc, segment
+from conelab.transport import transport_lp
 from conelab.warp import WarpingFunction
 
 NT, NX = 50, 21
@@ -331,6 +332,24 @@ def test_ell_converge_footprint():
     assert peak <= 8 * s * s * 8
 
 
+def test_measured_footprint_is_linear():
+    # the W1 flow lives on O(states) arcs: no s x s cost matrix or coupling
+    # (the dense LP's cost alone is 8 s^2 bytes, 8.5 MB here)
+    nt, nx = 60, 41
+    seq = cone_sequence([flat(scale=1.1, nt=nt, nx=nx)], flat(nt=nt, nx=nx),
+                        depth=1)
+    s = _states(seq.limit, seq.covers[-1][0])[0].size
+    assert 1000 <= s <= 1300
+    measured_converge_check(seq, 1)     # caches the reference measures
+    tracemalloc.start()
+    try:
+        measured_converge_check(seq, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2000 * s
+
+
 def test_uniform_non_imprisonment_constants(cos_seq):
     cs = imprisonment_constants(cos_seq)
     assert all(np.isfinite(cs))
@@ -456,3 +475,81 @@ def test_tangent_cone_boundary_rejected():
                            window=4)
     with pytest.raises(BoundaryPoint):
         tangent_cone(cone, (0, 2), [0.5])
+
+
+# -- the W1 flow against the dense coupling LP on the same atoms -------------------
+
+
+def _dense_w1(seq, i, k):
+    (ti, xi), (tl, xl), D = _transported(seq, i, k)
+    wi = seq.cones[i].reference_measure()[ti, xi]
+    wl = seq.limit.reference_measure()[tl, xl]
+    ii, jj = np.indices(D.shape).reshape(2, -1)
+    res = transport_lp(D.ravel(), ii, jj, wi / wi.sum(), wl / wl.sum())
+    assert res.success
+    return res.fun
+
+
+def _grid(draw, nt):
+    # a random increasing grid on [-1, 1]
+    steps = np.cumsum(draw(st.lists(st.floats(0.2, 1.0), min_size=nt,
+                                    max_size=nt)))
+    return np.concatenate([[-1.0], -1.0 + 2.0 * steps / steps[-1]])
+
+
+def _fiber(draw, nx):
+    kind = draw(st.sampled_from(["segment", "circle_arc", "plane"]))
+    if kind == "segment":
+        return segment(draw(st.floats(0.3, 3.0)), nx)
+    if kind == "circle_arc":
+        return circle_arc(1.0, draw(st.floats(0.3, 4.0)), nx)
+    # plane points: not a path metric, and a ball of radius 2 may leave
+    # some of them out
+    p = np.array(draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                               min_size=nx, max_size=nx, unique=True))) / 3.0
+    return FiniteMetricSpace(np.hypot(*(p[:, None, :] - p[None, :, :]).T))
+
+
+@st.composite
+def _w1_problem(draw):
+    nt = draw(st.integers(2, 7))
+    X = _fiber(draw, draw(st.integers(1, 6)))
+    Y = _fiber(draw, draw(st.integers(1, 6)))
+    vals = lambda: np.array(draw(st.lists(st.floats(0.5, 1.5), min_size=nt + 1,
+                                          max_size=nt + 1)))
+    weights = np.array(draw(st.lists(st.floats(0.1, 2.0), min_size=Y.n,
+                                     max_size=Y.n)))
+    member = GeneralizedCone(WarpingFunction(_grid(draw, nt), vals()), Y,
+                             N=2.0, fiber_weights=weights)
+    limit = GeneralizedCone(WarpingFunction(_grid(draw, nt), vals()), X, N=2.0)
+    seq = cone_sequence([member], limit, depth=1)
+    # any witness map, injective or not, into the limit's fiber ball
+    to_limit, dist = seq.fiber_maps[(0, 1)]
+    nb = seq.covers[-1][0].fiber_idx.size
+    seq.fiber_maps[(0, 1)] = (np.array(draw(st.lists(
+        st.integers(0, nb - 1), min_size=to_limit.size,
+        max_size=to_limit.size))), dist)
+    return seq
+
+
+@settings(max_examples=80, deadline=None)
+@given(_w1_problem())
+def test_measured_flow_matches_dense_lp(seq):
+    assert measured_converge_check(seq, 1)[0] == pytest.approx(
+        _dense_w1(seq, 0, 1), rel=0, abs=1e-12)
+
+
+def test_measured_flow_matches_dense_lp_on_families(cos_seq):
+    # the pinned cos family, and a member on a cubic time grid whose
+    # witness sends two fiber points to one
+    assert measured_converge_check(cos_seq, 1) == pytest.approx(
+        [_dense_w1(cos_seq, i, 1) for i in range(5)], rel=0, abs=1e-12)
+    ts = 0.5 * np.linspace(-1.0, 1.0, NT + 1) ** 3 \
+        + 0.5 * np.linspace(-1.0, 1.0, NT + 1)
+    member = GeneralizedCone(WarpingFunction(ts, 1.0 + 0.2 * np.cos(ts)),
+                             segment(1.0, NX), N=2.0, window=8)
+    seq = cone_sequence([member], flat(), depth=1)
+    to_limit, dist = seq.fiber_maps[(0, 1)]
+    seq.fiber_maps[(0, 1)] = (np.minimum(to_limit, NX - 2), dist)
+    assert measured_converge_check(seq, 1)[0] == pytest.approx(
+        _dense_w1(seq, 0, 1), rel=0, abs=1e-12)

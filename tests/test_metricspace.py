@@ -128,3 +128,59 @@ def test_invalid_tables_rejected():
     with pytest.raises(ValueError):
         FiniteMetricSpace(np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0],
                                     [3.0, 1.0, 0.0]]))  # triangle violated
+
+
+# -- essential edges: the sparse graph whose shortest paths are d ------------------
+
+
+def _floyd_warshall(n, tails, heads, d):
+    sp = np.full((n, n), math.inf)
+    np.fill_diagonal(sp, 0.0)
+    sp[tails, heads] = sp[heads, tails] = d[tails, heads]
+    for b in range(n):
+        sp = np.minimum(sp, sp[:, b][:, None] + sp[b][None, :])
+    return sp
+
+
+@pytest.mark.parametrize("X", [segment(1.0, 1), segment(1.0, 2), segment(2.5, 17),
+                               circle_arc(1.0, 2.0, 9), circle_arc(3.0, 1.0, 31)])
+def test_essential_edges_of_paths(X):
+    # on a segment or an arc only neighbours are unsplit
+    tails, heads = X.essential_edges()
+    assert tails.size == X.n - 1
+    assert np.array_equal(tails, np.arange(X.n - 1))
+    assert np.array_equal(heads, np.arange(1, X.n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                min_size=1, max_size=12, unique=True))
+def test_essential_edges_reproduce_plane_metrics(pts):
+    # integer points on a lattice have collinear triples (split pairs);
+    # the plane metric is not a path metric, so most pairs stay
+    p = np.array(pts, dtype=float) / 3.0
+    X = FiniteMetricSpace(np.hypot(*(p[:, None, :] - p[None, :, :]).T))
+    tails, heads = X.essential_edges()
+    assert (tails < heads).all()
+    sp = _floyd_warshall(X.n, tails, heads, X.dist)
+    assert np.abs(sp - X.dist).max() <= 1e-12 * (1.0 + X.diam)
+    # every dropped pair is split by a third point, every kept one is not
+    a, c = np.triu_indices(X.n, 1)
+    kept = np.zeros((X.n, X.n), dtype=bool)
+    kept[tails, heads] = True
+    d = X.dist
+    for i, j in zip(a, c):
+        via = d[i] + d[:, j]
+        via[[i, j]] = math.inf
+        split = via.min(initial=math.inf) <= d[i, j] * (1.0 + 1e-12)
+        assert kept[i, j] != split
+
+
+def test_essential_edges_reject_near_metric():
+    # within METRIC_TOL of the triangle inequality but not a metric:
+    # d(0, 2) exceeds the path through 1 by 1e-10, so no graph gives d
+    d = np.array([[0.0, 1.0, 2.0 + 1e-10], [1.0, 0.0, 1.0],
+                  [2.0 + 1e-10, 1.0, 0.0]])
+    X = FiniteMetricSpace(d)
+    with pytest.raises(ValueError, match="shortest paths"):
+        X.essential_edges()
