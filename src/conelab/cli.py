@@ -54,13 +54,24 @@ def _write_csv(outdir: Path, name: str, header, rows) -> None:
             w.writerow(row)
 
 
-def _load_json(path: str):
+def _read(path: str, decode):
+    """decode(the JSON contents of the input file at path).  A TypeError
+    raised while decoding, such as a null or a list where a number
+    belongs, becomes a ValueError that names the file."""
     with open(path) as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    try:
+        return decode(obj)
+    except TypeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_cone(path: str) -> GeneralizedCone:
-    return GeneralizedCone.from_json(_load_json(path))
+    return _read(path, GeneralizedCone.from_json)
+
+
+def _load_cones(spec) -> list:
+    return [GeneralizedCone.from_json(c) for c in spec["cones"]]
 
 
 def _on_grid(point, cone: GeneralizedCone):
@@ -76,7 +87,7 @@ def _parse_point(s: str, cone: GeneralizedCone):
 
 
 def _load_measure(path: str, cone: GeneralizedCone):
-    mu = transport.DiscreteMeasure.from_json(_load_json(path))
+    mu = _read(path, transport.DiscreteMeasure.from_json)
     for point in mu.points:
         _on_grid(point, cone)
     return mu
@@ -158,8 +169,8 @@ def run_tmcp(args, outdir: Path) -> dict:
 
 
 def run_gh(args, outdir: Path) -> dict:
-    A = metricspace.FiniteMetricSpace.from_json(_load_json(args.A))
-    B = metricspace.FiniteMetricSpace.from_json(_load_json(args.B))
+    A = _read(args.A, metricspace.FiniteMetricSpace.from_json)
+    B = _read(args.B, metricspace.FiniteMetricSpace.from_json)
     lo, up, wit = metricspace.gh_distance(A, B, args.mode)
     return {"mode": args.mode, "lower": lo, "upper": up,
             "witness_distortion": wit.distortion,
@@ -169,9 +180,8 @@ def run_gh(args, outdir: Path) -> dict:
 def _load_sequence(path: str):
     """The cone sequence of a sequence file, covered to its coverDepth
     (default 2), and the file's contents."""
-    spec = _load_json(path)
-    cones = [GeneralizedCone.from_json(c) for c in spec["cones"]]
-    limit = GeneralizedCone.from_json(spec["limit"])
+    cones, limit, spec = _read(path, lambda spec: (
+        _load_cones(spec), GeneralizedCone.from_json(spec["limit"]), spec))
     depth = spec.get("coverDepth", 2)
     return converge.cone_sequence(cones, limit, depth=depth), spec
 
@@ -194,8 +204,7 @@ def run_measured(args, outdir: Path) -> dict:
 
 
 def run_precompact(args, outdir: Path) -> dict:
-    spec = _load_json(args.seq)
-    cones = [GeneralizedCone.from_json(c) for c in spec["cones"]]
+    cones = _read(args.seq, _load_cones)
     return converge.precompact_harness(cones, K=args.K, N=args.N, D=args.D,
                                        depth=args.depth)
 
@@ -208,7 +217,7 @@ def run_tangent(args, outdir: Path) -> dict:
 
 
 def run_ricci(args, outdir: Path) -> dict:
-    f = warp.WarpingFunction.from_json(_load_json(args.warp))
+    f = _read(args.warp, warp.WarpingFunction.from_json)
     rep = curvature.ricci_reduction(f, args.K, args.n, args.fiber_bound)
     d = curvature.oneill_diagnostics(f, args.n)
     _write_csv(outdir, "oneill.csv", ("t", "time_time", "mixed", "tangential"),
@@ -217,7 +226,7 @@ def run_ricci(args, outdir: Path) -> dict:
 
 
 def run_sectional(args, outdir: Path) -> dict:
-    f = warp.WarpingFunction.from_json(_load_json(args.warp))
+    f = _read(args.warp, warp.WarpingFunction.from_json)
     return curvature.sectional_reduction(f, args.K, args.fiber_bound).to_json()
 
 

@@ -80,7 +80,6 @@ class GeneralizedCone:
         self.f = f
         self.X = X
         self.N = float(N)
-        self.time_grid = f.ts
         diam = X.diam
         nt = f.n
         if dist_steps is None:

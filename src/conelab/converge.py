@@ -85,6 +85,7 @@ class ConeSequence:
     fiber_maps: dict    # (i, k) -> (to_limit array, distortion)
     distortion: dict    # (i, k) -> recorded correspondence distortion bound
     alignment: dict     # (i, k) -> positional misalignment of the witness
+    conditions: dict    # (i, k) -> the theorem's sufficient conditions
 
 
 def cone_sequence(cones, limit, depth: int = 2) -> ConeSequence:
@@ -97,7 +98,7 @@ def cone_sequence(cones, limit, depth: int = 2) -> ConeSequence:
     covers = [build_cover(c, depth) for c in cones] + [build_cover(limit, depth)]
     # the fiber balls of the covers, as spaces based at the ball centre
     limit_balls = [ball_subspace(limit.X, 2.0 ** k) for k in range(1, depth + 1)]
-    fiber_maps, distortion, alignment = {}, {}, {}
+    fiber_maps, distortion, alignment, conditions = {}, {}, {}, {}
     for i, c in enumerate(cones):
         for k in range(1, depth + 1):
             lv_i, lv_l = covers[i][k - 1], covers[-1][k - 1]
@@ -115,9 +116,14 @@ def cone_sequence(cones, limit, depth: int = 2) -> ConeSequence:
             distortion[(i, k)] = shift + supdf * max(lv_l.fiber_diam, 1.0) \
                 + lv_l.fmax * wit.distortion
             alignment[(i, k)] = shift + lv_l.fmax * wit.distortion
+            conditions[(i, k)] = {
+                "base_gh": 0.5 * abs(lv_i.t_len - lv_l.t_len),
+                "fiber_witness_distortion": wit.distortion,
+                "sup_f_diff": supdf}
     return ConeSequence(cones=list(cones), limit=limit, depth=depth,
                         covers=covers, fiber_maps=fiber_maps,
-                        distortion=distortion, alignment=alignment)
+                        distortion=distortion, alignment=alignment,
+                        conditions=conditions)
 
 
 def _diam_bracket(cone: GeneralizedCone, level: CoverLevel):
@@ -314,23 +320,6 @@ def imprisonment_constants(seq: ConeSequence) -> list:
     return out
 
 
-def theorem_conditions(seq: ConeSequence) -> dict:
-    """Independent cross-check of the sufficient conditions for cone
-    convergence: base windows GH-converge, fiber balls GH-converge, and the
-    warpings converge uniformly on the windows."""
-    per_ik = {}
-    for i, c in enumerate(seq.cones):
-        for k in range(1, seq.depth + 1):
-            lv_i, lv_l = seq.covers[i][k - 1], seq.covers[-1][k - 1]
-            _, fib = seq.fiber_maps[(i, k)]
-            il = lv_l.time_indices
-            supdf = float(np.abs(c.f(seq.limit.f.ts[il]) - seq.limit.f.vals[il]).max())
-            per_ik[(i, k)] = {"base_gh": 0.5 * abs(lv_i.t_len - lv_l.t_len),
-                              "fiber_witness_distortion": fib,
-                              "sup_f_diff": supdf}
-    return per_ik
-
-
 def ell_converge_check(seq: ConeSequence, schedule=None) -> dict:
     """Verdict report for ell-convergence of the sequence to its limit:
     (a) covered GH brackets, (b) the uniform non-imprisonment witness,
@@ -404,7 +393,7 @@ def ell_converge_check(seq: ConeSequence, schedule=None) -> dict:
                                     "level_set_empty": m.level_set_empty}
                    for (i, k, l), m in moduli.items()},
         "theorem_conditions": {f"{i},{k}": v
-                               for (i, k), v in theorem_conditions(seq).items()},
+                               for (i, k), v in seq.conditions.items()},
     }
 
 

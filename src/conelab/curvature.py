@@ -46,21 +46,28 @@ def _kf_bias_allowance(f: WarpingFunction, K: float) -> float:
     return 2.0 * h * (1.0 + abs(K)) * m * m
 
 
-def ricci_reduction(f: WarpingFunction, K: float, n: int,
-                    fiber_ric_bound: float) -> CurvatureReductionReport:
-    """Full Ricci lower bound >= nK of the warped product over an
-    n-dimensional fiber: FK-concavity plus fiber Ricci >= (n-1) K_f."""
+def _reduction(f: WarpingFunction, K: float, n: int, scale: int,
+               bound: float, kind: str) -> CurvatureReductionReport:
+    """FK-concavity of f plus the declared fiber bound against
+    scale * (K_f - bias allowance)."""
     if f.n < 3:
         raise GridTooCoarse("need at least 3 grid points")
     rep = fk_concavity(f, K)
     c2tol = _kf_bias_allowance(f, K)
-    cond2 = fiber_ric_bound >= (n - 1) * rep.Kf - (n - 1) * c2tol - 1e-9
+    cond2 = bound >= scale * rep.Kf - scale * c2tol - 1e-9
     return CurvatureReductionReport(
-        K=float(K), n=int(n), fiber_bound=float(fiber_ric_bound),
-        fiber_bound_kind="ric", cond1_concave=rep.is_concave,
+        K=float(K), n=int(n), fiber_bound=float(bound),
+        fiber_bound_kind=kind, cond1_concave=rep.is_concave,
         cond2_fiber=bool(cond2), Kf=rep.Kf,
         max_violation=rep.max_violation,
         verdict=bool(rep.is_concave and cond2))
+
+
+def ricci_reduction(f: WarpingFunction, K: float, n: int,
+                    fiber_ric_bound: float) -> CurvatureReductionReport:
+    """Full Ricci lower bound >= nK of the warped product over an
+    n-dimensional fiber: FK-concavity plus fiber Ricci >= (n-1) K_f."""
+    return _reduction(f, K, n, n - 1, fiber_ric_bound, "ric")
 
 
 def sectional_reduction(f: WarpingFunction, K: float,
@@ -68,17 +75,7 @@ def sectional_reduction(f: WarpingFunction, K: float,
     """Riemann lower bound of the warped product: FK-concavity plus fiber
     sectional curvature >= K_f.  Not monotone in K: passing at K says
     nothing about K' < K (K_f grows as K decreases)."""
-    if f.n < 3:
-        raise GridTooCoarse("need at least 3 grid points")
-    rep = fk_concavity(f, K)
-    c2tol = _kf_bias_allowance(f, K)
-    cond2 = fiber_sec_bound >= rep.Kf - c2tol - 1e-9
-    return CurvatureReductionReport(
-        K=float(K), n=0, fiber_bound=float(fiber_sec_bound),
-        fiber_bound_kind="sec", cond1_concave=rep.is_concave,
-        cond2_fiber=bool(cond2), Kf=rep.Kf,
-        max_violation=rep.max_violation,
-        verdict=bool(rep.is_concave and cond2))
+    return _reduction(f, K, 0, 1, fiber_sec_bound, "sec")
 
 
 def oneill_diagnostics(f: WarpingFunction, n: int):

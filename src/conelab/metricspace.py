@@ -38,6 +38,8 @@ class FiniteMetricSpace:
         n = d.shape[0]
         if d.shape != (n, n):
             raise ValueError("distance table must be square")
+        if not np.isfinite(d).all():
+            raise ValueError("distances must be finite numbers")
         if not (0 <= self.base < n):
             raise ValueError("base index out of range")
         if np.abs(d - d.T).max(initial=0.0) > METRIC_TOL:
@@ -204,40 +206,26 @@ def _greedy_completion(da, db):
     return cur, phi, psi
 
 
-def _feasible_assignment(diff_pp, diff_ss, v: float):
+def _feasible_assignment(diff_pp, v: float):
     """Forward-checking search for map pairs (phi, psi) with distortion <= v.
 
     Variables are the phi rows (domains over B) followed by the psi rows
     (domains over A); domains are bitmasks, most-constrained-first order.
-    diff_pp[i, j, b, b'] = |da[i, j] - db[b, b']| serves both the phi-phi
-    constraints and, indexed as [i, a, b, k], the phi-psi ones.
+    diff_pp[a, a', b, b'] = |da[a, a'] - db[b, b']| holds every constraint:
+    phi-phi, phi-psi and, read as [a, a', k, l], the psi-psi ones.
     Returns (phi, psi) or None."""
     na, nb = diff_pp.shape[0], diff_pp.shape[2]
     nv = na + nb
-    # pairwise compatibility masks: allowed[u][val][w] = bitmask for w
-    ok_pp = diff_pp <= v
-    ok_cc = diff_ss <= v
-
-    def pack(bools):
-        out = 0
-        for i, t in enumerate(bools):
-            if t:
-                out |= 1 << i
-        return out
-
-    allowed = [[[0] * nv for _ in range(max(na, nb))] for _ in range(nv)]
-    for i in range(na):
-        for b in range(nb):
-            for j in range(na):
-                allowed[i][b][j] = pack(ok_pp[i, j, b, :])
-            for l in range(nb):
-                allowed[i][b][na + l] = pack(ok_pp[i, :, b, l])
-    for k in range(nb):
-        for a in range(na):
-            for l in range(nb):
-                allowed[na + k][a][na + l] = pack(ok_cc[k, l, a, :])
-            for j in range(na):
-                allowed[na + k][a][j] = pack(ok_pp[j, a, :, k])
+    # pairwise compatibility masks: allowed[u][val][w] = bitmask for w,
+    # the bits weighted by 1 << (value of w)
+    ok = diff_pp <= v
+    wa, wb = 1 << np.arange(na), 1 << np.arange(nb)
+    allowed = np.zeros((nv, max(na, nb), nv), dtype=np.int64)
+    allowed[:na, :nb, :na] = np.einsum("ijbc,c->ibj", ok, wb)   # phi i=b, phi j
+    allowed[:na, :nb, na:] = np.einsum("iabl,a->ibl", ok, wa)   # phi i=b, psi l
+    allowed[na:, :na, na:] = np.einsum("ackl,c->kal", ok, wa)   # psi k=a, psi l
+    allowed[na:, :na, :na] = np.einsum("jabk,b->kaj", ok, wb)   # psi k=a, phi j
+    allowed = allowed.tolist()    # Python ints: the search's bit tricks
 
     full = [(1 << nb) - 1] * na + [(1 << na) - 1] * nb
     assign = [-1] * nv
@@ -277,7 +265,6 @@ def _exact_search(A: FiniteMetricSpace, B: FiniteMetricSpace, upper0: float):
     da, db = A.dist, B.dist
     na, nb = A.n, B.n
     diff_pp = np.abs(da[:, :, None, None] - db[None, None, :, :])
-    diff_ss = np.abs(db[:, :, None, None] - da[None, None, :, :])
     g_dis, g_phi, g_psi = _greedy_completion(da, db)
     upper = min(upper0, g_dis)
     values = np.unique(diff_pp)
@@ -286,7 +273,7 @@ def _exact_search(A: FiniteMetricSpace, B: FiniteMetricSpace, upper0: float):
     best = None
     while lo_i <= hi_i:
         mid = (lo_i + hi_i) // 2
-        got = _feasible_assignment(diff_pp, diff_ss, float(values[mid]))
+        got = _feasible_assignment(diff_pp, float(values[mid]))
         if got is not None:
             best = got
             hi_i = mid - 1

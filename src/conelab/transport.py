@@ -6,10 +6,12 @@ empty feasible set raises NotCausallyCouplable.  Costs use the canonical
 (lower) separation table; verifier margins are recomputed against the
 upper table so every verdict carries its bracket width.
 
-The LP itself is delegated to scipy's HiGHS solver, which returns an
-optimal vertex; determinism comes from the fixed lexicographic ordering of
-the support atoms.  Test oracles (basis enumeration, permutation search)
-are implemented independently of this path.
+Every LP here is a min-cost flow posed through `flow_lp` (a coupling is
+a flow from mu0's atoms to mu1's) and delegated to scipy's HiGHS solver,
+which returns an optimal vertex; determinism comes from the fixed
+lexicographic ordering of the support atoms.  Test oracles (basis
+enumeration, permutation search) are implemented independently of this
+path.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ class DiscreteMeasure:
                                                  for a, b in self.points))
         if len(self.points) != m.size or m.size == 0:
             raise ValueError("points and masses must align and be nonempty")
+        if not np.isfinite(m).all():
+            raise ValueError("masses must be finite numbers")
         if m.min() <= 0:
             raise ValueError("masses must be positive")
         if abs(m.sum() - 1.0) > MASS_TOL:
@@ -81,18 +85,6 @@ def separation_matrix(cone, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     """Signed separations from the atoms of mu0 (rows) to those of mu1."""
     (t0, x0), (t1, x1) = np.array(mu0.points).T, np.array(mu1.points).T
     return cone.separations((t0[:, None], x0[:, None]), (t1, x1), upper=upper)
-
-
-def transport_lp(cost, ii, jj, a, b):
-    """HiGHS solution of min cost . x, x >= 0, over the plan entries
-    (ii, jj) of a len(a) x len(b) transport plan with row sums a and
-    column sums b.  Returns scipy's OptimizeResult; callers judge it."""
-    n0, nv = len(a), len(ii)
-    rows = np.concatenate([ii, jj + n0])
-    cols = np.concatenate([np.arange(nv), np.arange(nv)])
-    A = coo_matrix((np.ones(2 * nv), (rows, cols)), shape=(n0 + len(b), nv))
-    return linprog(cost, A_eq=A, b_eq=np.concatenate([a, b]), bounds=(0, None),
-                   method="highs")
 
 
 def flow_lp(tails, heads, cost, supply):
@@ -155,7 +147,9 @@ def solve_lp(cone, mu0: DiscreteMeasure, mu1: DiscreteMeasure, p: float,
         raise NotCausallyCouplable("an atom has no admissible partner")
     ii, jj = np.nonzero(feas)
     cost = -(np.maximum(L[ii, jj], 0.0) ** p)
-    res = transport_lp(cost, ii, jj, mu0.masses, mu1.masses)
+    # the plan as a flow from mu0's atoms (supply) to mu1's (demand)
+    res = flow_lp(ii, jj + len(mu0.points), cost,
+                  np.concatenate([mu0.masses, -mu1.masses]))
     if res.status == 2:
         raise NotCausallyCouplable("no coupling supported on admissible pairs")
     if not res.success:
@@ -428,8 +422,8 @@ def tmcp_verify(cone, mu0: DiscreteMeasure, x1, K: float, N: float,
     coupling = CausalCoupling(mu0=mu0, mu1=mu1, table=table, p=1.0,
                               p_value=float((taus_lo * mu0.masses).sum()))
     plan = build_dynamical_plan(cone, coupling)
-    theta_lo = float(np.sqrt((taus_lo ** 2 * mu0.masses).sum()))
-    theta_hi = float(np.sqrt((taus_hi ** 2 * mu0.masses).sum()))
+    theta_lo = coupling.l2_tau_norm(taus_lo[:, None])
+    theta_hi = coupling.l2_tau_norm(taus_hi[:, None])
     u0 = entropy(mu0, cone, "U", N)
     margins, excluded = {}, []
     for t in t_grid:

@@ -31,6 +31,8 @@ class WarpingFunction:
         vals = np.asarray(self.vals, dtype=float)
         if ts.ndim != 1 or ts.shape != vals.shape or ts.size < 2:
             raise ValueError("need matching 1-d grids with >= 2 points")
+        if not (np.isfinite(ts).all() and np.isfinite(vals).all()):
+            raise ValueError("grid times and warping values must be finite")
         if not np.all(np.diff(ts) > 0):
             raise ValueError("grid must be strictly increasing")
         if vals.min() < 0:
@@ -82,16 +84,12 @@ class WarpingFunction:
 
 
 def slope(f: WarpingFunction, i: int) -> float:
-    """Local slope |df| at grid index i (one-sided at the endpoints)."""
-    ts, vals = f.ts, f.vals
+    """Local slope |df| at grid index i, 0 <= i < n (one-sided at the
+    endpoints): entry i of `slopes`."""
     i = int(i)
-    fwd = -math.inf
-    bwd = math.inf
-    if i + 1 < f.n:
-        fwd = (vals[i + 1] - vals[i]) / (ts[i + 1] - ts[i])
-    if i - 1 >= 0:
-        bwd = (vals[i] - vals[i - 1]) / (ts[i] - ts[i - 1])
-    return max(fwd, -bwd, 0.0)
+    if not 0 <= i < f.n:
+        raise IndexError(f"grid index {i} outside 0..{f.n - 1}")
+    return float(slopes(f)[i])
 
 
 def _one_sided_slopes(ts, vals) -> np.ndarray:

@@ -264,6 +264,53 @@ def test_measured_rejects_a_fiber_that_is_no_metric(workdir):
     assert "shortest paths" in rep["message"]
 
 
+@pytest.mark.parametrize("command, path, value, message", [
+    # a null or a list where a number belongs raised an uncaught TypeError
+    ("tau", ("window",), None, "bad.json"),
+    ("tau", ("N",), None, "bad.json"),
+    ("tau", ("distSteps",), [3], "bad.json"),
+    ("ot", (0, "t"), None, "bad.json"),
+    ("ot", (0, "mass"), None, "bad.json"),
+    ("ellconv", ("cones", 0, "window"), None, "bad.json"),
+    # a null distance or value became NaN, which passed every check
+    ("tau", ("fiber", "dist", 1), None, "finite"),
+    ("tau", ("warp", "vals", 3), None, "finite"),
+    ("gh", ("dist", 1), None, "finite"),
+    ("ot", (0, "mass"), math.nan, "finite"),
+    ("ricci", ("vals", 5), None, "finite"),
+])
+def test_bad_numbers_in_an_input_file_are_a_value_error(workdir, command,
+                                                        path, value, message):
+    w = workdir
+    cone = json.loads((w / "cone.json").read_text())
+    (w / "seq.json").write_text(json.dumps(
+        {"cones": [cone], "limit": cone, "coverDepth": 1}))
+    runs = {   # each command's arguments; bad.json is the file made bad
+        "tau": (["--cone", "bad.json", "--p", "3,2", "--q", "30,2"],
+                "cone.json"),
+        "ot": (["--cone", "cone.json", "--mu0", "bad.json", "--mu1",
+                "mu1.json", "--seed", 1], "mu0.json"),
+        "ellconv": (["--seq", "bad.json"], "seq.json"),
+        "gh": (["--A", "bad.json", "--B", "fib.json", "--mode", "exact"],
+               "fib.json"),
+        "ricci": (["--warp", "bad.json", "--K", 1.0, "--n", 2,
+                   "--fiber-bound", 1.0], "warp.json"),
+    }
+    args, source = runs[command]
+    obj = json.loads((w / source).read_text())
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    (w / "bad.json").write_text(json.dumps(obj))
+    args = [w / a if str(a).endswith(".json") else a for a in args]
+    out = w / "o_bad_numbers"
+    assert run_cli(["--out", out, command, *args]) == 1
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "VALUE_ERROR"
+    assert message in rep["message"]
+
+
 def test_every_report_carries_its_command(workdir):
     w = workdir
     seq = _write_seq(w, schedule=[[1, 2]])

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 
 from conelab.cone import GeneralizedCone
 from conelab.converge import (NEIGHBOR_CAP, ConvergenceModulus,
@@ -14,7 +16,6 @@ from conelab.converge import (NEIGHBOR_CAP, ConvergenceModulus,
                               tangent_cone, uniform_modulus)
 from conelab.errors import BoundaryPoint
 from conelab.metricspace import FiniteMetricSpace, circle_arc, segment
-from conelab.transport import transport_lp
 from conelab.warp import WarpingFunction
 
 NT, NX = 50, 21
@@ -481,11 +482,19 @@ def test_tangent_cone_boundary_rejected():
 
 
 def _dense_w1(seq, i, k):
+    # the transportation LP over every (member state, limit state) pair:
+    # plan rows sum to the member's masses, columns to the limit's
     (ti, xi), (tl, xl), D = _transported(seq, i, k)
     wi = seq.cones[i].reference_measure()[ti, xi]
     wl = seq.limit.reference_measure()[tl, xl]
     ii, jj = np.indices(D.shape).reshape(2, -1)
-    res = transport_lp(D.ravel(), ii, jj, wi / wi.sum(), wl / wl.sum())
+    var = np.arange(ii.size)
+    A = coo_matrix((np.ones(2 * ii.size),
+                    (np.concatenate([ii, jj + D.shape[0]]), np.tile(var, 2))),
+                   shape=(sum(D.shape), ii.size))
+    res = linprog(D.ravel(), A_eq=A,
+                  b_eq=np.concatenate([wi / wi.sum(), wl / wl.sum()]),
+                  bounds=(0, None), method="highs")
     assert res.success
     return res.fun
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -128,6 +129,30 @@ def test_invalid_tables_rejected():
     with pytest.raises(ValueError):
         FiniteMetricSpace(np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0],
                                     [3.0, 1.0, 0.0]]))  # triangle violated
+    for bad in (math.nan, math.inf):   # NaN passed every check above
+        with pytest.raises(ValueError, match="finite"):
+            FiniteMetricSpace(np.array([[0.0, bad], [bad, 0.0]]))
+
+
+def _brute_force_gh(A, B):
+    # half the least distortion over every map pair (phi: A -> B, psi: B -> A)
+    best = math.inf
+    for phi in itertools.product(range(B.n), repeat=A.n):
+        for psi in itertools.product(range(A.n), repeat=B.n):
+            ia = np.array(list(range(A.n)) + list(psi))
+            ib = np.array(list(phi) + list(range(B.n)))
+            dis = np.abs(A.dist[np.ix_(ia, ia)] - B.dist[np.ix_(ib, ib)]).max()
+            best = min(best, float(dis))
+    return 0.5 * best
+
+
+@pytest.mark.parametrize("na, nb", itertools.product((1, 2, 3), repeat=2))
+def test_gh_exact_matches_brute_force(na, nb):
+    rng = np.random.default_rng(10 * na + nb)
+    for _ in range(14):
+        A, B = rand_space(rng, na), rand_space(rng, nb)
+        lo, up, _ = gh_distance(A, B, "exact")
+        assert lo == up == _brute_force_gh(A, B)
 
 
 # -- essential edges: the sparse graph whose shortest paths are d ------------------

@@ -103,6 +103,24 @@ def test_not_causally_couplable(strip_small):
                  DiscreteMeasure.dirac((0, 0)), 0.5)
 
 
+def test_not_causally_couplable_through_the_lp(strip_small):
+    # every atom has a causal partner, but Hall's condition fails: mu1's
+    # atom of mass 0.9 lies in the future of mu0's first atom (mass 0.5)
+    # only, so the partner pre-check passes and the LP is infeasible
+    mu0 = DiscreteMeasure(((0, 0), (0, 20)), np.array([0.5, 0.5]))
+    mu1 = DiscreteMeasure(((10, 0), (40, 20)), np.array([0.9, 0.1]))
+    with pytest.raises(NotCausallyCouplable,
+                       match="no coupling supported on admissible pairs"):
+        solve_lp(strip_small, mu0, mu1, 0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_mass_rejected(bad):
+    # a NaN mass passed both the positivity and the sum check
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteMeasure(((0, 0), (1, 0)), np.array([bad, 1.0]))
+
+
 def test_cyclical_monotonicity(strip_small):
     m0 = DiscreteMeasure.uniform([(0, 2), (0, 8), (0, 14), (0, 20)])
     m1 = DiscreteMeasure.uniform([(40, 2), (40, 8), (40, 14), (40, 20)])

@@ -37,6 +37,23 @@ def test_slope_zero_at_local_max():
     assert slope(f, imax) == 0.0
 
 
+def test_slope_outside_the_grid_rejected():
+    f = uniform(lambda t: t, 0, 1, 11)
+    for i in (-1, f.n):
+        with pytest.raises(IndexError):
+            slope(f, i)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_warping_rejected(bad):
+    # NaN fails every comparison, so it passed each check of the grid
+    ts = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="finite"):
+        WarpingFunction(ts, np.array([0.5, 1.0, bad, 1.0, 0.5]))
+    with pytest.raises(ValueError, match="finite"):
+        WarpingFunction(np.array([0.0, 0.25, 0.5, 0.75, bad]), np.ones(5))
+
+
 def test_slope_boundary_conventions():
     # increasing at the left end: forward quotient counts
     f = uniform(lambda t: t, 0, 1, 11)
