@@ -56,13 +56,14 @@ def _write_csv(outdir: Path, name: str, header, rows) -> None:
 
 def _read(path: str, decode):
     """decode(the JSON contents of the input file at path).  A TypeError
-    raised while decoding, such as a null or a list where a number
-    belongs, becomes a ValueError that names the file."""
+    or ValueError raised while decoding, such as a null where a number
+    belongs or a fractional grid window, becomes a ValueError that names
+    the file."""
     with open(path) as fh:
         obj = json.load(fh)
     try:
         return decode(obj)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -108,11 +109,13 @@ def _exit_code(report: dict) -> int:
 
 
 def run_tau(args, outdir: Path) -> dict:
+    if (args.p is None) != (args.q is None):
+        raise ValueError("tau needs both --p and --q, or neither")
     cone = _load_cone(args.cone)
     report = {"bracket_width": cone.bracket_width(),
               "time_points": cone.f.n, "dist_points": cone.m,
               "window": cone.window}
-    if args.p and args.q:
+    if args.p is not None:
         p, q = _parse_point(args.p, cone), _parse_point(args.q, cone)
         lo = cone.signed_separation(p, q)
         hi = cone.signed_separation_upper(p, q)

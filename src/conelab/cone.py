@@ -30,8 +30,8 @@ the one-sided guarantees at point pairs.
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,6 +64,14 @@ def _row_blocks(reach: np.ndarray):
     return out
 
 
+def require_int(name: str, val, least: int) -> None:
+    """ValueError unless the raw value is an integer (not a bool) >= least:
+    a fractional or too small input is rejected, never coerced."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Integral) \
+            or val < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {val!r}")
+
+
 class GeneralizedCone:
     """Discrete cone: time grid of the warping x finite fiber, N-cone measure.
 
@@ -77,6 +85,10 @@ class GeneralizedCone:
                  dist_refine: int = 1, fiber_weights=None):
         if N < 1.0:
             raise ValueError("measure exponent N must be >= 1")
+        require_int("window", window, 1)
+        require_int("dist_refine (distRefine)", dist_refine, 1)
+        if dist_steps is not None:
+            require_int("dist_steps (distSteps)", dist_steps, 0)
         self.f = f
         self.X = X
         self.N = float(N)
@@ -87,7 +99,7 @@ class GeneralizedCone:
             dist_steps = max(1, int(round(diam / mean_dt))) if diam > 0 else 0
         # allocation quantization (integer cells per DP edge) limits accuracy
         # near the null boundary; dist_refine subdivides cells to push it down
-        self.dist_refine = max(1, int(dist_refine))
+        self.dist_refine = int(dist_refine)
         self.dist_steps = int(dist_steps) * self.dist_refine
         if self.dist_steps == 0 and diam > 0:
             raise ValueError("dist_steps must be positive for a spread fiber")
@@ -95,9 +107,7 @@ class GeneralizedCone:
         self.dr = diam / self.dist_steps if self.dist_steps > 0 else 0.0
         self.dist_grid = (np.arange(self.m) * self.dr if self.dr > 0
                           else np.zeros(1))
-        if window is None or window >= nt:
-            window = nt - 1
-        self.window = max(1, int(window))
+        self.window = int(min(window, nt - 1))   # window >= n: the full grid
         if nt * nt * self.m > MAX_TABLE_ENTRIES:
             raise ResourceLimit(
                 f"table would hold {nt * nt * self.m:.3g} entries "
@@ -418,8 +428,6 @@ class GeneralizedCone:
 
     @classmethod
     def from_json(cls, obj) -> "GeneralizedCone":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         f = WarpingFunction.from_json(obj["warp"])
         steps = obj.get("timeSteps")
         if steps is not None and int(steps) + 1 != f.n:
@@ -428,8 +436,8 @@ class GeneralizedCone:
         X = FiniteMetricSpace.from_json(obj["fiber"])
         return cls(f, X, N=float(obj.get("N", 1.0)),
                    dist_steps=obj.get("distSteps"),
-                   window=int(obj.get("window", 8)),
-                   dist_refine=int(obj.get("distRefine", 1)))
+                   window=obj.get("window", 8),
+                   dist_refine=obj.get("distRefine", 1))
 
     def export_rows(self):
         """CSV rows (s, t, r, lo, hi) over the grid."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import GeneralizedCone
+from .cone import GeneralizedCone, require_int
 from .errors import BoundaryPoint, SlopeBoundViolated
 from .kappa import pi_kappa
 from .metricspace import (FiniteMetricSpace, ball_indices, ball_subspace,
@@ -89,9 +89,7 @@ class ConeSequence:
 
 
 def cone_sequence(cones, limit, depth: int = 2) -> ConeSequence:
-    if isinstance(depth, bool) or not isinstance(depth, numbers.Integral) \
-            or depth < 1:
-        raise ValueError(f"cover depth must be an integer >= 1, got {depth!r}")
+    require_int("cover depth", depth, 1)
     ncones = [c.f.n for c in cones] + [limit.f.n]
     if len(set(ncones)) != 1:
         raise ValueError("sequence members need equal time-grid sizes")

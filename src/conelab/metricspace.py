@@ -13,8 +13,6 @@ discretization choice.
 
 from __future__ import annotations
 
-import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -106,8 +104,6 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_json(cls, obj) -> "FiniteMetricSpace":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         n = int(obj["n"])
         d = np.asarray(obj["dist"], dtype=float).reshape(n, n)
         return cls(d, int(obj.get("base", 0)))
@@ -183,29 +179,6 @@ def _greedy_witness(A: FiniteMetricSpace, B: FiniteMetricSpace):
     return cand if cand.distortion < best.distortion else best
 
 
-def _greedy_completion(da, db):
-    """Cheapest-increment greedy correspondence; a strong initial bound."""
-    na, nb = da.shape[0], db.shape[0]
-    phi, psi = [], []
-    cur = 0.0
-    for k in range(na):
-        inc = (np.abs(da[k, :k][None, :] - db[:, phi]).max(axis=1)
-               if k else np.zeros(nb))
-        b = int(np.argmin(inc))
-        cur = max(cur, float(inc[b]))
-        phi.append(b)
-    phi_arr = np.asarray(phi)
-    for k in range(nb):
-        inc = np.abs(da.T - db[phi_arr, k][None, :]).max(axis=1)
-        if k:
-            inc = np.maximum(inc, np.abs(db[k, :k][None, :]
-                                         - da[:, psi]).max(axis=1))
-        a = int(np.argmin(inc))
-        cur = max(cur, float(inc[a]))
-        psi.append(a)
-    return cur, phi, psi
-
-
 def _feasible_assignment(diff_pp, v: float):
     """Forward-checking search for map pairs (phi, psi) with distortion <= v.
 
@@ -258,17 +231,16 @@ def _feasible_assignment(diff_pp, v: float):
     return None
 
 
-def _exact_search(A: FiniteMetricSpace, B: FiniteMetricSpace, upper0: float):
+def _exact_search(A: FiniteMetricSpace, B: FiniteMetricSpace,
+                  witness: Correspondence):
     """Pairs of a correspondence of minimal distortion, via binary search
-    over the finite candidate set {|d_A - d_B|} with a feasibility CSP per
-    value."""
-    da, db = A.dist, B.dist
-    na, nb = A.n, B.n
-    diff_pp = np.abs(da[:, :, None, None] - db[None, None, :, :])
-    g_dis, g_phi, g_psi = _greedy_completion(da, db)
-    upper = min(upper0, g_dis)
+    over the finite candidate set {|d_A - d_B|} up to the witness's
+    distortion, with a feasibility CSP per value.  The witness's distortion
+    is itself a candidate (the same float operation gives both), so the
+    search accepts at least that value."""
+    diff_pp = np.abs(A.dist[:, :, None, None] - B.dist[None, None, :, :])
     values = np.unique(diff_pp)
-    values = values[values <= upper + 1e-15]
+    values = values[values <= witness.distortion]
     lo_i, hi_i = 0, len(values) - 1
     best = None
     while lo_i <= hi_i:
@@ -279,10 +251,11 @@ def _exact_search(A: FiniteMetricSpace, B: FiniteMetricSpace, upper0: float):
             hi_i = mid - 1
         else:
             lo_i = mid + 1
-    phi, psi = (g_phi, g_psi) if best is None else best
-    pairs = [(i, int(phi[i])) for i in range(na)]
-    pairs += [(int(psi[j]), j) for j in range(nb)]
-    return pairs
+    if best is None:
+        return witness.pairs
+    phi, psi = best
+    return [(i, int(phi[i])) for i in range(A.n)] + \
+        [(int(psi[j]), j) for j in range(B.n)]
 
 
 def _heuristic_lower(A: FiniteMetricSpace, B: FiniteMetricSpace) -> float:
@@ -311,7 +284,7 @@ def gh_distance(A: FiniteMetricSpace, B: FiniteMetricSpace, mode: str = "heurist
         return lower, upper, witness
     if max(A.n, B.n) > 8:
         raise SizeLimit(f"exact GH search capped at 8 points, got {max(A.n, B.n)}")
-    witness = Correspondence.build(A, B, _exact_search(A, B, witness.distortion))
+    witness = Correspondence.build(A, B, _exact_search(A, B, witness))
     val = 0.5 * witness.distortion
     return val, val, witness
 

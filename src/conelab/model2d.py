@@ -404,7 +404,7 @@ def tcbb_verify(cone, K: float, samples: int = 200, tol: float = 0.02,
     min_sep = 4.0 * float(np.mean(np.diff(cone.f.ts))) * max(1.0, cone.f.max())
     pi_bound = pi_kappa(-K)
     rng = np.random.default_rng(seed)
-    counts = {"valid": 0, "order": 0, "relation": 0, "domain": 0,
+    counts = {"valid": 0, "relation": 0, "domain": 0,
               "unrealizable": 0, "outside_chart": 0}
     worst = math.inf
     worst_cfg = worst_pts = None

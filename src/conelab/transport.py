@@ -30,6 +30,7 @@ from .kappa import pi_kappa, sin_kappa
 MASS_TOL = 1e-12
 MARGINAL_TOL = 1e-10
 DENSITY_CAP_RATIO = 1e6   # verifier slices denser than this are excluded
+T_GRID = tuple(k / 8 for k in range(1, 8))   # verifier slots t
 
 
 @dataclass(frozen=True)
@@ -326,119 +327,99 @@ def _density_excluded(measure: DiscreteMeasure, cone,
     return bool((dens(measure) > DENSITY_CAP_RATIO * base).any())
 
 
+def _slot_report(cone, coupling: CausalCoupling, L_lo, L_hi, t_grid,
+                 tol: float, margin) -> dict:
+    """The report of margins along the dynamical plan of `coupling`, one
+    slot per t in t_grid: margin(mu_t, t, L, theta) with the lower (L_lo,
+    theta_lo) and the upper (L_hi, theta_hi) separations and their L2 tau
+    norms.  A slot is excluded when its slice is denser than the density
+    cap allows or when the margin is None."""
+    plan = build_dynamical_plan(cone, coupling)
+    theta = [coupling.l2_tau_norm(L_lo), coupling.l2_tau_norm(L_hi)]
+    margins, excluded = {}, []
+    for t in t_grid:
+        mu_t = plan.slice_at(t)
+        m_lo = (None if _density_excluded(mu_t, cone, coupling.mu0)
+                else margin(mu_t, t, L_lo, theta[0]))
+        if m_lo is None:
+            excluded.append(t)
+            continue
+        margins[t] = (m_lo, margin(mu_t, t, L_hi, theta[1]))
+    return {"tol": tol, "t_grid": list(t_grid), "excluded": excluded,
+            "theta_l2": theta, **_margin_report(cone, margins, tol)}
+
+
 def tcd_verify(cone, mu0: DiscreteMeasure, mu1: DiscreteMeasure, p: float,
                K: float, N: float, flavor: str = "entropic",
-               t_grid=None, tol: float = 0.05) -> dict:
+               t_grid=T_GRID, tol: float = 0.05) -> dict:
     """Margin report for the entropic or Renyi timelike curvature-dimension
     inequality along an optimal plan.  Margins are recomputed with the
     upper separations so the verdict can distinguish FAIL from bracket
     noise (INCONCLUSIVE)."""
     if flavor not in ("entropic", "renyi"):
         raise ValueError("flavor must be 'entropic' or 'renyi'")
-    if t_grid is None:
-        t_grid = [k / 8 for k in range(1, 8)]
     coupling = solve_lp(cone, mu0, mu1, p)
     if coupling.p_value <= 0:
         raise NotTimelikeDualizable("optimal cost vanishes")
     try:
-        strict_coupling = solve_lp(cone, mu0, mu1, p, strict=True)
+        strict = solve_lp(cone, mu0, mu1, p, strict=True)
     except NotCausallyCouplable as exc:
         raise NotTimelikeDualizable(str(exc)) from exc
-    if strict_coupling.p_value < coupling.p_value - 1e-9 * (1 + coupling.p_value):
+    if strict.p_value < coupling.p_value - 1e-9 * (1 + coupling.p_value):
         raise NotTimelikeDualizable(
             "no optimal coupling concentrated on strictly timelike pairs")
-    plan = build_dynamical_plan(cone, strict_coupling)
-    L_lo = separation_matrix(cone, strict_coupling.mu0, strict_coupling.mu1)
-    L_hi = separation_matrix(cone, strict_coupling.mu0, strict_coupling.mu1, upper=True)
-    theta_lo = strict_coupling.l2_tau_norm(L_lo)
-    theta_hi = strict_coupling.l2_tau_norm(L_hi)
-    margins = {}
-    excluded = []
+    mu0, mu1 = strict.mu0, strict.mu1       # sorted, as the plan's rows
 
-    def entropic_margin(mu_t, t, theta):
+    def entropic_margin(mu_t, t, L, theta):
         s0 = distortion(K, N, 1.0 - t, theta)
         s1 = distortion(K, N, t, theta)
-        rhs = s0 * entropy(strict_coupling.mu0, cone, "U", N) \
-            + s1 * entropy(strict_coupling.mu1, cone, "U", N)
+        rhs = s0 * entropy(mu0, cone, "U", N) + s1 * entropy(mu1, cone, "U", N)
         return entropy(mu_t, cone, "U", N) - rhs
 
-    def renyi_margin(mu_t, t, L):
-        w0 = _atom_weights(strict_coupling.mu0, cone)
-        w1 = _atom_weights(strict_coupling.mu1, cone)
+    def renyi_margin(mu_t, t, L, theta):
+        w0, w1 = _atom_weights(mu0, cone), _atom_weights(mu1, cone)
         if (w0 <= 0).any() or (w1 <= 0).any():
             raise ZeroReferenceCell("marginal atom on a zero-weight cell")
-        rho0 = strict_coupling.mu0.masses / w0
-        rho1 = strict_coupling.mu1.masses / w1
+        rho0, rho1 = mu0.masses / w0, mu1.masses / w1
         bound = 0.0
-        for i, j in strict_coupling.support():
+        for i, j in strict.support():
             th = max(L[i, j], 0.0)
             c0 = distortion(K, N, 1.0 - t, th, modified=True)
             c1 = distortion(K, N, t, th, modified=True)
             if c0 == math.inf or c1 == math.inf:
                 return -math.inf
-            bound -= strict_coupling.table[i, j] * (
+            bound -= strict.table[i, j] * (
                 c0 * rho0[i] ** (-1.0 / N) + c1 * rho1[j] ** (-1.0 / N))
         return bound - entropy(mu_t, cone, "renyi", N)
 
-    for t in t_grid:
-        mu_t = plan.slice_at(t)
-        if _density_excluded(mu_t, cone, strict_coupling.mu0):
-            excluded.append(t)
-            continue
-        if flavor == "entropic":
-            m_lo = entropic_margin(mu_t, t, theta_lo)
-            m_hi = entropic_margin(mu_t, t, theta_hi)
-        else:
-            m_lo = renyi_margin(mu_t, t, L_lo)
-            m_hi = renyi_margin(mu_t, t, L_hi)
-        margins[t] = (m_lo, m_hi)
-    return {
-        "flavor": flavor, "K": K, "N": N, "p": p, "tol": tol,
-        "t_grid": list(t_grid), "excluded": excluded,
-        "ell_p": strict_coupling.ell_p,
-        "theta_l2": [theta_lo, theta_hi],
-        **_margin_report(cone, margins, tol),
-    }
+    margin = entropic_margin if flavor == "entropic" else renyi_margin
+    return {"flavor": flavor, "K": K, "N": N, "p": p, "ell_p": strict.ell_p,
+            **_slot_report(cone, strict, separation_matrix(cone, mu0, mu1),
+                           separation_matrix(cone, mu0, mu1, upper=True),
+                           t_grid, tol, margin)}
 
 
 def tmcp_verify(cone, mu0: DiscreteMeasure, x1, K: float, N: float,
-                t_grid=None, tol: float = 0.05) -> dict:
+                t_grid=T_GRID, tol: float = 0.05) -> dict:
     """Entropic measure-contraction margins toward the Dirac at x1.
 
     The only admissible coupling is the product mu0 x delta_{x1}.  The t=1
     slot is always excluded (Dirac endpoint, density blow-up)."""
-    x1 = (int(x1[0]), int(x1[1]))
-    atoms = tuple(np.array(mu0.points).T)
-    taus_lo = cone.separations(atoms, x1)
-    bad = [q for q, tau in zip(mu0.points, taus_lo) if tau <= 0.0]
+    mu1 = DiscreteMeasure.dirac(x1)
+    L_lo = separation_matrix(cone, mu0, mu1)
+    bad = [q for q, tau in zip(mu0.points, L_lo[:, 0]) if tau <= 0.0]
     if bad:
         raise AtomNotInPast(f"atoms not strictly before x1: {bad}")
-    taus_hi = cone.separations(atoms, x1, upper=True)
-    if t_grid is None:
-        t_grid = [k / 8 for k in range(1, 8)]
-    mu1 = DiscreteMeasure.dirac(x1)
-    table = mu0.masses[:, None].copy()
+    L_hi = separation_matrix(cone, mu0, mu1, upper=True)
     # the plan reads only support and masses; the cost fields hold p = 1
-    coupling = CausalCoupling(mu0=mu0, mu1=mu1, table=table, p=1.0,
-                              p_value=float((taus_lo * mu0.masses).sum()))
-    plan = build_dynamical_plan(cone, coupling)
-    theta_lo = coupling.l2_tau_norm(taus_lo[:, None])
-    theta_hi = coupling.l2_tau_norm(taus_hi[:, None])
+    coupling = CausalCoupling(mu0=mu0, mu1=mu1, table=mu0.masses[:, None],
+                              p=1.0, p_value=float(L_lo[:, 0] @ mu0.masses))
     u0 = entropy(mu0, cone, "U", N)
-    margins, excluded = {}, []
-    for t in t_grid:
+
+    def margin(mu_t, t, L, theta):
         if t >= 1.0:
-            excluded.append(t)
-            continue
-        mu_t = plan.slice_at(t)
-        if _density_excluded(mu_t, cone, mu0):
-            excluded.append(t)
-            continue
-        m_lo = entropy(mu_t, cone, "U", N) - distortion(K, N, 1.0 - t, theta_lo) * u0
-        m_hi = entropy(mu_t, cone, "U", N) - distortion(K, N, 1.0 - t, theta_hi) * u0
-        margins[t] = (m_lo, m_hi)
-    return {
-        "K": K, "N": N, "tol": tol, "t_grid": list(t_grid),
-        "excluded": excluded, "theta_l2": [theta_lo, theta_hi],
-        **_margin_report(cone, margins, tol),
-    }
+            return None
+        return entropy(mu_t, cone, "U", N) - distortion(K, N, 1.0 - t, theta) * u0
+
+    return {"K": K, "N": N,
+            **_slot_report(cone, coupling, L_lo, L_hi, t_grid, tol, margin)}

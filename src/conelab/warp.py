@@ -11,7 +11,6 @@ induced fiber bound K_f = -min(K f^2 + slope^2).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -73,14 +72,7 @@ class WarpingFunction:
 
     @classmethod
     def from_json(cls, obj) -> "WarpingFunction":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         return cls(np.asarray(obj["ts"], float), np.asarray(obj["vals"], float))
-
-    @classmethod
-    def from_callable(cls, fn, a: float, b: float, n: int) -> "WarpingFunction":
-        ts = np.linspace(a, b, n)
-        return cls(ts, np.maximum(np.asarray(fn(ts), dtype=float), 0.0))
 
 
 def slope(f: WarpingFunction, i: int) -> float:

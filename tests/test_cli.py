@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +50,16 @@ def test_tau_point_pair(workdir):
     assert run_cli(["--out", bad, "tau", "--cone", workdir / "cone.json",
                     "--p", "3,2", "--q=-1,2"]) == 1
     assert json.loads((bad / "report.json").read_text())["error"] == "VALUE_ERROR"
+
+
+@pytest.mark.parametrize("args", [["--p", "3,2"], ["--q", "30,2"]])
+def test_tau_needs_both_points_or_neither(workdir, args):
+    # a lone --p or --q was dropped, and every grid row exported
+    out = workdir / "o_lone"
+    assert run_cli(["--out", out, "tau", "--cone", workdir / "cone.json",
+                    *args]) == 1
+    assert json.loads((out / "report.json").read_text())["error"] == "VALUE_ERROR"
+    assert not (out / "tables" / "tau.csv").exists()
 
 
 @pytest.mark.parametrize("name, args", [
@@ -278,6 +290,15 @@ def test_measured_rejects_a_fiber_that_is_no_metric(workdir):
     ("gh", ("dist", 1), None, "finite"),
     ("ot", (0, "mass"), math.nan, "finite"),
     ("ricci", ("vals", 5), None, "finite"),
+    # a cone grid parameter ran coerced (window 1 or 2, distSteps 2,
+    # distRefine 1), or, for distSteps -4, failed inside numpy
+    ("tau", ("window",), -5, "window"),
+    ("tau", ("window",), 0, "window"),
+    ("tau", ("window",), 2.5, "window"),
+    ("tau", ("distSteps",), 2.5, "distSteps"),
+    ("tau", ("distSteps",), -4, "distSteps"),
+    ("tau", ("distRefine",), 0, "distRefine"),
+    ("tau", ("distRefine",), -2, "distRefine"),
 ])
 def test_bad_numbers_in_an_input_file_are_a_value_error(workdir, command,
                                                         path, value, message):
@@ -388,3 +409,19 @@ def test_console_entry_point(workdir):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "tau" in proc.stdout
+
+
+def test_every_traced_seam_exists():
+    # bench/spans.py wraps these names for its per-layer metrics; a name it
+    # cannot find is recorded as absent and its metric silently reads zero
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        # the W1 LP is a transport flow_lp call, traced as transport.lp
+        assert tracer.absent == ["conelab.converge.linprog"]
+    finally:
+        tracer.uninstall()

@@ -186,9 +186,8 @@ def test_tcbb_deterministic(strip_small):
     assert r1["counts"] == r2["counts"]
     # recorded with per-draw scalar lookups: a wrong slot in the gather of
     # the six pairs changes them
-    assert r1["counts"] == {"valid": 60, "order": 0, "relation": 973,
-                            "domain": 0, "unrealizable": 0,
-                            "outside_chart": 0}
+    assert r1["counts"] == {"valid": 60, "relation": 973, "domain": 0,
+                            "unrealizable": 0, "outside_chart": 0}
     assert r1["worst_margin"] == 1.2499999229476089e-05
     worst = r1["worst_config"]
     assert worst["kind"] == "past"

@@ -343,3 +343,81 @@ def test_tmcp_atom_not_in_past(strip_small):
     mu0 = DiscreteMeasure.uniform([(2, 10), (39, 10)])
     with pytest.raises(AtomNotInPast):
         tmcp_verify(strip_small, mu0, (38, 10), 0.0, 2.0)
+
+
+# Full verifier reports on strip_small at K = 1, recorded before the TCD and
+# TMCP slot loops were merged into one.  A t_grid that holds 1.0 pins the
+# t = 1 slot: computed by tcd, excluded by tmcp (Dirac endpoint).
+_G = [0.25, 0.5, 1.0]
+_TCD_COMMON = {"K": 1.0, "N": 2.0, "p": 0.5, "tol": 0.05, "ell_p": 1.4,
+               "excluded": [], "theta_l2": [1.4000000000000001, 1.4],
+               "bracket_width": 0.12656875452152955,
+               "verdict": "INCONCLUSIVE"}
+_TMCP_COMMON = {"K": 1.0, "N": 2.0, "tol": 0.05, "verdict": "PASS",
+                "theta_l2": [1.7315601417293702, 1.7339743067185038],
+                "bracket_width": 0.12656875452152955}
+_PINNED = {
+    "tcd-entropic": dict(_TCD_COMMON, flavor="entropic", t_grid=[
+        0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875], margins={
+        "0.125": [-0.026376404407821463, -0.026376404407821352],
+        "0.25": [-0.04551021087889562, -0.04551021087889556],
+        "0.375": [-0.05710880667372925, -0.05710880667372925],
+        "0.5": [-0.060994814808034814, -0.060994814808034814],
+        "0.625": [-0.05710880667372925, -0.05710880667372925],
+        "0.75": [-0.04551021087889656, -0.04551021087889645],
+        "0.875": [-0.026376404407821408, -0.026376404407821297]},
+        min_margin=-0.060994814808034814),
+    "tcd-entropic-t1": dict(_TCD_COMMON, flavor="entropic", t_grid=_G, margins={
+        "0.25": [-0.04551021087889562, -0.04551021087889556],
+        "0.5": [-0.060994814808034814, -0.060994814808034814],
+        "1.0": [0.0, 0.0]}, min_margin=-0.060994814808034814),
+    "tcd-renyi-t1": dict(_TCD_COMMON, flavor="renyi", t_grid=_G, margins={
+        "0.25": [-0.04805370930980696, -0.04805370930980696],
+        "0.5": [-0.06414914458453369, -0.06414914458453369],
+        "1.0": [0.0, 0.0]}, min_margin=-0.06414914458453369),
+    "tmcp": dict(_TMCP_COMMON, excluded=[], t_grid=[
+        0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875], margins={
+        "0.125": [0.025839580139783436, 0.025767655966192016],
+        "0.25": [0.06012953606664995, 0.0600109073962658],
+        "0.375": [0.10206821887954964, 0.10192696779484167],
+        "0.5": [0.07077572093625303, 0.07063372936763884],
+        "0.625": [0.12491456856387495, 0.12479057114674938],
+        "0.75": [0.1833196321520603, 0.18322841685286678],
+        "0.875": [0.16083339278372688, 0.16078517645545468]},
+        min_margin=0.025767655966192016),
+    "tmcp-t1": dict(_TMCP_COMMON, excluded=[1.0], t_grid=_G, margins={
+        "0.25": [0.06012953606664995, 0.0600109073962658],
+        "0.5": [0.07077572093625303, 0.07063372936763884]},
+        min_margin=0.0600109073962658),
+}
+
+
+def _assert_same_report(got, want, where="report"):
+    """Equal structure and strings; numbers to 1e-12."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and set(got) == set(want), where
+        for k in want:
+            _assert_same_report(got[k], want[k], f"{where}[{k!r}]")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_same_report(g, w, f"{where}[{k}]")
+    elif isinstance(want, str):
+        assert got == want, where
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), where
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_verifier_reports_pinned(strip_small, case):
+    want = _PINNED[case]
+    kw = {} if want["t_grid"][0] == 0.125 else {"t_grid": want["t_grid"]}
+    if case.startswith("tcd"):
+        m0 = DiscreteMeasure.uniform([(4, 6), (4, 14), (8, 6), (8, 14)])
+        m1 = DiscreteMeasure.uniform([(32, 6), (32, 14), (36, 6), (36, 14)])
+        got = tcd_verify(strip_small, m0, m1, 0.5, 1.0, 2.0,
+                         flavor=want["flavor"], **kw)
+    else:
+        mu0 = DiscreteMeasure.uniform([(2, 8), (2, 12), (6, 10)])
+        got = tmcp_verify(strip_small, mu0, (38, 10), 1.0, 2.0, **kw)
+    _assert_same_report(got, want)
