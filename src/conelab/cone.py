@@ -430,9 +430,11 @@ class GeneralizedCone:
     def from_json(cls, obj) -> "GeneralizedCone":
         f = WarpingFunction.from_json(obj["warp"])
         steps = obj.get("timeSteps")
-        if steps is not None and int(steps) + 1 != f.n:
-            ts = np.linspace(f.a, f.b, int(steps) + 1)
-            f = WarpingFunction(ts, f(ts))
+        if steps is not None:
+            require_int("timeSteps", steps, 1)
+            if steps + 1 != f.n:
+                ts = np.linspace(f.a, f.b, steps + 1)
+                f = WarpingFunction(ts, f(ts))
         X = FiniteMetricSpace.from_json(obj["fiber"])
         return cls(f, X, N=float(obj.get("N", 1.0)),
                    dist_steps=obj.get("distSteps"),

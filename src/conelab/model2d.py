@@ -13,15 +13,25 @@ equations are linear in (cosh-chart combinations) once written on the level
 of the quadric invariant, so the two-equation elimination that solves the
 flat case carries over verbatim.  Realized points are re-measured and must
 reproduce the five constrained separations to 1e-8.
+
+The model separation, the enclosure and the realization are numpy kernels
+over rows of configurations.  Each row carries an outcome code, the first
+failure the row meets in rule order, and later steps skip failed rows; the
+one-configuration functions are one-row calls that raise the code's
+exception.  Transcendental functions go through `math` on the live rows
+(`_lib`), so every row is bit-identical to the one-row call.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
+from .cone import require_int
 from .errors import (DomainViolation, InsufficientSamples, MixedModels,
                      OutsideChart, Unrealizable)
 from .kappa import pi_kappa
@@ -30,11 +40,62 @@ NEG_INF = -math.inf
 RESIDUAL_TOL = 1e-8
 QUADRIC_TOL = 1e-12
 REALIZE_SLACK = 1e-10   # float slack of the closed-form realization's roots
+CHUNK = 4096            # draws per batch of tcbb_verify
+
+# a kernel row's outcome: OK, or the first failure it met
+OK, DOMAIN, UNREALIZABLE, OUTSIDE = range(4)
+_FAILURES = {DOMAIN: (DomainViolation, "a separation reaches pi_(-K)"),
+             UNREALIZABLE: (Unrealizable,
+                            "no comparison configuration fits the constraints"),
+             OUTSIDE: (OutsideChart, "a pair leaves the normal chart")}
 
 
-def _gd(x: float) -> float:
+def _fail(code, bad, kind: int) -> None:
+    """Mark the rows still OK where `bad` holds as failed with `kind`."""
+    code[(code == OK) & bad] = kind
+
+
+def _raise(code, what: str) -> None:
+    """The exception of a one-row kernel call's failure, if any."""
+    if code[0] != OK:
+        exc, why = _FAILURES[int(code[0])]
+        raise exc(f"{what}: {why}")
+
+
+def _rows(*vals):
+    return tuple(np.array([float(v)]) for v in vals)
+
+
+def _lib(fn, live, *args):
+    """`math` function `fn` at the live rows, nan elsewhere.  numpy's own
+    float64 transcendentals can differ from these in the last ulp, and so
+    can `x * x` from `x ** 2`, which is libm's pow.  Scalar arguments
+    give a scalar, evaluated once if any row is live."""
+    if all(np.ndim(x) == 0 for x in args):
+        return fn(*args) if live.any() else np.nan
+    out = np.full(live.shape, np.nan)
+    out[live] = list(map(fn, *(np.broadcast_to(x, live.shape)[live].tolist()
+                               for x in args)))
+    return out
+
+
+def _max(a, b):
+    """Python's max(a, b) per element: b only where b > a."""
+    return np.where(b > a, b, a)
+
+
+def _min(a, b):
+    """Python's min(a, b) per element: b only where b < a."""
+    return np.where(b < a, b, a)
+
+
+def _gd(x, live):
     """Gudermannian: conformal coordinate of the hyperbolic one."""
-    return math.atan(math.sinh(x))
+    return _lib(math.atan, live, _lib(math.sinh, live, x))
+
+
+def _nonneg(v):
+    return np.where(v > 0.0, v, 0.0)
 
 
 @dataclass(frozen=True)
@@ -65,6 +126,43 @@ class ModelPoint:
         object.__setattr__(self, "coords", emb)
 
 
+@np.errstate(all="ignore")
+def _tau(K: float, p, q, code):
+    """Signed model separations of the rows' pairs (p, q), each a (time,
+    space) pair of chart coordinates; -inf for non-causal pairs.
+
+    K < 0 values are capped at pi_{-K} (the first conjugate sweep of the
+    cover); K > 0 pairs outside the normal chart get OUTSIDE."""
+    (pt, px), (qt, qx) = p, q
+    if K == 0.0:
+        dt, dx = qt - pt, qx - px
+        return np.where(dt < np.abs(dx), NEG_INF,
+                        np.sqrt(_max(dt * dt - dx * dx, 0.0)))
+    cosh, sinh, cos = math.cosh, math.sinh, math.cos
+    if K < 0.0:
+        r = 1.0 / math.sqrt(-K)
+        dtt = qt - pt
+        _fail(code, np.abs(dtt) > math.pi + 1e-12, OUTSIDE)  # conjugate sweep
+        live = code == OK
+        dth = _gd(qx, live) - _gd(px, live)
+        on = live & (dtt >= np.abs(dth))
+        c = (_lib(cosh, on, px) * _lib(cosh, on, qx) * _lib(cos, on, dtt)
+             - _lib(sinh, on, px) * _lib(sinh, on, qx))
+        return np.where(on, r * _lib(math.acos, on, _min(1.0, _max(-1.0, c))),
+                        NEG_INF)
+    r = 1.0 / math.sqrt(K)
+    dphi = qx - px
+    _fail(code, np.abs(dphi) >= math.pi / 2, OUTSIDE)
+    live = code == OK
+    deta = _gd(qt, live) - _gd(pt, live)
+    on = live & (deta >= np.abs(dphi))
+    e = (_lib(cosh, on, pt) * _lib(cosh, on, qt) * _lib(cos, on, dphi)
+         - _lib(sinh, on, pt) * _lib(sinh, on, qt))
+    _fail(code, on & (e < 1.0 - 1e-12), OUTSIDE)  # not geodesically certified
+    on &= code == OK
+    return np.where(on, r * _lib(math.acosh, on, _max(1.0, e)), NEG_INF)
+
+
 def model_tau(K: float, p: ModelPoint, q: ModelPoint) -> float:
     """Signed time separation in the model; -inf for non-causal pairs.
 
@@ -73,41 +171,16 @@ def model_tau(K: float, p: ModelPoint, q: ModelPoint) -> float:
     """
     if p.K != K or q.K != K:
         raise MixedModels(f"points on K={p.K},{q.K}, asked K={K}")
-    if K == 0.0:
-        dt = q.time - p.time
-        dx = q.space - p.space
-        if dt < abs(dx):
-            return NEG_INF
-        return math.sqrt(max(dt * dt - dx * dx, 0.0))
-    if K < 0.0:
-        r = 1.0 / math.sqrt(-K)
-        dtt = q.time - p.time
-        if abs(dtt) > math.pi + 1e-12:
-            raise OutsideChart("time coordinate gap exceeds the conjugate sweep")
-        dth = _gd(q.space) - _gd(p.space)
-        if dtt < abs(dth):
-            return NEG_INF
-        c = (math.cosh(p.space) * math.cosh(q.space) * math.cos(dtt)
-             - math.sinh(p.space) * math.sinh(q.space))
-        return r * math.acos(min(1.0, max(-1.0, c)))
-    r = 1.0 / math.sqrt(K)
-    dphi = q.space - p.space
-    if abs(dphi) >= math.pi / 2:
-        raise OutsideChart("spatial coordinate gap exceeds the normal chart")
-    deta = _gd(q.time) - _gd(p.time)
-    if deta < abs(dphi):
-        return NEG_INF
-    e = (math.cosh(p.time) * math.cosh(q.time) * math.cos(dphi)
-         - math.sinh(p.time) * math.sinh(q.time))
-    if e < 1.0 - 1e-12:
-        raise OutsideChart("causal pair not geodesically certified in-chart")
-    return r * math.acosh(max(1.0, e))
+    code = np.zeros(1, np.int8)
+    pt, px, qt, qx = _rows(p.time, p.space, q.time, q.space)
+    v = _tau(K, (pt, px), (qt, qx), code)
+    _raise(code, "model separation")
+    return float(v[0])
 
 
 def model_tau_nonneg(K: float, p: ModelPoint, q: ModelPoint) -> float:
     """max{0, signed separation}: the comparison side of the 4-point check."""
-    v = model_tau(K, p, q)
-    return v if v > 0.0 else 0.0
+    return float(_nonneg(model_tau(K, p, q)))
 
 
 @dataclass(frozen=True)
@@ -138,41 +211,72 @@ class FourPointConfig:
             raise ValueError("tau(z1,z2) must be >= 0")
 
 
-def _solve_zbar(K: float, a: float, b: float, c: float,
-                side: float) -> ModelPoint:
-    """Model point with tau(ybar, .) = b and tau(xbar, .) = c.
+def _solve_zbar(K: float, a, b, c, side: float, code):
+    """Chart (time, space) of the model points with tau(ybar, .) = b and
+    tau(xbar, .) = c; rows with no solution get UNREALIZABLE.
 
     ybar sits at the chart origin, xbar at chart time a * sqrt|K| on the
     axis.  Written on the quadric invariant both constraints are linear in
     the chart cosines, so the flat two-equation elimination applies to all
     three curvatures.  `side` picks the sign of the spatial coordinate.
     """
+    live = code == OK
     if K == 0.0:
         t = (a * a + b * b - c * c) / (2.0 * a)
         v = t * t - b * b
-        if v < -REALIZE_SLACK * max(1.0, b * b):
-            raise Unrealizable(f"flat elimination gives x^2 = {v:.3e} < 0")
-        return ModelPoint(0.0, t, side * math.sqrt(max(v, 0.0)))
+        _fail(code, v < -REALIZE_SLACK * _max(1.0, b * b), UNREALIZABLE)
+        return t, side * np.sqrt(_max(v, 0.0))
     if K < 0.0:
         rk = math.sqrt(-K)
-        abar, Cb, Cc = a * rk, math.cos(b * rk), math.cos(c * rk)
-        if math.sin(abar) < 1e-12:
-            raise Unrealizable("axis separation too close to the conjugate sweep")
-        Sb = (Cc - Cb * math.cos(abar)) / math.sin(abar)
-        h2 = Cb * Cb + Sb * Sb
-        if h2 < 1.0 - REALIZE_SLACK:
-            raise Unrealizable(f"cosh^2 chi = {h2:.6f} < 1")
-        chi = math.acosh(max(1.0, math.sqrt(h2)))
-        return ModelPoint(K, math.atan2(Sb, Cb), side * chi)
+        abar = a * rk
+        Cb, Cc = _lib(math.cos, live, b * rk), _lib(math.cos, live, c * rk)
+        sin_a = _lib(math.sin, live, abar)
+        # the axis separation too close to the conjugate sweep
+        _fail(code, sin_a < 1e-12, UNREALIZABLE)
+        live = code == OK
+        Sb = (Cc - Cb * _lib(math.cos, live, abar)) / sin_a
+        h2 = Cb * Cb + Sb * Sb                      # cosh^2 chi
+        _fail(code, h2 < 1.0 - REALIZE_SLACK, UNREALIZABLE)
+        live = code == OK
+        chi = _lib(math.acosh, live, _max(1.0, np.sqrt(h2)))
+        return _lib(math.atan2, live, Sb, Cb), side * chi
     rk = math.sqrt(K)
-    abar, Eb, Ec = a * rk, math.cosh(b * rk), math.cosh(c * rk)
-    S = (math.cosh(abar) * Eb - Ec) / math.sinh(abar)
-    ch = math.sqrt(1.0 + S * S)
-    cosphi = Eb / ch
-    if cosphi > 1.0 + REALIZE_SLACK:
-        raise Unrealizable(f"cos phi = {cosphi:.6f} > 1")
-    phi = math.acos(min(1.0, cosphi))
-    return ModelPoint(K, math.asinh(S), side * phi)
+    abar = a * rk
+    Eb, Ec = _lib(math.cosh, live, b * rk), _lib(math.cosh, live, c * rk)
+    S = (_lib(math.cosh, live, abar) * Eb - Ec) / _lib(math.sinh, live, abar)
+    cosphi = Eb / np.sqrt(1.0 + S * S)
+    _fail(code, cosphi > 1.0 + REALIZE_SLACK, UNREALIZABLE)
+    live = code == OK
+    phi = _lib(math.acos, live, _min(1.0, cosphi))
+    return _lib(math.asinh, live, S), side * phi
+
+
+@np.errstate(all="ignore")
+def _realize(K: float, a, b1, c1, b2, c2, code):
+    """Comparison quadruples for rows of the five constraints (yx, yz1,
+    xz1, yz2, xz2): returns xbar's chart time and the chart (time, space)
+    of z1bar and z2bar, on opposite sides of the axis through ybar, xbar.
+
+    DOMAIN marks tau(y, z2) >= pi_{-K}, UNREALIZABLE no solution or a
+    failed 1e-8 re-measure, OUTSIDE a re-measured pair off the chart."""
+    _fail(code, b2 >= pi_kappa(-K), DOMAIN)
+    z1 = _solve_zbar(K, a, b1, c1, +1.0, code)
+    z2 = _solve_zbar(K, a, b2, c2, -1.0, code)
+    ybar, xbar = (0.0, 0.0), (a * (math.sqrt(abs(K)) if K != 0.0 else 1.0), 0.0)
+    # realize-then-measure consistency
+    resid = reduce(_max, [
+        np.abs(_nonneg(_tau(K, p, q, code)) - want)
+        for p, q, want in ((ybar, xbar, a), (ybar, z1, b1), (ybar, z2, b2),
+                           (xbar, z1, c1), (xbar, z2, c2))])
+    _fail(code, resid > RESIDUAL_TOL * _max(1.0, b2), UNREALIZABLE)
+    return xbar[0], z1, z2
+
+
+def _model_points(K: float, xt, z1, z2, i: int):
+    """(ybar, xbar, z1bar, z2bar) of row i of `_realize`'s output."""
+    return (ModelPoint(K, 0.0, 0.0), ModelPoint(K, float(xt[i]), 0.0),
+            ModelPoint(K, float(z1[0][i]), float(z1[1][i])),
+            ModelPoint(K, float(z2[0][i]), float(z2[1][i])))
 
 
 def realize_comparison(cfg: FourPointConfig, K: float):
@@ -180,28 +284,14 @@ def realize_comparison(cfg: FourPointConfig, K: float):
 
     z1bar and z2bar sit on opposite sides of the axis through ybar, xbar.
     Raises DomainViolation when tau(y, z2) >= pi_{-K}, Unrealizable when
-    the constraints admit no solution or fail the 1e-8 re-measure check.
+    the constraints admit no solution or fail the 1e-8 re-measure check,
+    OutsideChart when a re-measured pair leaves the normal chart.
     """
-    if cfg.tau_yz2 >= pi_kappa(-K):
-        raise DomainViolation(
-            f"tau(y,z2)={cfg.tau_yz2:.4g} >= pi_(-K)={pi_kappa(-K):.4g}")
-    rk = math.sqrt(abs(K)) if K != 0.0 else 1.0
-    ybar = ModelPoint(K, 0.0, 0.0)
-    xbar = ModelPoint(K, cfg.tau_yx * (rk if K != 0.0 else 1.0), 0.0)
-    z1bar = _solve_zbar(K, cfg.tau_yx, cfg.tau_yz1, cfg.tau_xz1, +1.0)
-    z2bar = _solve_zbar(K, cfg.tau_yx, cfg.tau_yz2, cfg.tau_xz2, -1.0)
-    # realize-then-measure consistency
-    checks = [
-        (model_tau_nonneg(K, ybar, xbar), cfg.tau_yx),
-        (model_tau_nonneg(K, ybar, z1bar), cfg.tau_yz1),
-        (model_tau_nonneg(K, ybar, z2bar), cfg.tau_yz2),
-        (model_tau_nonneg(K, xbar, z1bar), cfg.tau_xz1),
-        (model_tau_nonneg(K, xbar, z2bar), cfg.tau_xz2),
-    ]
-    resid = max(abs(got - want) for got, want in checks)
-    if resid > RESIDUAL_TOL * max(1.0, cfg.tau_yz2):
-        raise Unrealizable(f"re-measure residual {resid:.3e}")
-    return ybar, xbar, z1bar, z2bar
+    code = np.zeros(1, np.int8)
+    xt, z1, z2 = _realize(K, *_rows(cfg.tau_yx, cfg.tau_yz1, cfg.tau_xz1,
+                                    cfg.tau_yz2, cfg.tau_xz2), code)
+    _raise(code, "comparison realization")
+    return _model_points(K, xt, z1, z2, 0)
 
 
 def config_margin(cfg: FourPointConfig, K: float) -> float:
@@ -222,46 +312,47 @@ def config_margin(cfg: FourPointConfig, K: float) -> float:
 # interval arithmetic.  The resulting lower end T_lo satisfies
 # T_lo <= taubar(true inputs) for any true values inside the brackets, so
 # hi(z1,z2) - T_lo is nonnegative whenever the 4-point condition holds and
-# a value below -tol is a genuine violation certificate.
+# a value below -tol is a genuine violation certificate.  An interval is a
+# (lo, hi) pair of row arrays.
 
 def _imul(a, b):
     vals = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(vals), max(vals)
+    return reduce(_min, vals), reduce(_max, vals)
 
 
 def _idiv_pos(a, b):
     """a / b for an interval b bounded away from 0 with b_lo > 0."""
-    return min(a[0] / b[0], a[0] / b[1]), max(a[1] / b[0], a[1] / b[1])
+    return _min(a[0] / b[0], a[0] / b[1]), _max(a[1] / b[0], a[1] / b[1])
 
 
 def _isq(a):
-    if a[0] >= 0:
-        return a[0] * a[0], a[1] * a[1]
-    if a[1] <= 0:
-        return a[1] * a[1], a[0] * a[0]
-    return 0.0, max(a[0] * a[0], a[1] * a[1])
-
-
-def _icos(a):
-    if a[1] - a[0] >= 2 * math.pi:
-        return -1.0, 1.0
-    vals = [math.cos(a[0]), math.cos(a[1])]
-    k0 = math.ceil(a[0] / math.pi)
-    k1 = math.floor(a[1] / math.pi)
-    for k in range(k0, k1 + 1):
-        vals.append(math.cos(k * math.pi))
-    return min(vals), max(vals)
-
-
-def _isin_0pi(a):
-    """sin over an interval inside [0, pi]."""
-    lo = min(math.sin(a[0]), math.sin(a[1]))
-    hi = 1.0 if a[0] <= math.pi / 2 <= a[1] else max(math.sin(a[0]), math.sin(a[1]))
+    lo = np.where(a[0] >= 0, a[0] * a[0], np.where(a[1] <= 0, a[1] * a[1], 0.0))
+    hi = np.where(a[0] >= 0, a[1] * a[1],
+                  np.where(a[1] <= 0, a[0] * a[0], _max(a[0] * a[0], a[1] * a[1])))
     return lo, hi
 
 
+def _icos(a, live):
+    """cos over an interval: the end values, widened to -1 (1) where an odd
+    (even) multiple k*pi lies inside; math.cos(k * math.pi) rounds to
+    exactly -1.0 or 1.0 for every |k| < 8e7."""
+    ends = _lib(math.cos, live, a[0]), _lib(math.cos, live, a[1])
+    k0, k1 = np.ceil(a[0] / math.pi), np.floor(a[1] / math.pi)
+    full = a[1] - a[0] >= 2 * math.pi
+    odd = full | ((k1 >= k0) & ((k0 % 2 != 0) | (k1 > k0)))
+    even = full | ((k1 >= k0) & ((k0 % 2 == 0) | (k1 > k0)))
+    return np.where(odd, -1.0, _min(*ends)), np.where(even, 1.0, _max(*ends))
+
+
+def _isin_0pi(a, live):
+    """sin over an interval inside [0, pi]."""
+    ends = _lib(math.sin, live, a[0]), _lib(math.sin, live, a[1])
+    peak = (a[0] <= math.pi / 2) & (math.pi / 2 <= a[1])
+    return _min(*ends), np.where(peak, 1.0, _max(*ends))
+
+
 def _isqrt_clip(a):
-    return math.sqrt(max(a[0], 0.0)), math.sqrt(max(a[1], 0.0))
+    return np.sqrt(_max(a[0], 0.0)), np.sqrt(_max(a[1], 0.0))
 
 
 def _flat_zbar_interval(a, b, c):
@@ -269,13 +360,17 @@ def _flat_zbar_interval(a, b, c):
     num = (a[0] * a[0] + b[0] * b[0] - c[1] * c[1],
            a[1] * a[1] + b[1] * b[1] - c[0] * c[0])
     t = _idiv_pos(num, (2 * a[0], 2 * a[1]))
-    x2 = (_isq(t)[0] - b[1] * b[1], _isq(t)[1] - b[0] * b[0])
-    return t, _isqrt_clip(x2)
+    sq = _isq(t)
+    return t, _isqrt_clip((sq[0] - b[1] * b[1], sq[1] - b[0] * b[0]))
 
 
-def comparison_interval(K: float, a, b1, c1, b2, c2):
-    """Enclosure [T_lo, T_hi] of taubar(z1bar, z2bar) over all constraint
-    values inside the given brackets (each a (lo, hi) pair)."""
+@np.errstate(all="ignore")
+def _enclose(K: float, a, b1, c1, b2, c2, code):
+    """Enclosures (T_lo, T_hi) of taubar(z1bar, z2bar) for rows of the
+    five constraint brackets.  DOMAIN marks a bracket reaching the
+    conjugate sweep, UNREALIZABLE a degenerate axis separation and OUTSIDE
+    a mirrored pair leaving the normal chart."""
+    live = code == OK
     if K == 0.0:
         t1, x1 = _flat_zbar_interval(a, b1, c1)
         t2, x2 = _flat_zbar_interval(a, b2, c2)
@@ -283,79 +378,175 @@ def comparison_interval(K: float, a, b1, c1, b2, c2):
         xs = (x1[0] + x2[0], x1[1] + x2[1])
         certain = dt[0] >= xs[1]
         possible = dt[1] >= xs[0]
-        T_hi = math.sqrt(max(dt[1] ** 2 - xs[0] ** 2, 0.0)) if possible else 0.0
-        T_lo = math.sqrt(max(dt[0] ** 2 - xs[1] ** 2, 0.0)) if certain else 0.0
+
+        def sq(x, on):
+            return _lib(math.pow, on, x, 2.0)
+
+        on = live & possible
+        T_hi = np.where(on, np.sqrt(_max(sq(dt[1], on) - sq(xs[0], on), 0.0)), 0.0)
+        on = live & certain
+        T_lo = np.where(on, np.sqrt(_max(sq(dt[0], on) - sq(xs[1], on), 0.0)), 0.0)
         return T_lo, T_hi
     if K < 0.0:
         rk = math.sqrt(-K)
         r = 1.0 / rk
-        if max(b2[1], b1[1]) * rk >= math.pi or a[1] * rk >= math.pi:
-            raise DomainViolation("constraint bracket reaches the conjugate sweep")
+        _fail(code, (_max(b2[1], b1[1]) * rk >= math.pi) | (a[1] * rk >= math.pi),
+              DOMAIN)
         abar = (a[0] * rk, a[1] * rk)
-        sin_a = _isin_0pi(abar)
-        if sin_a[0] <= 1e-12:
-            raise Unrealizable("axis separation bracket touches the conjugate sweep")
-        cos_a = _icos(abar)
+        sin_a = _isin_0pi(abar, code == OK)
+        # the axis separation bracket touches the conjugate sweep
+        _fail(code, sin_a[0] <= 1e-12, UNREALIZABLE)
+        live = code == OK
+        cos_a = _icos(abar, live)
 
         def zbar(b, c):
-            Cb = (math.cos(b[1] * rk), math.cos(b[0] * rk))
-            Cc = (math.cos(c[1] * rk), math.cos(c[0] * rk))
-            num = (Cc[0] - _imul(Cb, cos_a)[1], Cc[1] - _imul(Cb, cos_a)[0])
-            S = _idiv_pos(num, sin_a)
-            h = (_isq(Cb)[0] + _isq(S)[0], _isq(Cb)[1] + _isq(S)[1])
-            ch = _isqrt_clip((max(h[0], 1.0), max(h[1], 1.0)))
+            Cb = (_lib(math.cos, live, b[1] * rk), _lib(math.cos, live, b[0] * rk))
+            Cc = (_lib(math.cos, live, c[1] * rk), _lib(math.cos, live, c[0] * rk))
+            m = _imul(Cb, cos_a)
+            S = _idiv_pos((Cc[0] - m[1], Cc[1] - m[0]), sin_a)
+            sq_b, sq_s = _isq(Cb), _isq(S)
+            h = (sq_b[0] + sq_s[0], sq_b[1] + sq_s[1])
+            ch = _isqrt_clip((_max(h[0], 1.0), _max(h[1], 1.0)))
             sh = _isqrt_clip((h[0] - 1.0, h[1] - 1.0))
-            tt = (math.atan2(max(S[0], 0.0), Cb[1]), math.atan2(max(S[1], 0.0), Cb[0]))
-            theta = (math.atan(sh[0]), math.atan(sh[1]))  # gd(arcsinh) = atan
+            tt = (_lib(math.atan2, live, _max(S[0], 0.0), Cb[1]),
+                  _lib(math.atan2, live, _max(S[1], 0.0), Cb[0]))
+            # gd(arcsinh) = atan
+            theta = (_lib(math.atan, live, sh[0]), _lib(math.atan, live, sh[1]))
             return tt, ch, sh, theta
 
         tt1, ch1, sh1, th1 = zbar(b1, c1)
         tt2, ch2, sh2, th2 = zbar(b2, c2)
         dtt = (tt2[0] - tt1[1], tt2[1] - tt1[0])
-        cosd = _icos(dtt)
+        cosd = _icos(dtt, live)
         prod = _imul(_imul(ch1, ch2), cosd)
         cross = _imul(sh1, sh2)
         c12 = (prod[0] + cross[0], prod[1] + cross[1])
         gdsum = (th1[0] + th2[0], th1[1] + th2[1])
-        certain = dtt[0] >= gdsum[1]
-        possible = dtt[1] >= gdsum[0]
-        T_hi = r * math.acos(min(1.0, max(-1.0, c12[0]))) if possible else 0.0
-        T_lo = r * math.acos(min(1.0, max(-1.0, c12[1]))) if certain else 0.0
+        on = live & (dtt[1] >= gdsum[0])     # possibly causal
+        T_hi = np.where(on, r * _lib(math.acos, on, _min(1.0, _max(-1.0, c12[0]))),
+                        0.0)
+        on = live & (dtt[0] >= gdsum[1])     # certainly causal
+        T_lo = np.where(on, r * _lib(math.acos, on, _min(1.0, _max(-1.0, c12[1]))),
+                        0.0)
         return T_lo, T_hi
     rk = math.sqrt(K)
     r = 1.0 / rk
     abar = (a[0] * rk, a[1] * rk)
-    sinh_a = (math.sinh(abar[0]), math.sinh(abar[1]))
-    cosh_a = (math.cosh(abar[0]), math.cosh(abar[1]))
-    if sinh_a[0] <= 1e-12:
-        raise Unrealizable("degenerate axis separation")
+    sinh_a = (_lib(math.sinh, live, abar[0]), _lib(math.sinh, live, abar[1]))
+    cosh_a = (_lib(math.cosh, live, abar[0]), _lib(math.cosh, live, abar[1]))
+    _fail(code, sinh_a[0] <= 1e-12, UNREALIZABLE)   # degenerate axis separation
+    live = code == OK
 
     def zbar(b, c):
-        Eb = (math.cosh(b[0] * rk), math.cosh(b[1] * rk))
-        Ec = (math.cosh(c[0] * rk), math.cosh(c[1] * rk))
-        num = (_imul(cosh_a, Eb)[0] - Ec[1], _imul(cosh_a, Eb)[1] - Ec[0])
-        S = _idiv_pos(num, sinh_a)
-        ch = _isqrt_clip((1.0 + _isq(S)[0], 1.0 + _isq(S)[1]))
+        Eb = (_lib(math.cosh, live, b[0] * rk), _lib(math.cosh, live, b[1] * rk))
+        Ec = (_lib(math.cosh, live, c[0] * rk), _lib(math.cosh, live, c[1] * rk))
+        m = _imul(cosh_a, Eb)
+        S = _idiv_pos((m[0] - Ec[1], m[1] - Ec[0]), sinh_a)
+        sq = _isq(S)
+        ch = _isqrt_clip((1.0 + sq[0], 1.0 + sq[1]))
         cosphi = _idiv_pos(Eb, ch)
-        phi = (math.acos(min(1.0, cosphi[1])), math.acos(min(1.0, max(-1.0, cosphi[0]))))
-        eta = (_gd(math.asinh(S[0])), _gd(math.asinh(S[1])))
+        phi = (_lib(math.acos, live, _min(1.0, cosphi[1])),
+               _lib(math.acos, live, _min(1.0, _max(-1.0, cosphi[0]))))
+        eta = (_gd(_lib(math.asinh, live, S[0]), live),
+               _gd(_lib(math.asinh, live, S[1]), live))
         return S, ch, phi, eta
 
     S1, ch1, phi1, eta1 = zbar(b1, c1)
     S2, ch2, phi2, eta2 = zbar(b2, c2)
     dphi = (phi1[0] + phi2[0], phi1[1] + phi2[1])
-    if dphi[1] >= math.pi / 2:
-        raise OutsideChart("mirrored pair leaves the normal chart")
+    _fail(code, dphi[1] >= math.pi / 2, OUTSIDE)  # the mirrored pair
+    live = code == OK
     deta = (eta2[0] - eta1[1], eta2[1] - eta1[0])
-    cosd = _icos(dphi)
+    cosd = _icos(dphi, live)
     prod = _imul(_imul(ch1, ch2), cosd)
     cross = _imul(S1, S2)
     e12 = (prod[0] - cross[1], prod[1] - cross[0])
-    certain = deta[0] >= dphi[1]
-    possible = deta[1] >= dphi[0]
-    T_hi = r * math.acosh(max(1.0, e12[1])) if possible else 0.0
-    T_lo = r * math.acosh(max(1.0, e12[0])) if certain and e12[0] >= 1.0 else 0.0
+    on = live & (deta[1] >= dphi[0])                        # possibly causal
+    T_hi = np.where(on, r * _lib(math.acosh, on, _max(1.0, e12[1])), 0.0)
+    on = live & (deta[0] >= dphi[1]) & (e12[0] >= 1.0)      # certainly causal
+    T_lo = np.where(on, r * _lib(math.acosh, on, _max(1.0, e12[0])), 0.0)
     return T_lo, T_hi
+
+
+def comparison_interval(K: float, a, b1, c1, b2, c2):
+    """Enclosure [T_lo, T_hi] of taubar(z1bar, z2bar) over all constraint
+    values inside the given brackets (each a (lo, hi) pair)."""
+    code = np.zeros(1, np.int8)
+    T_lo, T_hi = _enclose(K, *(_rows(*iv) for iv in (a, b1, c1, b2, c2)), code)
+    _raise(code, "comparison enclosure")
+    return float(T_lo[0]), float(T_hi[0])
+
+
+# -- the sampler's draws -------------------------------------------------------
+
+_LOW = np.uint64(0xFFFFFFFF)
+_HALF = np.uint64(32)
+
+
+def _lemire(bitgen, bounds, rounds: int):
+    """The values of `rounds` rounds of `integers(0, n)`, one per bound n
+    in `bounds` (a uint64 array), read from the bit generator's raw
+    stream; None, with the state left as it was, if numpy would have
+    rejected a word.  Otherwise the state ends where those calls leave it.
+
+    For 2 <= n < 2**32 numpy maps a 32-bit word w to (w * n) >> 32 and
+    rejects it while (w * n) mod 2**32 < (2**32 - n) mod n (Lemire's
+    multiply-shift).  Words come from the 64-bit stream low half first; a
+    half left over waits in the state's `has_uint32`/`uinteger` buffer."""
+    saved = bitgen.state
+    need = bounds.size * rounds
+    head = [saved["uinteger"]] if saved["has_uint32"] else []
+    raw = bitgen.random_raw((need - len(head) + 1) // 2)
+    words = np.empty(len(head) + 2 * raw.size, np.uint64)
+    words[:len(head)] = head
+    words[len(head)::2] = raw & _LOW
+    words[len(head) + 1::2] = raw >> _HALF
+    m = words[:need].reshape(rounds, bounds.size) * bounds
+    if ((m & _LOW) < (np.uint64(2 ** 32) - bounds) % bounds).any():
+        bitgen.state = saved
+        return None
+    state = bitgen.state
+    state["has_uint32"] = int(words.size > need)
+    state["uinteger"] = int(raw[-1] >> _HALF)
+    bitgen.state = state
+    return (m >> _HALF).astype(np.int64)
+
+
+def _draw_bounds(nt: int, nx: int):
+    return np.array([nt] * 4 + [nx] * 4, np.uint64)
+
+
+def _emulation_holds(rng, nt: int, nx: int) -> bool:
+    """Whether `_lemire` gives what `rng.integers` gives for one draw, on
+    copies of the generator: the guard against a numpy that draws bounded
+    integers differently."""
+    if min(nt, nx) < 2 or max(nt, nx) >= 2 ** 32:
+        return False
+    real, emulated = copy.deepcopy(rng), copy.deepcopy(rng)
+    want = np.concatenate([real.integers(0, nt, size=4),
+                           real.integers(0, nx, size=4)])
+    try:
+        got = _lemire(emulated.bit_generator, _draw_bounds(nt, nx), 1)
+    except KeyError:    # no 32-bit buffer in the state
+        return False
+    return (got is not None and np.array_equal(got[0], want)
+            and emulated.bit_generator.state == real.bit_generator.state)
+
+
+def _draw_indices(rng, nt: int, nx: int, count: int, emulate: bool):
+    """(count, 8) grid indices: row i holds the i-th draw's
+    rng.integers(0, nt, size=4) then rng.integers(0, nx, size=4), and rng
+    ends where those calls leave it.  With `emulate` the chunk is read
+    from the raw stream, and redrawn call by call if a word is rejected."""
+    if emulate:
+        got = _lemire(rng.bit_generator, _draw_bounds(nt, nx), count)
+        if got is not None:
+            return got
+    out = np.empty((count, 8), np.int64)
+    for row in out:
+        row[:4] = rng.integers(0, nt, size=4)
+        row[4:] = rng.integers(0, nx, size=4)
+    return out
 
 
 # The six separations of a draw, in the slot order (yx, yz1, yz2, xz1, xz2,
@@ -366,32 +557,54 @@ def comparison_interval(K: float, a, b1, c1, b2, c2):
 _SLOT_PAIRS = {False: (np.array([0, 0, 0, 1, 1, 2]), np.array([1, 2, 3, 2, 3, 3])),
                True: (np.array([2, 1, 0, 1, 0, 0]), np.array([3, 3, 3, 2, 2, 1]))}
 
+# a draw's tag: its index in the report's counts
+_TAGS = ("valid", "relation", "domain", "unrealizable", "outside_chart")
+_TAG_OF_CODE = np.array([0, 3, 3, 4])    # OK, DOMAIN, UNREALIZABLE, OUTSIDE
 
-def _draw_config(cone, rng, reverse: bool, min_sep: float, pi_bound: float):
-    """One rejection-sampling attempt; returns a FourPointConfig or a
-    rejection tag.  Past configurations reuse the future code path on the
-    time-reversed relation (the models are time symmetric)."""
-    nt, nx = cone.f.n, cone.X.n
-    tidx = np.sort(rng.integers(0, nt, size=4))
-    xs = rng.integers(0, nx, size=4)
-    a, b = _SLOT_PAIRS[reverse]
-    P, Q = (tidx[a], xs[a]), (tidx[b], xs[b])
-    l_yx, l_yz1, l_yz2, l_xz1, l_xz2, l_z12 = cone.separations(P, Q).tolist()
-    if min(l_yx, l_yz1, l_yz2, l_xz1, l_xz2) < min_sep or l_z12 < 0.0:
-        return "relation"
-    h_yx, h_yz1, h_yz2, h_xz1, h_xz2, h_z12 = cone.separations(
-        P, Q, upper=True).tolist()
-    if l_yz2 >= pi_bound or h_yz2 >= pi_bound:
-        return "domain"
-    bounds = {"yx": (l_yx, h_yx), "yz1": (l_yz1, h_yz1), "yz2": (l_yz2, h_yz2),
-              "xz1": (l_xz1, h_xz1), "xz2": (l_xz2, h_xz2)}
-    pts = list(zip(tidx.tolist(), xs.tolist()))
-    return FourPointConfig(tau_yx=l_yx, tau_yz1=l_yz1, tau_yz2=l_yz2,
-                           tau_xz1=l_xz1, tau_xz2=l_xz2,
-                           tau_z1z2=max(h_z12, 0.0),
-                           kind="past" if reverse else "future",
-                           points=tuple(pts[::-1] if reverse else pts),
-                           bounds=bounds)
+
+def _classify(cone, K: float, idx, first: int, min_sep: float,
+              pi_bound: float):
+    """Tags and margins of a chunk of draws numbered first + 1, ...; odd
+    draws are past configurations, which reuse the future rules on the
+    time-reversed relation (the models are time symmetric).  Returns
+    (tags, margins, describe), `describe(i)` being row i's worst_config."""
+    n = len(idx)
+    rev = np.arange(first + 1, first + n + 1) % 2 == 1
+    t, x = np.sort(idx[:, :4], axis=1), idx[:, 4:]
+    a = np.where(rev[:, None], _SLOT_PAIRS[True][0], _SLOT_PAIRS[False][0])
+    b = np.where(rev[:, None], _SLOT_PAIRS[True][1], _SLOT_PAIRS[False][1])
+    rows = np.arange(n)[:, None]
+    P, Q = (t[rows, a], x[rows, a]), (t[rows, b], x[rows, b])
+    lo, hi = cone.separations(P, Q), cone.separations(P, Q, upper=True)
+    tags = np.zeros(n, np.int64)
+    tags[(lo[:, :5].min(axis=1) < min_sep) | (lo[:, 5] < 0.0)] = 1  # relation
+    beyond = (lo[:, 2] >= pi_bound) | (hi[:, 2] >= pi_bound)   # tau(y, z2)
+    tags[(tags == 0) & beyond] = 2                              # domain
+    cand = np.flatnonzero(tags == 0)
+    code = np.zeros(cand.size, np.int8)
+    # constraints in enclosure order: yx, yz1, xz1, yz2, xz2
+    cols = (0, 1, 3, 2, 4)
+    t_lo, _ = _enclose(K, *((lo[cand, j], hi[cand, j]) for j in cols), code)
+    xt, z1, z2 = _realize(K, *(lo[cand, j] for j in cols), code)  # must exist too
+    tags[cand] = _TAG_OF_CODE[code]
+    tau_z1z2 = _max(hi[:, 5], 0.0)
+    margins = np.full(n, np.inf)
+    margins[cand] = np.where(code == OK, tau_z1z2[cand] - t_lo, np.inf)
+
+    def describe(i: int) -> dict:
+        pts = list(zip(t[i].tolist(), x[i].tolist()))
+        dump = dict(zip(("tau_yx", "tau_yz1", "tau_yz2", "tau_xz1", "tau_xz2"),
+                        lo[i, :5].tolist()))
+        dump.update(
+            tau_z1z2=float(tau_z1z2[i]), kind="past" if rev[i] else "future",
+            points=tuple(pts[::-1] if rev[i] else pts),
+            realized=[{"time": pt.time, "space": pt.space,
+                       "coords": [float(v) for v in np.atleast_1d(pt.coords)]}
+                      for pt in _model_points(K, xt, z1, z2,
+                                              int(np.searchsorted(cand, i)))])
+        return dump
+
+    return tags, margins, describe
 
 
 def tcbb_verify(cone, K: float, samples: int = 200, tol: float = 0.02,
@@ -400,53 +613,38 @@ def tcbb_verify(cone, K: float, samples: int = 200, tol: float = 0.02,
     the K-model.  The left side of the margin uses the upper table, the
     five constraints use the canonical (lower) separation, so a margin
     below -tol is a genuine violation up to bracket width.
+
+    Draws come in chunks of at most CHUNK from one sequential stream, the
+    same draws as calling rng.integers once per draw, and the run stops at
+    the draw that completes `samples` valid configurations.
     """
+    require_int("samples", samples, 1)
     min_sep = 4.0 * float(np.mean(np.diff(cone.f.ts))) * max(1.0, cone.f.max())
     pi_bound = pi_kappa(-K)
     rng = np.random.default_rng(seed)
-    counts = {"valid": 0, "relation": 0, "domain": 0,
-              "unrealizable": 0, "outside_chart": 0}
-    worst = math.inf
-    worst_cfg = worst_pts = None
-    draws = 0
-    while counts["valid"] < samples and draws < max_draw_factor * samples:
-        draws += 1
-        got = _draw_config(cone, rng, reverse=bool(draws % 2), min_sep=min_sep,
-                           pi_bound=pi_bound)
-        if isinstance(got, str):
-            counts[got] += 1
-            continue
-        try:
-            # enclosure margin: sound against the table brackets
-            t_lo, _ = comparison_interval(K, got.bounds["yx"],
-                                          got.bounds["yz1"], got.bounds["xz1"],
-                                          got.bounds["yz2"], got.bounds["xz2"])
-            realized = realize_comparison(got, K)  # must exist too
-            m = got.tau_z1z2 - t_lo
-        except (Unrealizable, DomainViolation):
-            counts["unrealizable"] += 1
-            continue
-        except OutsideChart:
-            counts["outside_chart"] += 1
-            continue
-        counts["valid"] += 1
-        if m < worst:
-            worst, worst_cfg, worst_pts = m, got, realized
+    nt, nx = cone.f.n, cone.X.n
+    emulate = _emulation_holds(rng, nt, nx)
+    tally = np.zeros(len(_TAGS), np.int64)     # tally[0]: valid draws
+    worst, worst_dump = math.inf, None
+    draws, limit = 0, max_draw_factor * samples
+    while tally[0] < samples and draws < limit:
+        idx = _draw_indices(rng, nt, nx, min(CHUNK, limit - draws), emulate)
+        tags, margins, describe = _classify(cone, K, idx, draws, min_sep,
+                                            pi_bound)
+        # keep the draws up to the one that completes `samples`
+        hits = np.cumsum(tags == 0)
+        n = len(tags)
+        if hits[-1] >= samples - tally[0]:
+            n = int(np.searchsorted(hits, samples - tally[0])) + 1
+        tally += np.bincount(tags[:n], minlength=len(_TAGS))
+        i = int(np.argmin(margins[:n]))    # the first of equal margins
+        if margins[i] < worst:
+            worst, worst_dump = float(margins[i]), describe(i)
+        draws += n
+    counts = dict(zip(_TAGS, tally.tolist()))
     if counts["valid"] < 10:
         raise InsufficientSamples(f"only {counts['valid']} valid configs "
                                   f"after {draws} draws")
-    worst_dump = None
-    if worst_cfg is not None:
-        worst_dump = {
-            "tau_yx": worst_cfg.tau_yx, "tau_yz1": worst_cfg.tau_yz1,
-            "tau_yz2": worst_cfg.tau_yz2, "tau_xz1": worst_cfg.tau_xz1,
-            "tau_xz2": worst_cfg.tau_xz2, "tau_z1z2": worst_cfg.tau_z1z2,
-            "kind": worst_cfg.kind, "points": worst_cfg.points,
-            "realized": [
-                {"time": pt.time, "space": pt.space,
-                 "coords": [float(v) for v in np.atleast_1d(pt.coords)]}
-                for pt in worst_pts],
-        }
     return {
         "K": K, "tol": tol, "seed": seed, "samples": counts["valid"],
         "counts": counts, "worst_margin": worst,

@@ -299,6 +299,11 @@ def test_measured_rejects_a_fiber_that_is_no_metric(workdir):
     ("tau", ("distSteps",), -4, "distSteps"),
     ("tau", ("distRefine",), 0, "distRefine"),
     ("tau", ("distRefine",), -2, "distRefine"),
+    # 2.5 ran on 3 time points and true on 2
+    ("tau", ("timeSteps",), 2.5, "timeSteps"),
+    ("tau", ("timeSteps",), True, "timeSteps"),
+    ("tau", ("timeSteps",), 0, "timeSteps"),
+    ("tau", ("timeSteps",), -3, "timeSteps"),
 ])
 def test_bad_numbers_in_an_input_file_are_a_value_error(workdir, command,
                                                         path, value, message):
@@ -330,6 +335,18 @@ def test_bad_numbers_in_an_input_file_are_a_value_error(workdir, command,
     rep = json.loads((out / "report.json").read_text())
     assert rep["error"] == "VALUE_ERROR"
     assert message in rep["message"]
+    assert "bad.json" in rep["message"]
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_tcbb_bad_sample_count_is_a_value_error(workdir, samples):
+    # reported as INSUFFICIENT_SAMPLES after 0 draws
+    out = workdir / "o_tcbb_samples"
+    assert run_cli(["--out", out, "tcbb", "--cone", workdir / "cone.json",
+                    "--K", 0.0, f"--samples={samples}", "--seed", 1]) == 1
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "VALUE_ERROR"
+    assert "samples" in rep["message"]
 
 
 def test_every_report_carries_its_command(workdir):

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from conelab import model2d
+from conelab.cone import GeneralizedCone
 from conelab.errors import (DomainViolation, InsufficientSamples, MixedModels,
                             Unrealizable)
 from conelab.model2d import (FourPointConfig, ModelPoint, comparison_interval,
                              config_margin, model_tau, model_tau_nonneg,
                              realize_comparison, tcbb_verify)
+from conelab.metricspace import circle_arc
+from conelab.warp import WarpingFunction
 
 
 def geodesic_oracle(K, p_chart, direction, sigma, steps=4000):
@@ -205,10 +209,42 @@ def test_tcbb_deterministic(strip_small):
         for pt in realize_comparison(cfg, 0.0)]
 
 
+@pytest.fixture(scope="module")
+def sin_arc_small():
+    """The sin-warped 2-cone over a short arc on a quick 41 x 21 grid."""
+    ts = np.linspace(0.0, math.pi, 41)
+    return GeneralizedCone(WarpingFunction(ts, np.sin(ts)),
+                           circle_arc(1.0, 0.8, 21), N=2.0, dist_steps=20,
+                           window=8)
+
+
+# recorded with the per-draw scalar verifier at seed 5, 300 samples; the
+# rows cover every rejection tag and a FAIL
+@pytest.mark.parametrize("K, counts, worst, passed, points", [
+    (0.0, (300, 883, 0, 0, 0), 0.0, True,
+     ((7, 13), (19, 18), (29, 6), (29, 6))),
+    (1.0, (300, 892, 0, 0, 2), 0.0, True,
+     ((7, 13), (19, 18), (29, 6), (29, 6))),
+    (-4.0, (300, 12750, 3945, 0, 0), -0.15880099395980152, False,
+     ((10, 19), (14, 19), (21, 8), (29, 18))),
+    (30.0, (300, 894, 0, 2, 2), 0.0, True,
+     ((7, 13), (19, 18), (29, 6), (29, 6))),
+])
+def test_tcbb_pinned(sin_arc_small, K, counts, worst, passed, points):
+    rep = tcbb_verify(sin_arc_small, K=K, samples=300, tol=0.02, seed=5)
+    assert rep["counts"] == dict(zip(("valid", "relation", "domain",
+                                      "unrealizable", "outside_chart"),
+                                     counts))
+    assert rep["worst_margin"] == worst
+    assert rep["pass"] is passed
+    assert rep["worst_config"]["points"] == points
+
+
 def test_tcbb_insufficient_samples():
     from conelab.cone import minkowski_strip
     cone = minkowski_strip(time_steps=4, fiber_points=3, fiber_len=4.0)
-    with pytest.raises(InsufficientSamples):
+    with pytest.raises(InsufficientSamples,
+                       match="only 0 valid configs after 250 draws"):
         tcbb_verify(cone, K=0.0, samples=50, tol=0.02, seed=0,
                     max_draw_factor=5)
 
@@ -230,3 +266,54 @@ def test_quadric_invariant():
     e = np.array(p.coords)
     q = -e[0] ** 2 - e[1] ** 2 + e[2] ** 2
     assert q == pytest.approx(-1.0 / 2.0, abs=1e-10)
+
+
+def _per_draw(rng, nt, nx, count):
+    return np.array([np.concatenate([rng.integers(0, nt, size=4),
+                                     rng.integers(0, nx, size=4)])
+                     for _ in range(count)])
+
+
+def test_raw_stream_draws_match_per_draw_integers():
+    # the benchmark's bounds: 101 time and 41 fiber points
+    emulated, real = np.random.default_rng(1), np.random.default_rng(1)
+    got = model2d._lemire(emulated.bit_generator,
+                          model2d._draw_bounds(101, 41), 25000)
+    assert got is not None
+    assert np.array_equal(got, _per_draw(real, 101, 41, 25000))
+    assert emulated.bit_generator.state == real.bit_generator.state
+
+
+def test_rejected_words_fall_back_to_per_draw_calls():
+    n = 2 ** 31 + 1     # about half of all words are rejected
+    emulated, real = np.random.default_rng(3), np.random.default_rng(3)
+    saved = emulated.bit_generator.state
+    assert model2d._lemire(emulated.bit_generator,
+                           model2d._draw_bounds(n, 41), 64) is None
+    assert emulated.bit_generator.state == saved
+    # a fallback can leave half a raw word buffered, which the next
+    # emulated chunk must read first
+    buffered = []
+    for nt, count in ((n, 64), (101, 500), (n, 33), (101, 700), (n, 9),
+                      (101, 300), (n, 17), (101, 100)):
+        buffered.append(emulated.bit_generator.state["has_uint32"])
+        got = model2d._draw_indices(emulated, nt, 41, count, emulate=True)
+        assert np.array_equal(got, _per_draw(real, nt, 41, count))
+        assert emulated.bit_generator.state == real.bit_generator.state
+    assert any(buffered)
+
+
+def test_emulation_guard_falls_back_for_the_whole_run(monkeypatch,
+                                                      sin_arc_small):
+    want = tcbb_verify(sin_arc_small, K=1.0, samples=300, tol=0.02, seed=5)
+    assert model2d._emulation_holds(np.random.default_rng(5), 41, 21)
+    real = model2d._lemire
+
+    def shifted(bitgen, bounds, rounds):    # a numpy that draws otherwise
+        got = real(bitgen, bounds, rounds)
+        return None if got is None else (got + 1) % bounds.astype(np.int64)
+
+    monkeypatch.setattr(model2d, "_lemire", shifted)
+    assert not model2d._emulation_holds(np.random.default_rng(5), 41, 21)
+    assert tcbb_verify(sin_arc_small, K=1.0, samples=300, tol=0.02,
+                       seed=5) == want
