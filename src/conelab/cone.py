@@ -19,9 +19,13 @@ time steps, evaluated on a finite mu-grid; the reverse triangle follows
 exactly from additivity of Phi under interval concatenation, and a
 negative envelope value certifies non-causality.
 
-Each table is built on the first read that needs it, and only then: a
-caller that reads only `lo` never builds `hi`, and a maximizer on a cone
-whose `lo` is not built computes just its source's row.
+Tables are built only as far as the reads need them.  The lower table is
+built whole on the first read that needs it, except that a maximizer on a
+cone whose `lo` is not built computes just its source's row.  The upper
+table is built by source row: a read computes and stores only the rows of
+the sources it touches that are not stored yet, `upper_table()` fills
+every row, and `bracket_width` streams the rows in blocks and never stores
+them.
 
 Real fiber distances are rounded up (lo) / down (hi) onto the distance
 grid; since tau is nonincreasing in the distance argument this preserves
@@ -42,11 +46,16 @@ from .metricspace import FiniteMetricSpace
 from .warp import WarpingFunction
 
 NEG_INF = -math.inf
+# entries n_time^2 * n_dist of one table: the budget for the one stored
+# lower table; stored upper rows add at most as many entries again, and a
+# streamed block of upper rows at most UPPER_BLOCK
 MAX_TABLE_ENTRIES = 2.0e8
 # -inf entries a lower-DP row block may sweep before it is split: about the
 # work that the numpy call overhead of one more block costs
 ROW_BLOCK_WASTE = 2048
 N_MU = 48   # positive multipliers on the upper envelope's mu-grid
+# entries of one block of upper rows, computed or streamed at a time
+UPPER_BLOCK = 2 ** 16
 
 
 def _row_blocks(reach: np.ndarray):
@@ -75,9 +84,10 @@ def require_int(name: str, val, least: int) -> None:
 class GeneralizedCone:
     """Discrete cone: time grid of the warping x finite fiber, N-cone measure.
 
-    The lower and upper tables are built separately, each on the first
-    read that needs it, and cached; `maximizer` on a cone without a lower
-    table computes and caches one source row instead.
+    The lower table is built whole on the first read that needs it and
+    cached; `maximizer` on a cone without a lower table computes and caches
+    one source row instead.  Upper rows are built per source as reads ask
+    for them and cached; `bracket_width` streams them without storing.
     """
 
     def __init__(self, f: WarpingFunction, X: FiniteMetricSpace, N: float = 1.0,
@@ -116,8 +126,10 @@ class GeneralizedCone:
             fiber_weights = np.ones(X.n)
         self.fiber_weights = np.asarray(fiber_weights, dtype=float)
         self._lo = None
-        self._hi = None
         self._rows = {}
+        # (rows, slot): the upper rows stored so far, hi[s] = rows[slot[s]],
+        # with slot[s] = -1 while row s is not stored; replaced as one pair
+        self._hi = (np.empty((0, nt, self.m)), np.full(nt, -1))
         self._measure = None
 
     # -- table construction -------------------------------------------------
@@ -191,18 +203,12 @@ class GeneralizedCone:
         """The full lower table: the DP kernel on every source."""
         return self._lower_rows(np.arange(self.f.n))
 
-    def _build_upper(self) -> np.ndarray:
-        """Certified upper table via Lagrange duality for the step-min cone.
-
-        With g = step-wise min of f (so tau_f <= tau_g by warping
-        monotonicity), tau_g(i,j,r) = inf_mu [Phi_ij(mu) - mu r] where
-        Phi_ij(mu) = sum_k dt_k sqrt(c_k^2 + mu^2)/c_k over the steps in
-        [i, j).  A finite mu-grid gives the upper envelope of tangent
-        lines; Phi is prefix-summable, so the reverse triangle inequality
-        is exact by min-splitting.  Negative envelope values certify
-        non-causality (tau >= 0 would force the dual >= 0)."""
-        if self.f.is_zero:     # g = f = 0: both tables are the time gaps
-            return self._lower_rows(np.arange(self.f.n))
+    @cached_property
+    def _envelope(self):
+        """(zcount, mur, B) of the upper envelope: zcount[j] counts the
+        zero-min steps before time j, mur[k] = mu_k * dist_grid and B[k] the
+        prefix sums of Phi(mu_k) over the time steps, for the positive
+        multipliers mu_k in ascending order."""
         ts, vals = self.f.ts, self.f.vals
         dt = np.diff(ts)
         c = np.minimum(vals[:-1], vals[1:])
@@ -210,27 +216,70 @@ class GeneralizedCone:
         zcount = np.concatenate([[0], np.cumsum(zero)])
         cpos = np.where(zero, 1.0, c)
         pos = cpos[~zero] if (~zero).any() else np.array([1.0])
-        mus = np.concatenate([
-            [0.0],
-            np.geomspace(max(pos.min() * 1e-3, 1e-9), pos.max() * 2e3, N_MU)])
-        tgrid = ts[None, :] - ts[:, None]          # Phi at mu = 0
-        crossing = (zcount[None, :] - zcount[:, None]) > 0
-        hi = np.where(tgrid >= 0, tgrid, NEG_INF)
-        hi = np.repeat(hi[:, :, None], self.m, axis=2)
-        rvals = self.dist_grid
-        # lines through zero-min steps are +inf: those pairs keep mu = 0
-        oki, okj = np.nonzero((tgrid >= 0) & ~crossing)
-        sub = hi[oki, okj, :]
-        buf = np.empty_like(sub)
-        for mu in mus[1:]:
+        mus = np.geomspace(max(pos.min() * 1e-3, 1e-9), pos.max() * 2e3, N_MU)
+        B = np.empty((N_MU, ts.size))
+        for k, mu in enumerate(mus):
             phi = dt * np.sqrt(cpos * cpos + mu * mu) / cpos
             phi = np.where(zero, 0.0, phi)
-            B = np.concatenate([[0.0], np.cumsum(phi)])
-            np.subtract(np.take(B, okj)[:, None] - np.take(B, oki)[:, None],
-                        mu * rvals[None, :], out=buf)
-            np.minimum(sub, buf, out=sub)
-        hi[oki, okj, :] = sub
-        hi[hi < 0.0] = NEG_INF
+            B[k] = np.concatenate([[0.0], np.cumsum(phi)])
+        return zcount, mus[:, None] * self.dist_grid[None, :], B
+
+    def _upper_rows(self, sources) -> np.ndarray:
+        """Rows hi[s] of the upper table for the source indices.
+
+        Certified upper bound via Lagrange duality for the step-min cone:
+        with g = step-wise min of f (so tau_f <= tau_g by warping
+        monotonicity), tau_g(i,j,r) = inf_mu [Phi_ij(mu) - mu r] where
+        Phi_ij(mu) = sum_k dt_k sqrt(c_k^2 + mu^2)/c_k over the steps in
+        [i, j).  A finite mu-grid gives the upper envelope of tangent
+        lines; Phi is prefix-summable, so the reverse triangle inequality
+        is exact by min-splitting.  Negative envelope values certify
+        non-causality (tau >= 0 would force the dual >= 0).
+
+        Each entry starts from its mu = 0 value ts[j] - ts[i] (-inf when
+        j < i) and takes a running minimum over the mu-grid, except on pairs
+        across a zero-min step, whose lines are +inf.  The work runs over
+        blocks of UPPER_BLOCK entries and skips the columns before a
+        block's first source, so a row is the same whichever sources are
+        computed with it."""
+        src = np.asarray(sources, dtype=int)
+        if self.f.is_zero:     # g = f = 0: both tables are the time gaps
+            return self._lower_rows(src)
+        ts, n, m = self.f.ts, self.f.n, self.m
+        zcount, mur, B = self._envelope
+        gap = ts[None, :] - ts[src, None]          # Phi at mu = 0
+        hi = np.empty((src.size, n, m))
+        hi[...] = np.where(gap >= 0, gap, NEG_INF)[:, :, None]
+        # lines through zero-min steps are +inf: those pairs keep mu = 0
+        shut = (gap < 0) | ((zcount[None, :] - zcount[src, None]) > 0)
+        step = max(1, UPPER_BLOCK // (n * m))
+        buf = np.empty((min(step, src.size), n, m))
+        for b in range(0, src.size, step):
+            s = src[b:b + step]
+            c0 = int(s.min())
+            blk = hi[b:b + step, c0:]
+            tmp = buf[:s.size, :n - c0]
+            D = B[:, None, c0:] - B[:, s, None]
+            D[:, shut[b:b + step, c0:]] = math.inf
+            for d, mr in zip(D, mur):
+                np.subtract(d[:, :, None], mr, out=tmp)
+                np.minimum(blk, tmp, out=blk)
+            blk[blk < 0.0] = NEG_INF
+        return hi
+
+    def _build_upper(self, hi, sources):
+        """Compute the upper rows of the sources, none of them stored in the
+        (rows, slot) pair `hi`; store and return hi extended by them.
+
+        The caller reads the returned pair, not self._hi: a racing thread
+        may replace self._hi by a pair without these rows, or without rows
+        the caller found stored in `hi`."""
+        rows, slot = hi
+        new = self._upper_rows(sources)
+        slot = slot.copy()
+        slot[sources] = len(rows) + np.arange(len(sources))
+        hi = (np.concatenate([rows, new]) if len(rows) else new, slot)
+        self._hi = hi
         return hi
 
     def lower_table(self) -> np.ndarray:
@@ -241,10 +290,17 @@ class GeneralizedCone:
         return self._lo
 
     def upper_table(self) -> np.ndarray:
-        """hi of shape (n_time, n_time, n_dist), built on first call."""
-        if self._hi is None:
-            self._hi = self._build_upper()
-        return self._hi
+        """hi of shape (n_time, n_time, n_dist): builds every row not yet
+        stored and keeps the rows in source order."""
+        rows, slot = hi = self._hi
+        missing = np.flatnonzero(slot < 0)
+        if missing.size:
+            rows, slot = self._build_upper(hi, missing)
+        order = np.arange(self.f.n)
+        if (slot != order).any():
+            rows = rows[slot]
+            self._hi = (rows, order)
+        return rows
 
     def tables(self):
         """(lo, hi) tables of shape (n_time, n_time, n_dist)."""
@@ -289,10 +345,19 @@ class GeneralizedCone:
 
         P = (t, x) and Q = (t, x) hold time and fiber indices, as ints or
         integer arrays that broadcast against each other.  Backward pairs
-        need no guard: both tables hold -inf wherever t < s."""
+        need no guard: both tables hold -inf wherever t < s.  An upper read
+        builds and stores just the source rows it touches that are not
+        stored yet."""
         (pt, px), (qt, qx) = P, Q
-        table = self.upper_table() if upper else self.lower_table()
-        return table[pt, qt, self._fiber_cells[upper][px, qx]]
+        cells = self._fiber_cells[upper][px, qx]
+        if not upper:
+            return self.lower_table()[pt, qt, cells]
+        rows, slot = hi = self._hi
+        at = slot[pt]
+        if (at < 0).any():      # build just the source rows not stored
+            rows, slot = self._build_upper(hi, np.unique(np.asarray(pt)[at < 0]))
+            at = slot[pt]
+        return rows[at, qt, cells]
 
     def signed_separation(self, p, q) -> float:
         """Canonical signed separation (lower table); -inf when not causal."""
@@ -305,12 +370,32 @@ class GeneralizedCone:
         return self.signed_separation(p, q) >= 0.0
 
     def bracket_width(self) -> float:
-        """Max over grid entries of hi - lo on the causally related set."""
-        lo, hi = self.tables()
-        mask = lo >= 0.0
-        if not mask.any():
-            return 0.0
-        return float((hi[mask] - lo[mask]).max())
+        """Max over grid entries of hi - lo on the causally related set
+        (lo >= 0), 0.0 when it is empty.
+
+        Streams the upper table over blocks of source rows: a stored row is
+        read, a missing one computed and dropped, never stored.  Columns
+        before a block's first source are -inf in lo and are skipped."""
+        lo = self.lower_table()
+        rows, slot = self._hi
+        n = self.f.n
+        widths = []
+        step = max(1, UPPER_BLOCK // (n * self.m))
+        for b in range(0, n, step):
+            src = np.arange(b, min(b + step, n))
+            at = slot[src]
+            new = at < 0
+            if new.all():
+                hi = self._upper_rows(src)
+            else:
+                hi = rows[np.maximum(at, 0)]
+                if new.any():
+                    hi[new] = self._upper_rows(src[new])
+            hi, lo_b = hi[:, b:], lo[b:b + step, b:]
+            rel = lo_b >= 0.0
+            if rel.any():
+                widths.append((hi[rel] - lo_b[rel]).max())
+        return float(max(widths)) if widths else 0.0
 
     # -- geodesics -----------------------------------------------------------
 

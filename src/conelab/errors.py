@@ -22,7 +22,9 @@ class MollifyFailed(ConelabError):
 
 
 class ResourceLimit(ConelabError):
-    """Requested table exceeds the size budget, MAX_TABLE_ENTRIES."""
+    """Requested table exceeds the size budget, MAX_TABLE_ENTRIES: the
+    entries of the one stored lower table.  Stored upper rows add at most
+    as many again, and `bracket_width` streams its upper rows in blocks."""
 
 
 class NotCausallyRelated(ConelabError):

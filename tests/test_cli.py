@@ -3,11 +3,13 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conelab import cli
 from conelab.cli import main
 
 
@@ -84,6 +86,52 @@ def test_off_grid_input_is_a_value_error(workdir, name, args):
     rep = json.loads((out / "report.json").read_text())
     assert rep["error"] == "VALUE_ERROR"
     assert "outside" in rep["message"]
+
+
+def _keep_loaded_cones(monkeypatch):
+    """The cones that cli pipelines load, in load order."""
+    seen = []
+    load = cli._load_cone
+
+    def keep(path):
+        seen.append(load(path))
+        return seen[-1]
+    monkeypatch.setattr(cli, "_load_cone", keep)
+    return seen
+
+
+def test_tau_pair_stores_one_upper_row(workdir, monkeypatch):
+    # bracket_width streams the upper rows without storing them, and the
+    # pair's upper read builds only its source's row
+    cones = _keep_loaded_cones(monkeypatch)
+    assert run_cli(["--out", workdir / "o_row", "tau", "--cone",
+                    workdir / "cone.json", "--p", "3,2", "--q", "30,1"]) == 0
+    (cone,) = cones
+    assert np.flatnonzero(cone._hi[1] >= 0).tolist() == [3]
+
+
+def test_tau_pair_peak_memory_is_one_table(tmp_path, monkeypatch):
+    # an 81 x 81 x 301 strip: the lower table, one upper row and the
+    # streamed blocks of bracket_width, never a second full table
+    ts = np.linspace(0.0, 2.0, 81)
+    cone = {"warp": {"a": 0.0, "b": 2.0, "ts": list(ts), "vals": [1.0] * 81},
+            "fiber": {"n": 5, "base": 0, "dist": [abs(i - j) * 0.25
+                                                  for i in range(5)
+                                                  for j in range(5)]},
+            "distSteps": 300, "window": 8}
+    (tmp_path / "strip.json").write_text(json.dumps(cone))
+    cones = _keep_loaded_cones(monkeypatch)
+    tracemalloc.start()
+    try:
+        code = run_cli(["--out", tmp_path / "o", "tau", "--cone",
+                        tmp_path / "strip.json", "--p", "10,0", "--q", "70,4"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    lo = cones[0].lower_table()
+    assert lo.shape == (81, 81, 301)
+    assert peak <= 1.3 * lo.nbytes
 
 
 def test_geodesic(workdir):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -381,12 +383,17 @@ def test_maximizer_fresh_cone_reads_one_row():
     for p, q in [((3, 0), (35, 6)), ((10, 2), (30, 2)), ((0, 8), (40, 1))]:
         fresh = make()
         g = fresh.maximizer(p, q)
-        assert fresh._lo is None and fresh._hi is None
+        assert fresh._lo is None and stored_upper(fresh) == []
         ref = built.maximizer(p, q)
         assert g.states == ref.states
         assert g.weights == ref.weights
         assert g.tau_length == ref.tau_length
         assert g.tau_length == built.signed_separation(p, q)
+
+
+def stored_upper(cone):
+    """Source indices of the upper rows a cone has stored."""
+    return np.flatnonzero(cone._hi[1] >= 0).tolist()
 
 
 # -- the one separation lookup against the scalar rule --------------------------
@@ -448,6 +455,120 @@ def test_separations_match_scalar_rule(cone, data):
                 assert got[a, b] == want
                 assert cone.separations(p, q, upper=upper) == want
         assert (got[pt[:, None] > qt[None, :]] == -math.inf).all()
+
+
+# -- upper rows on demand against the whole-grid envelope -------------------------
+
+
+def reference_upper(cone):
+    """The whole-grid dual envelope: hi[i, j, r] is ts[j] - ts[i] (-inf
+    when j < i), lowered on pairs across no zero-min step to the min over
+    the mu-grid of (B_mu[j] - B_mu[i]) - mu r; negative values are -inf.
+    Both tables of a zero warping are the time gaps."""
+    if cone.f.is_zero:
+        return reference_lower(cone)
+    ts = cone.f.ts
+    zcount, mur, B = cone._envelope
+    gap = ts[None, :] - ts[:, None]
+    start = np.where(gap >= 0, gap, -np.inf)[:, :, None]
+    lines = ((B[:, None, :] - B[:, :, None])[..., None]
+             - mur[:, None, None, :]).min(axis=0)
+    shut = (gap < 0) | (zcount[None, :] != zcount[:, None])
+    hi = np.where(shut[:, :, None], start, np.minimum(start, lines))
+    hi[hi < 0.0] = -np.inf
+    return hi
+
+
+def _twin(cone):
+    """A fresh cone with the same tables and no rows stored."""
+    return GeneralizedCone(cone.f, cone.X, N=cone.N, dist_steps=cone.dist_steps,
+                           window=cone.window)
+
+
+@pytest.mark.parametrize("cone", list(_kernel_cones()))
+def test_upper_kernel_matches_reference(cone):
+    assert np.array_equal(_twin(cone).upper_table(), reference_upper(cone))
+
+
+def _assert_upper_rows_exact(cone, data):
+    full = _twin(cone)
+    hi, lo = full.upper_table(), full.lower_table()
+    fresh = _twin(cone)
+    n, nx = cone.f.n, cone.X.n
+    ints = lambda hi_, size: np.array(data.draw(st.lists(
+        st.integers(0, hi_ - 1), min_size=size, max_size=size)), dtype=int)
+    touched = set()
+    for _ in range(2):    # the second read appends to the stored rows
+        k, j = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        pt, px, qt, qx = ints(n, k), ints(nx, k), ints(n, j), ints(nx, j)
+        got = fresh.separations((pt[:, None], px[:, None]), (qt, qx),
+                                upper=True)
+        want = hi[pt[:, None], qt, full._fiber_cells[True][px[:, None], qx]]
+        assert (got == want).all()
+        touched |= set(pt.tolist())
+        assert stored_upper(fresh) == sorted(touched)
+    # the streamed width against the full-table formula, with some rows
+    # stored, all stored and none stored
+    rel = lo >= 0.0
+    want = float((hi[rel] - lo[rel]).max()) if rel.any() else 0.0
+    assert fresh.bracket_width() == want
+    assert stored_upper(fresh) == sorted(touched)
+    assert full.bracket_width() == want
+    none = _twin(cone)
+    assert none.bracket_width() == want and stored_upper(none) == []
+    # filling the other rows puts every row at its source
+    assert np.array_equal(fresh.upper_table(), hi)
+
+
+@pytest.mark.parametrize("cone", list(_lookup_cones()))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_upper_rows_match_full_table(cone, data):
+    _assert_upper_rows_exact(cone, data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_warped_cones(), st.data())
+def test_upper_rows_property(cone, data):
+    assert np.array_equal(_twin(cone).upper_table(), reference_upper(cone))
+    _assert_upper_rows_exact(cone, data)
+
+
+def test_upper_rows_racing_threads_read_true_values():
+    # threads that race on a shared cone's upper reads may drop each
+    # other's stored rows, but every read returns the table's own entries
+    base = minkowski_strip(time_steps=30, fiber_points=11)
+    hi = _twin(base).upper_table()
+    cells = base._fiber_cells[True]
+    errors = []
+
+    def reader(seed, cone):
+        rng = np.random.default_rng(seed)
+        try:
+            for _ in range(40):
+                pt, qt = rng.integers(0, cone.f.n, (2, 6))
+                px, qx = rng.integers(0, cone.X.n, (2, 6))
+                got = cone.separations((pt, px), (qt, qx), upper=True)
+                if not (got == hi[pt, qt, cells[px, qx]]).all():
+                    errors.append(seed)
+        except Exception as exc:     # a thread's exception must fail the test
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(3):
+            cone = _twin(base)
+            threads = [threading.Thread(target=reader, args=(8 * round_ + k, cone))
+                       for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
 
 
 # -- the backtrace walks the lower DP's own edges --------------------------------
