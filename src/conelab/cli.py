@@ -112,9 +112,9 @@ def run_tau(args, outdir: Path) -> dict:
     if (args.p is None) != (args.q is None):
         raise ValueError("tau needs both --p and --q, or neither")
     cone = _load_cone(args.cone)
-    report = {"bracket_width": cone.bracket_width(),
-              "time_points": cone.f.n, "dist_points": cone.m,
+    report = {"time_points": cone.f.n, "dist_points": cone.m,
               "window": cone.window}
+    # the pair first: its cached rows are then reused by bracket_width
     if args.p is not None:
         p, q = _parse_point(args.p, cone), _parse_point(args.q, cone)
         lo = cone.signed_separation(p, q)
@@ -124,6 +124,7 @@ def run_tau(args, outdir: Path) -> dict:
                  cone.X.dist[p[1], q[1]], lo, hi)]
     else:
         rows = list(cone.export_rows())
+    report["bracket_width"] = cone.bracket_width()
     _write_csv(outdir, "tau.csv", ("s", "t", "r", "lo", "hi"), rows)
     return report
 

@@ -19,13 +19,14 @@ time steps, evaluated on a finite mu-grid; the reverse triangle follows
 exactly from additivity of Phi under interval concatenation, and a
 negative envelope value certifies non-causality.
 
-Tables are built only as far as the reads need them.  The lower table is
-built whole on the first read that needs it, except that a maximizer on a
-cone whose `lo` is not built computes just its source's row.  The upper
-table is built by source row: a read computes and stores only the rows of
-the sources it touches that are not stored yet, `upper_table()` fills
-every row, and `bracket_width` streams the rows in blocks and never stores
-them.
+Tables are built only as far as the reads need them.  A lower read that
+touches one source, and a maximizer, compute and cache just that source's
+row while `lo` is not built; a lower read that touches several sources
+builds and stores the whole table.  The upper table is built by source
+row: a read computes and stores only the rows of the sources it touches
+that are not stored yet, and `upper_table()` fills every row.
+`bracket_width` streams both tables in blocks of source rows and stores
+neither.
 
 Real fiber distances are rounded up (lo) / down (hi) onto the distance
 grid; since tau is nonincreasing in the distance argument this preserves
@@ -46,9 +47,10 @@ from .metricspace import FiniteMetricSpace
 from .warp import WarpingFunction
 
 NEG_INF = -math.inf
-# entries n_time^2 * n_dist of one table: the budget for the one stored
-# lower table; stored upper rows add at most as many entries again, and a
-# streamed block of upper rows at most UPPER_BLOCK
+# entries n_time^2 * n_dist of one table: the budget for a stored full
+# table; stored rows add at most as many entries again.  `bracket_width`
+# alone stores no table: it holds one block of LOWER_BLOCK entries, one of
+# UPPER_BLOCK and the cached rows
 MAX_TABLE_ENTRIES = 2.0e8
 # -inf entries a lower-DP row block may sweep before it is split: about the
 # work that the numpy call overhead of one more block costs
@@ -56,6 +58,9 @@ ROW_BLOCK_WASTE = 2048
 N_MU = 48   # positive multipliers on the upper envelope's mu-grid
 # entries of one block of upper rows, computed or streamed at a time
 UPPER_BLOCK = 2 ** 16
+# entries of one block of lower rows that `bracket_width` computes at a time
+# when the lower table is not stored: the larger, the fewer DP sweeps
+LOWER_BLOCK = 2 ** 23
 
 
 def _row_blocks(reach: np.ndarray):
@@ -84,10 +89,11 @@ def require_int(name: str, val, least: int) -> None:
 class GeneralizedCone:
     """Discrete cone: time grid of the warping x finite fiber, N-cone measure.
 
-    The lower table is built whole on the first read that needs it and
-    cached; `maximizer` on a cone without a lower table computes and caches
-    one source row instead.  Upper rows are built per source as reads ask
-    for them and cached; `bracket_width` streams them without storing.
+    The lower table is built whole on the first read that touches several
+    sources and cached; while it is not built, a one-source read and
+    `maximizer` compute and cache that source's row instead.  Upper rows
+    are built per source as reads ask for them and cached.
+    `bracket_width` streams the rows of both tables without storing them.
     """
 
     def __init__(self, f: WarpingFunction, X: FiniteMetricSpace, N: float = 1.0,
@@ -345,12 +351,17 @@ class GeneralizedCone:
 
         P = (t, x) and Q = (t, x) hold time and fiber indices, as ints or
         integer arrays that broadcast against each other.  Backward pairs
-        need no guard: both tables hold -inf wherever t < s.  An upper read
-        builds and stores just the source rows it touches that are not
-        stored yet."""
+        need no guard: both tables hold -inf wherever t < s.  While `lo` is
+        not built, a lower read that touches one source reads that source's
+        cached row, and one that touches several builds the whole table.
+        An upper read builds and stores just the source rows it touches
+        that are not stored yet."""
         (pt, px), (qt, qx) = P, Q
         cells = self._fiber_cells[upper][px, qx]
         if not upper:
+            if self._lo is None and np.unique(pt).size == 1:
+                _, qt, cells = np.broadcast_arrays(pt, qt, cells)
+                return self._lower_row(int(np.ravel(pt)[0]))[qt, cells]
             return self.lower_table()[pt, qt, cells]
         rows, slot = hi = self._hi
         at = slot[pt]
@@ -373,29 +384,59 @@ class GeneralizedCone:
         """Max over grid entries of hi - lo on the causally related set
         (lo >= 0), 0.0 when it is empty.
 
-        Streams the upper table over blocks of source rows: a stored row is
-        read, a missing one computed and dropped, never stored.  Columns
-        before a block's first source are -inf in lo and are skipped."""
-        lo = self.lower_table()
-        rows, slot = self._hi
-        n = self.f.n
+        Streams both tables over blocks of source rows and stores neither.
+        A stored `lo` is read in place; otherwise each block of at most
+        LOWER_BLOCK entries is computed by the DP kernel, except the rows
+        that one-source reads cached, and dropped before the next.  Within
+        it, upper rows go in blocks of UPPER_BLOCK: a stored row is read, a
+        missing one computed and dropped.  A row of either kernel does not
+        depend on the sources computed with it and max is exact, so the
+        value does not depend on the blocks."""
+        lo, hi, n = self._lo, self._hi, self.f.n
+        # equal blocks of at most LOWER_BLOCK entries: a short last block
+        # can fall below malloc's mmap threshold and, once freed, stay
+        # resident on the heap
+        most = max(1, LOWER_BLOCK // (n * self.m))
+        step = math.ceil(n / math.ceil(n / most))
         widths = []
-        step = max(1, UPPER_BLOCK // (n * self.m))
         for b in range(0, n, step):
             src = np.arange(b, min(b + step, n))
-            at = slot[src]
+            if lo is not None:
+                widths += self._widths(hi, src, lo[b:b + step])
+                continue
+            cached = {s: self._rows.get(s) for s in src.tolist()}
+            new = np.array([s for s, row in cached.items() if row is None],
+                           dtype=int)
+            if new.size:
+                widths += self._widths(hi, new, self._lower_rows(new))
+            for s, row in cached.items():
+                if row is not None:
+                    widths += self._widths(hi, np.array([s]), row[None])
+        return float(max(widths)) if widths else 0.0
+
+    def _widths(self, hi, src, lo_rows) -> list:
+        """Maxima of hi - lo on lo >= 0 over blocks of the ascending source
+        rows src, whose lower rows are lo_rows, with the stored upper rows
+        taken from the (rows, slot) pair `hi`.  Columns before a block's
+        first source are -inf in lo and are skipped."""
+        rows, slot = hi
+        step = max(1, UPPER_BLOCK // (self.f.n * self.m))
+        out = []
+        for b in range(0, src.size, step):
+            s = src[b:b + step]
+            at = slot[s]
             new = at < 0
             if new.all():
-                hi = self._upper_rows(src)
+                up = self._upper_rows(s)
             else:
-                hi = rows[np.maximum(at, 0)]
+                up = rows[np.maximum(at, 0)]
                 if new.any():
-                    hi[new] = self._upper_rows(src[new])
-            hi, lo_b = hi[:, b:], lo[b:b + step, b:]
+                    up[new] = self._upper_rows(s[new])
+            up, lo_b = up[:, s[0]:], lo_rows[b:b + step, s[0]:]
             rel = lo_b >= 0.0
             if rel.any():
-                widths.append((hi[rel] - lo_b[rel]).max())
-        return float(max(widths)) if widths else 0.0
+                out.append((up[rel] - lo_b[rel]).max())
+        return out
 
     # -- geodesics -----------------------------------------------------------
 

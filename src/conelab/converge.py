@@ -198,15 +198,30 @@ def _limit_separations(seq: ConeSequence, k: int):
 
 
 def _neighbours(D, delta):
-    """The NEIGHBOR_CAP nearest neighbours of every row of D and their
-    costs, +inf past delta.  Each row's costs ascend, so only the first n
-    slots, the most that any row fills within delta, are kept: copied, so
-    that the full s x s argsort is freed on return."""
-    nbr = np.argsort(D, axis=1)[:, :NEIGHBOR_CAP]
-    cost = np.take_along_axis(D, nbr, axis=1)
-    cost[~(cost <= delta)] = math.inf
-    n = int(np.isfinite(cost).sum(axis=1).max(initial=0))
-    return nbr[:, :n].copy(), cost[:, :n].copy()
+    """The neighbours (nbr, cost) of every row of D within delta: at most
+    the NEIGHBOR_CAP nearest, in n slots, the most that any row fills.  A
+    row's slots past its own count hold column 0 at cost +inf.
+
+    When no row has more than NEIGHBOR_CAP entries within delta, the
+    entries are picked directly, in column order.  Otherwise every row is
+    cut from a full s x s argsort, copied so that the argsort is freed on
+    return."""
+    within = D <= delta
+    count = within.sum(axis=1)
+    n = int(count.max(initial=0))
+    if n > NEIGHBOR_CAP:
+        nbr = np.argsort(D, axis=1)[:, :NEIGHBOR_CAP]
+        cost = np.take_along_axis(D, nbr, axis=1)
+        cost[~(cost <= delta)] = math.inf
+        n = int(np.isfinite(cost).sum(axis=1).max(initial=0))
+        return nbr[:, :n].copy(), cost[:, :n].copy()
+    rows, cols = np.nonzero(within)
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
+    nbr = np.zeros((D.shape[0], n), dtype=np.intp)
+    cost = np.full((D.shape[0], n), math.inf)
+    nbr[rows, slot] = cols
+    cost[rows, slot] = D[rows, cols]
+    return nbr, cost
 
 
 def _joint_extrema(L, nbr, cost, delta, want_max: bool = True):

@@ -23,8 +23,9 @@ class MollifyFailed(ConelabError):
 
 class ResourceLimit(ConelabError):
     """Requested table exceeds the size budget, MAX_TABLE_ENTRIES: the
-    entries of the one stored lower table.  Stored upper rows add at most
-    as many again, and `bracket_width` streams its upper rows in blocks."""
+    entries of one stored full table.  Stored rows add at most as many
+    again.  `bracket_width` stores no table, so `tau --p --q` holds one
+    block of rows of each table and the pair's rows."""
 
 
 class NotCausallyRelated(ConelabError):

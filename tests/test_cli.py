@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conelab import cli
+from conelab import cone as cone_mod
 from conelab.cli import main
 
 
@@ -110,9 +111,8 @@ def test_tau_pair_stores_one_upper_row(workdir, monkeypatch):
     assert np.flatnonzero(cone._hi[1] >= 0).tolist() == [3]
 
 
-def test_tau_pair_peak_memory_is_one_table(tmp_path, monkeypatch):
-    # an 81 x 81 x 301 strip: the lower table, one upper row and the
-    # streamed blocks of bracket_width, never a second full table
+def _write_strip_81(tmp_path):
+    """An 81 x 81 x 301 flat strip, 15.8 MB per full table."""
     ts = np.linspace(0.0, 2.0, 81)
     cone = {"warp": {"a": 0.0, "b": 2.0, "ts": list(ts), "vals": [1.0] * 81},
             "fiber": {"n": 5, "base": 0, "dist": [abs(i - j) * 0.25
@@ -120,6 +120,12 @@ def test_tau_pair_peak_memory_is_one_table(tmp_path, monkeypatch):
                                                   for j in range(5)]},
             "distSteps": 300, "window": 8}
     (tmp_path / "strip.json").write_text(json.dumps(cone))
+
+
+def test_tau_pair_peak_memory_is_one_table(tmp_path, monkeypatch):
+    # an 81 x 81 x 301 strip: the lower table, one upper row and the
+    # streamed blocks of bracket_width, never a second full table
+    _write_strip_81(tmp_path)
     cones = _keep_loaded_cones(monkeypatch)
     tracemalloc.start()
     try:
@@ -132,6 +138,29 @@ def test_tau_pair_peak_memory_is_one_table(tmp_path, monkeypatch):
     lo = cones[0].lower_table()
     assert lo.shape == (81, 81, 301)
     assert peak <= 1.3 * lo.nbytes
+
+
+def test_tau_pair_streams_lower_blocks(tmp_path, monkeypatch):
+    # with blocks of at most 10 lower rows, tau --p --q stores no lower
+    # table: it holds one block, the pair's row and blocks of upper rows
+    _write_strip_81(tmp_path)
+    monkeypatch.setattr(cone_mod, "LOWER_BLOCK", 2 ** 18)
+    cones = _keep_loaded_cones(monkeypatch)
+    tracemalloc.start()
+    try:
+        code = run_cli(["--out", tmp_path / "o", "tau", "--cone",
+                        tmp_path / "strip.json", "--p", "10,0", "--q", "70,4"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    (cone,) = cones
+    assert cone._lo is None and list(cone._rows) == [10]
+    width = json.loads((tmp_path / "o" / "report.json").read_text())[
+        "bracket_width"]
+    lo = cone.lower_table()
+    assert peak <= 0.5 * lo.nbytes
+    assert cone.bracket_width() == width
 
 
 def test_geodesic(workdir):

@@ -1,11 +1,13 @@
 import math
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conelab import cone as cone_mod
 from conelab.cone import GeneralizedCone, minkowski_strip
 from conelab.errors import NotCausallyRelated, ResourceLimit
 from conelab.metricspace import circle_arc, segment, single_point
@@ -536,20 +538,30 @@ def test_upper_rows_property(cone, data):
 
 def test_upper_rows_racing_threads_read_true_values():
     # threads that race on a shared cone's upper reads may drop each
-    # other's stored rows, but every read returns the table's own entries
+    # other's stored rows, but every read returns the table's own entries;
+    # so do one-source lower reads and bracket_width racing the one read
+    # that builds the lower table
     base = minkowski_strip(time_steps=30, fiber_points=11)
-    hi = _twin(base).upper_table()
+    lo, hi = _twin(base).tables()
+    width = _full_width(base)
     cells = base._fiber_cells[True]
+    lo_cells = base._fiber_cells[False]
     errors = []
 
     def reader(seed, cone):
         rng = np.random.default_rng(seed)
         try:
-            for _ in range(40):
+            for it in range(40):
                 pt, qt = rng.integers(0, cone.f.n, (2, 6))
                 px, qx = rng.integers(0, cone.X.n, (2, 6))
                 got = cone.separations((pt, px), (qt, qx), upper=True)
                 if not (got == hi[pt, qt, cells[px, qx]]).all():
+                    errors.append(seed)
+                src = pt if it == 30 and seed % 8 == 0 else pt[0]
+                got = cone.separations((src, px), (qt, qx))
+                if not (got == lo[src, qt, lo_cells[px, qx]]).all():
+                    errors.append(seed)
+                if it % 20 == 10 and cone.bracket_width() != width:
                     errors.append(seed)
         except Exception as exc:     # a thread's exception must fail the test
             errors.append(repr(exc))
@@ -569,6 +581,93 @@ def test_upper_rows_racing_threads_read_true_values():
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
+
+
+# -- lower rows: one-source reads and the streamed bracket width ----------------
+
+
+def _full_width(cone):
+    """bracket_width's value from the two full tables of a twin cone."""
+    lo, hi = _twin(cone).tables()
+    rel = lo >= 0.0
+    return float((hi[rel] - lo[rel]).max()) if rel.any() else 0.0
+
+
+def _assert_streamed_width_exact(cone, data):
+    """The streamed bracket_width equals the full-table value with ==, for
+    drawn block sizes, with no rows stored, one cached one-source lower
+    row, some upper rows stored, and the lower table stored."""
+    n, nx, m = cone.f.n, cone.X.n, cone.m
+    want = _full_width(cone)
+    rows = data.draw(st.integers(1, n), label="lower rows per block")
+    up = data.draw(st.integers(1, n), label="upper rows per block")
+    src = data.draw(st.integers(0, n - 1), label="cached source")
+    upper = data.draw(st.lists(st.integers(0, n - 1), max_size=4),
+                      label="stored upper rows")
+    with mock.patch.object(cone_mod, "LOWER_BLOCK", rows * n * m), \
+            mock.patch.object(cone_mod, "UPPER_BLOCK", up * n * m):
+        none = _twin(cone)
+        assert none.bracket_width() == want
+        assert none._lo is None and none._rows == {} \
+            and stored_upper(none) == []
+        one = _twin(cone)
+        one.separations((src, 0), (n - 1, nx - 1))
+        assert one.bracket_width() == want
+        assert one._lo is None and list(one._rows) == [src]
+        some = _twin(cone)
+        for s in upper:
+            some.separations((s, 0), (n - 1, 0), upper=True)
+        some.separations((src, nx - 1), (src, 0))
+        assert some.bracket_width() == want
+        assert some._lo is None and stored_upper(some) == sorted(set(upper))
+        built = _twin(cone)
+        built.lower_table()
+        assert built.bracket_width() == want
+
+
+@pytest.mark.parametrize("cone", list(_lookup_cones()))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_streamed_width_matches_full_tables(cone, data):
+    _assert_streamed_width_exact(cone, data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_warped_cones(), st.data())
+def test_streamed_width_property(cone, data):
+    _assert_streamed_width_exact(cone, data)
+
+
+@pytest.mark.parametrize("cone", list(_lookup_cones()))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_one_source_lower_reads_build_one_row(cone, data):
+    n, nx = cone.f.n, cone.X.n
+    lo = _twin(cone).lower_table()
+    cells = cone._fiber_cells[False]
+    s = data.draw(st.integers(0, n - 1))
+    x = data.draw(st.integers(0, nx - 1))
+    k, j = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    ints = lambda hi_, size: np.array(data.draw(st.lists(
+        st.integers(0, hi_ - 1), min_size=size, max_size=size)), dtype=int)
+    qt, qx = ints(n, j), ints(nx, j)
+    fresh = _twin(cone)
+    # scalar, one row against many, and a column of equal sources
+    assert fresh.separations((s, x), (int(qt[0]), int(qx[0]))) \
+        == lo[s, qt[0], cells[x, qx[0]]]
+    assert np.array_equal(fresh.separations((s, x), (qt, qx)),
+                          lo[s, qt, cells[x, qx]])
+    pt, px = np.full((k, 1), s), ints(nx, k)[:, None]
+    got = fresh.separations((pt, px), (qt, qx))
+    assert got.shape == (k, j)
+    assert np.array_equal(got, lo[pt, qt, cells[px, qx]])
+    assert fresh._lo is None and list(fresh._rows) == [s]
+    # a read that touches two sources stores the whole table
+    if n > 1:
+        two = np.array([s, (s + 1) % n])
+        got = fresh.separations((two, x), (qt[0], qx[0]))
+        assert np.array_equal(got, lo[two, qt[0], cells[x, qx[0]]])
+        assert np.array_equal(fresh._lo, lo) and fresh._rows == {}
 
 
 # -- the backtrace walks the lower DP's own edges --------------------------------

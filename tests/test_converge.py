@@ -235,6 +235,32 @@ def test_joint_extrema_matches_reference(problem):
     assert np.array_equal(hi > -math.inf, have_max)
 
 
+@st.composite
+def _saturated_problem(draw):
+    # more than NEIGHBOR_CAP tied costs within delta in some rows: the
+    # neighbours are cut from the full argsort, as in the reference
+    s = draw(st.integers(1, 6))
+    m = draw(st.integers(NEIGHBOR_CAP + 1, NEIGHBOR_CAP + 8))
+    tie = draw(st.sampled_from([0.0, 0.01, 0.05]))
+    D = np.full((s, m), tie)
+    far = draw(st.lists(st.booleans(), min_size=s * m, max_size=s * m))
+    D[np.array(far).reshape(s, m) & (np.arange(m) >= NEIGHBOR_CAP + 1)] = 1.0
+    ells = draw(st.lists(st.sampled_from([-math.inf, -0.5, 0.0, 0.25, 1.0]),
+                         min_size=m * m, max_size=m * m))
+    return np.array(ells).reshape(m, m), D, draw(st.sampled_from([0.05, 0.1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_saturated_problem())
+def test_joint_extrema_matches_reference_saturated(problem):
+    L, D, delta = problem
+    nbr, cost = _neighbours(D, delta)
+    assert nbr.shape == (D.shape[0], NEIGHBOR_CAP)
+    lo, hi = _joint_extrema(L, nbr, cost, delta)
+    assert np.array_equal(lo, reference_joint_extremum(L, D, delta, True)[0])
+    assert np.array_equal(hi, reference_joint_extremum(L, D, delta, False)[0])
+
+
 def test_joint_extrema_matches_reference_on_cos_family(cos_seq):
     # the modulus's own inputs: 1 occupied slot at 0.5 dt, 3 at 0.05 and
     # all NEIGHBOR_CAP at the default delta
