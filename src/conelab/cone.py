@@ -12,8 +12,12 @@ with C the interval max of f.  Each DP path is a genuine causal curve of
 the cone whose true length dominates the path value (the interval max
 shrinks the causal cone), so lo <= tau everywhere; the path family is
 closed under concatenation, so the reverse triangle inequality is exact on
-the grid.  The upper table is the Lagrange-dual envelope for the step-min
-warping g <= f (whose separation dominates tau by warping monotonicity):
+the grid.  The DP runs over blocks of at most LOWER_BLOCK entries of
+source rows, its state cell major (cell, then source), so that each edge
+shift is one contiguous add and max; a block's rows are a transposed view
+of that state.  The upper table is the Lagrange-dual envelope for the
+step-min warping g <= f (whose separation dominates tau by warping
+monotonicity):
 tau_g(i,j,r) = inf_mu [Phi_ij(mu) - mu r] with Phi prefix-summable over
 time steps, evaluated on a finite mu-grid; the reverse triangle follows
 exactly from additivity of Phi under interval concatenation, and a
@@ -52,30 +56,14 @@ NEG_INF = -math.inf
 # alone stores no table: it holds one block of LOWER_BLOCK entries, one of
 # UPPER_BLOCK and the cached rows
 MAX_TABLE_ENTRIES = 2.0e8
-# -inf entries a lower-DP row block may sweep before it is split: about the
-# work that the numpy call overhead of one more block costs
-ROW_BLOCK_WASTE = 2048
 N_MU = 48   # positive multipliers on the upper envelope's mu-grid
 # entries of one block of upper rows, computed or streamed at a time
 UPPER_BLOCK = 2 ** 16
-# entries of one block of lower rows that `bracket_width` computes at a time
-# when the lower table is not stored: the larger, the fewer DP sweeps
+# entries of one block of lower rows, the DP kernel's unit in `_build_lower`
+# and in `bracket_width` when the lower table is not stored: the larger, the
+# fewer DP sweeps, but each edge update also sweeps the block's sources not
+# yet reached, so the block bounds that waste too
 LOWER_BLOCK = 2 ** 23
-
-
-def _row_blocks(reach: np.ndarray):
-    """Split the rows of one DP time column into (rows, reach) blocks.
-
-    `reach` holds each row's last finite column; it is nonincreasing in
-    the row (source) index.  A block grows while the -inf entries it would
-    sweep, sum(reach[b0] - reach[b]), stay within ROW_BLOCK_WASTE."""
-    out, b0 = [], 0
-    while b0 < reach.size:
-        waste = np.cumsum(reach[b0] - reach[b0:])
-        b1 = b0 + int(np.searchsorted(waste, ROW_BLOCK_WASTE, side="right"))
-        out.append((slice(b0, b1), int(reach[b0:b1].max())))
-        b0 = b1
-    return out
 
 
 def require_int(name: str, val, least: int) -> None:
@@ -121,8 +109,7 @@ class GeneralizedCone:
             raise ValueError("dist_steps must be positive for a spread fiber")
         self.m = self.dist_steps + 1
         self.dr = diam / self.dist_steps if self.dist_steps > 0 else 0.0
-        self.dist_grid = (np.arange(self.m) * self.dr if self.dr > 0
-                          else np.zeros(1))
+        self.dist_grid = np.arange(self.m) * self.dr
         self.window = int(min(window, nt - 1))   # window >= n: the full grid
         if nt * nt * self.m > MAX_TABLE_ENTRIES:
             raise ResourceLimit(
@@ -157,57 +144,73 @@ class GeneralizedCone:
         one edge rule of the lower DP and of its backtrace."""
         c = self._cmax[t - u][u]
         dt = self.f.ts[t] - self.f.ts[u]
-        cd = c * (np.arange(self.m) * self.dr)
+        cd = c * self.dist_grid
         feas = dt >= cd
         nk = self.m if feas.all() else int(np.argmin(feas))
         return nk, np.sqrt(np.maximum(dt * dt - cd ** 2, 0.0))
 
     def _lower_rows(self, sources) -> np.ndarray:
-        """Rows lo[s] of the lower table for the ascending source indices.
+        """Rows lo[s] of the lower table for the ascending source indices,
+        as an array of shape (sources, n_time, n_dist).
 
         Longest-path DP over (time, distance-cell) states.  Edge (u -> t,
         k cells), t - u <= window, weighted by
         sqrt(dt^2 - (max_[u,t] f * k dr)^2): every DP path is a causal curve
         of the cone whose true length dominates the path value.
 
-        An edge update only touches entries it can change: rows whose
-        source is <= u (the others are still -inf at u) and, for shift k,
-        the columns [k, k + reach], where reach is the largest finite
-        column at u over a block of rows (`_row_blocks`).  Reach shrinks as
-        the source moves later (an earlier source reaches the same states
-        through a vertical path), so the blocks follow the finite
-        staircase.  Every skipped candidate is -inf + w = -inf, so each row
-        comes out bit-identical whichever sources are computed with it."""
+        The state is one array T[t, r * S + s] over the S sources, cell
+        major, so the update of edge u -> t at shift k is one contiguous
+        add and max: T[t, k S : (k + width) S] against T[u, :width S] + w[k],
+        with width = min(reach + 1, m - k) and reach the last finite cell at
+        u over all the sources.  The rows come back as a transposed view of
+        T, not a copy.  Each entry takes the same candidates T[u, r - k] +
+        w[k] in the same order as the unrestricted loop; the only others are
+        -inf + w = -inf (sources still unreached at u, cells past reach),
+        which cannot change a max, so each row comes out bit-identical
+        whichever sources are computed with it."""
         src = np.asarray(sources, dtype=int)
-        n, m, W = self.f.n, self.m, self.window
+        n, m, W, S = self.f.n, self.m, self.window, src.size
         if self.f.is_zero:
             dt = self.f.ts[None, :] - self.f.ts[src, None]
             T = np.where(dt >= 0, dt, NEG_INF)[:, :, None]
-            return np.broadcast_to(T, (src.size, n, m)).copy()
-        T = np.full((src.size, n, m), NEG_INF)
-        T[np.arange(src.size), src, 0] = 0.0
-        active = np.searchsorted(src, np.arange(n), side="right")
-        blocks = {}
-        buf = np.empty((src.size, m))
+            return np.broadcast_to(T, (S, n, m)).copy()
+        T = np.full((n, m * S), NEG_INF)
+        T[src, np.arange(S)] = 0.0
+        reach = np.empty(n, dtype=int)
+        buf = np.empty(m * S)
         for t in range(src[0] + 1, n):
-            # lo[:, t-1] is final: record each active row's last finite column
-            fin = T[:active[t - 1], t - 1, ::-1] > NEG_INF
-            blocks[t - 1] = _row_blocks(m - 1 - np.argmax(fin, axis=1))
+            # T[t - 1] is final: record its last finite cell
+            fin = (T[t - 1].reshape(m, S) > NEG_INF).any(axis=1)
+            reach[t - 1] = m - 1 - np.argmax(fin[::-1])
             for u in range(max(src[0], t - W), t):
                 nk, w = self._edge(u, t)
-                for rows, reach in blocks[u]:
-                    srow, drow = T[rows, u, :], T[rows, t, :]
-                    for k in range(nk):
-                        width = min(reach + 1, m - k)
-                        out = buf[:srow.shape[0], :width]
-                        np.add(srow[:, :width], w[k], out=out)
-                        np.maximum(drow[:, k:k + width], out,
-                                   out=drow[:, k:k + width])
-        return T
+                for k in range(nk):
+                    width = min(reach[u] + 1, m - k) * S
+                    np.add(T[u, :width], w[k], out=buf[:width])
+                    dst = T[t, k * S:k * S + width]
+                    np.maximum(dst, buf[:width], out=dst)
+        return T.reshape(n, m, S).transpose(2, 0, 1)
+
+    def _source_blocks(self):
+        """Consecutive equal blocks of source indices, each of at most
+        LOWER_BLOCK lower-table entries.  Equal, because a short last block
+        can fall below malloc's mmap threshold and, once freed, stay
+        resident on the heap."""
+        n = self.f.n
+        most = max(1, LOWER_BLOCK // (n * self.m))
+        step = math.ceil(n / math.ceil(n / most))
+        return [np.arange(b, min(b + step, n)) for b in range(0, n, step)]
 
     def _build_lower(self) -> np.ndarray:
-        """The full lower table: the DP kernel on every source."""
-        return self._lower_rows(np.arange(self.f.n))
+        """The full lower table: the DP kernel on every source, block by
+        block when the sources span several blocks."""
+        blocks = self._source_blocks()
+        if len(blocks) == 1:
+            return self._lower_rows(blocks[0])
+        lo = np.empty((self.f.n, self.f.n, self.m))
+        for src in blocks:
+            lo[src[0]:src[-1] + 1] = self._lower_rows(src)
+        return lo
 
     @cached_property
     def _envelope(self):
@@ -392,17 +395,11 @@ class GeneralizedCone:
         missing one computed and dropped.  A row of either kernel does not
         depend on the sources computed with it and max is exact, so the
         value does not depend on the blocks."""
-        lo, hi, n = self._lo, self._hi, self.f.n
-        # equal blocks of at most LOWER_BLOCK entries: a short last block
-        # can fall below malloc's mmap threshold and, once freed, stay
-        # resident on the heap
-        most = max(1, LOWER_BLOCK // (n * self.m))
-        step = math.ceil(n / math.ceil(n / most))
+        lo, hi = self._lo, self._hi
         widths = []
-        for b in range(0, n, step):
-            src = np.arange(b, min(b + step, n))
+        for src in self._source_blocks():
             if lo is not None:
-                widths += self._widths(hi, src, lo[b:b + step])
+                widths += self._widths(hi, src, lo[src[0]:src[-1] + 1])
                 continue
             cached = {s: self._rows.get(s) for s in src.tolist()}
             new = np.array([s for s, row in cached.items() if row is None],

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -338,12 +339,31 @@ def _kernel_cones():
 
 
 def _assert_kernel_exact(cone):
+    ref = reference_lower(cone)
+    n, nx, m = cone.f.n, cone.X.n, cone.m
     full = cone._build_lower()
-    assert np.array_equal(full, reference_lower(cone))
-    for s in range(cone.f.n):
+    assert np.array_equal(full, ref)
+    for s in range(n):
         assert np.array_equal(cone._lower_rows([s])[0], full[s])
-    some = [1, cone.f.n // 2, cone.f.n - 1]
+    some = [1, n // 2, n - 1]
     assert np.array_equal(cone._lower_rows(some), full[some])
+    # _build_lower split into 2 and 3 blocks of sources
+    for parts in (2, 3):
+        with mock.patch.object(cone_mod, "LOWER_BLOCK",
+                               math.ceil(n / parts) * n * m):
+            assert 2 <= len(cone._source_blocks()) <= 3
+            assert np.array_equal(cone._build_lower(), ref)
+    # one-source rows and separation reads of the stored table, which is
+    # the kernel's transposed view of its cell-major state
+    twin = _twin(cone)
+    lo = twin.lower_table()
+    assert cone.f.is_zero or lo.base is not None
+    for s in range(n):
+        assert np.array_equal(twin._lower_row(s), ref[s])
+    pt, px = np.arange(n)[:, None, None, None], np.arange(nx)[:, None, None]
+    qt, qx = np.arange(n)[:, None], np.arange(nx)
+    assert np.array_equal(twin.separations((pt, px), (qt, qx)),
+                          ref[pt, qt, twin._fiber_cells[False][px, qx]])
 
 
 @pytest.mark.parametrize("cone", list(_kernel_cones()))
@@ -373,6 +393,35 @@ def _small_warped_cones(draw):
 @given(_small_warped_cones())
 def test_lower_kernel_property(cone):
     _assert_kernel_exact(cone)
+
+
+def test_lower_table_is_not_copied():
+    # one block of sources: the stored table is the kernel's own state, so
+    # the peak is about one table (a copy into source-major order would
+    # read about two)
+    cone = minkowski_strip(time_steps=60, fiber_len=2.0, fiber_points=41)
+    assert len(cone._source_blocks()) == 1
+    tracemalloc.start()
+    try:
+        lo = cone.lower_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * lo.nbytes
+
+
+def test_edge_on_a_one_point_fiber_with_distance_cells():
+    # dr == 0 with m > 1: every shift is feasible at weight dt, and the
+    # distance grid has one entry per cell
+    ts = np.linspace(0.0, 1.0, 11)
+    cone = GeneralizedCone(WarpingFunction(ts, np.ones(11)), single_point(),
+                           dist_steps=4, window=4)
+    assert cone.dr == 0.0 and cone.m == 5
+    nk, w = cone._edge(2, 5)
+    assert nk == 5 and (w == ts[5] - ts[2]).all()
+    assert np.array_equal(cone.dist_grid, np.zeros(5))
+    assert np.array_equal(cone.lower_table(), reference_lower(cone))
+    assert len(list(cone.export_rows())) == 11 * 12 // 2 * 5
 
 
 def test_maximizer_fresh_cone_reads_one_row():
