@@ -114,7 +114,8 @@ def run_tau(args, outdir: Path) -> dict:
     cone = _load_cone(args.cone)
     report = {"time_points": cone.f.n, "dist_points": cone.m,
               "window": cone.window}
-    # the pair first: its cached rows are then reused by bracket_width
+    # the pair first: the one row of each table it stores is then read
+    # in place by bracket_width
     if args.p is not None:
         p, q = _parse_point(args.p, cone), _parse_point(args.q, cone)
         lo = cone.signed_separation(p, q)

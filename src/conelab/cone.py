@@ -23,14 +23,11 @@ time steps, evaluated on a finite mu-grid; the reverse triangle follows
 exactly from additivity of Phi under interval concatenation, and a
 negative envelope value certifies non-causality.
 
-Tables are built only as far as the reads need them.  A lower read that
-touches one source, and a maximizer, compute and cache just that source's
-row while `lo` is not built; a lower read that touches several sources
-builds and stores the whole table.  The upper table is built by source
-row: a read computes and stores only the rows of the sources it touches
-that are not stored yet, and `upper_table()` fills every row.
-`bracket_width` streams both tables in blocks of source rows and stores
-neither.
+Tables are built only as far as the reads need them, by one rule for
+both: a read that misses exactly one row, while another row stays missing,
+computes and stores that row; any other miss builds the whole table in
+source order and drops the rows stored before.  `bracket_width` streams
+the rows of both tables and stores none.
 
 Real fiber distances are rounded up (lo) / down (hi) onto the distance
 grid; since tau is nonincreasing in the distance argument this preserves
@@ -51,18 +48,18 @@ from .metricspace import FiniteMetricSpace
 from .warp import WarpingFunction
 
 NEG_INF = -math.inf
-# entries n_time^2 * n_dist of one table: the budget for a stored full
-# table; stored rows add at most as many entries again.  `bracket_width`
-# alone stores no table: it holds one block of LOWER_BLOCK entries, one of
-# UPPER_BLOCK and the cached rows
+# entries n_time^2 * n_dist of one table: the budget for one stored full
+# table of each kind; rows stored one at a time stay below n_time rows per
+# table.  `bracket_width` stores no table: it holds one block of LOWER_BLOCK
+# entries, one of UPPER_BLOCK and the stored rows
 MAX_TABLE_ENTRIES = 2.0e8
 N_MU = 48   # positive multipliers on the upper envelope's mu-grid
 # entries of one block of upper rows, computed or streamed at a time
 UPPER_BLOCK = 2 ** 16
 # entries of one block of lower rows, the DP kernel's unit in `_build_lower`
-# and in `bracket_width` when the lower table is not stored: the larger, the
-# fewer DP sweeps, but each edge update also sweeps the block's sources not
-# yet reached, so the block bounds that waste too
+# and so in `bracket_width`: the larger, the fewer DP sweeps, but each edge
+# update also sweeps the block's sources not yet reached, so the block
+# bounds that waste too
 LOWER_BLOCK = 2 ** 23
 
 
@@ -77,11 +74,9 @@ def require_int(name: str, val, least: int) -> None:
 class GeneralizedCone:
     """Discrete cone: time grid of the warping x finite fiber, N-cone measure.
 
-    The lower table is built whole on the first read that touches several
-    sources and cached; while it is not built, a one-source read and
-    `maximizer` compute and cache that source's row instead.  Upper rows
-    are built per source as reads ask for them and cached.
-    `bracket_width` streams the rows of both tables without storing them.
+    Each table keeps the rows that reads asked for, by the one rule of
+    `_store`; `bracket_width` streams the rows of both without storing
+    them.
     """
 
     def __init__(self, f: WarpingFunction, X: FiniteMetricSpace, N: float = 1.0,
@@ -118,11 +113,10 @@ class GeneralizedCone:
         if fiber_weights is None:
             fiber_weights = np.ones(X.n)
         self.fiber_weights = np.asarray(fiber_weights, dtype=float)
-        self._lo = None
-        self._rows = {}
-        # (rows, slot): the upper rows stored so far, hi[s] = rows[slot[s]],
-        # with slot[s] = -1 while row s is not stored; replaced as one pair
-        self._hi = (np.empty((0, nt, self.m)), np.full(nt, -1))
+        # per table (lower, upper): the pair (rows, slot) of the rows stored
+        # so far, table[s] = rows[slot[s]] with slot[s] = -1 while row s is
+        # not stored; replaced as one pair
+        self._stored = [self._unstored(), self._unstored()]
         self._measure = None
 
     # -- table construction -------------------------------------------------
@@ -191,25 +185,24 @@ class GeneralizedCone:
                     np.maximum(dst, buf[:width], out=dst)
         return T.reshape(n, m, S).transpose(2, 0, 1)
 
-    def _source_blocks(self):
-        """Consecutive equal blocks of source indices, each of at most
-        LOWER_BLOCK lower-table entries.  Equal, because a short last block
-        can fall below malloc's mmap threshold and, once freed, stay
+    def _source_blocks(self, sources):
+        """The ascending sources in consecutive equal blocks, each of at
+        most LOWER_BLOCK lower-table entries.  Equal, because a short last
+        block can fall below malloc's mmap threshold and, once freed, stay
         resident on the heap."""
-        n = self.f.n
-        most = max(1, LOWER_BLOCK // (n * self.m))
-        step = math.ceil(n / math.ceil(n / most))
-        return [np.arange(b, min(b + step, n)) for b in range(0, n, step)]
+        size, most = len(sources), max(1, LOWER_BLOCK // (self.f.n * self.m))
+        step = math.ceil(size / math.ceil(size / most))
+        return [sources[b:b + step] for b in range(0, size, step)]
 
-    def _build_lower(self) -> np.ndarray:
-        """The full lower table: the DP kernel on every source, block by
-        block when the sources span several blocks."""
-        blocks = self._source_blocks()
+    def _build_lower(self, sources) -> np.ndarray:
+        """Rows lo[s] for the ascending sources: the DP kernel on each of
+        their blocks, into one array when they span several."""
+        blocks = self._source_blocks(np.asarray(sources, dtype=int))
         if len(blocks) == 1:
             return self._lower_rows(blocks[0])
-        lo = np.empty((self.f.n, self.f.n, self.m))
-        for src in blocks:
-            lo[src[0]:src[-1] + 1] = self._lower_rows(src)
+        lo, step = np.empty((len(sources), self.f.n, self.m)), len(blocks[0])
+        for i, src in enumerate(blocks):
+            lo[i * step:i * step + src.size] = self._lower_rows(src)
         return lo
 
     @cached_property
@@ -233,7 +226,7 @@ class GeneralizedCone:
             B[k] = np.concatenate([[0.0], np.cumsum(phi)])
         return zcount, mus[:, None] * self.dist_grid[None, :], B
 
-    def _upper_rows(self, sources) -> np.ndarray:
+    def _build_upper(self, sources) -> np.ndarray:
         """Rows hi[s] of the upper table for the source indices.
 
         Certified upper bound via Lagrange duality for the step-min cone:
@@ -276,54 +269,49 @@ class GeneralizedCone:
             blk[blk < 0.0] = NEG_INF
         return hi
 
-    def _build_upper(self, hi, sources):
-        """Compute the upper rows of the sources, none of them stored in the
-        (rows, slot) pair `hi`; store and return hi extended by them.
+    def _unstored(self):
+        """The (rows, slot) pair of a table with no row stored."""
+        return np.empty((0, self.f.n, self.m)), np.full(self.f.n, -1)
 
-        The caller reads the returned pair, not self._hi: a racing thread
-        may replace self._hi by a pair without these rows, or without rows
-        the caller found stored in `hi`."""
-        rows, slot = hi
-        new = self._upper_rows(sources)
-        slot = slot.copy()
-        slot[sources] = len(rows) + np.arange(len(sources))
-        hi = (np.concatenate([rows, new]) if len(rows) else new, slot)
-        self._hi = hi
-        return hi
+    def _store(self, upper: bool, sources):
+        """The (rows, slot) pair of the lower or upper table, with the rows
+        of the sources (ints or an integer array) stored.
+
+        One rule for both tables: a read that misses exactly one row, while
+        another row stays missing, computes and appends that row; any other
+        miss drops the rows stored before and builds the whole table in
+        source order.  The caller reads the returned pair, not
+        self._stored: a racing thread may replace the stored pair by one
+        without these rows."""
+        rows, slot = stored = self._stored[upper]
+        miss = slot[sources] < 0
+        if not miss.any():
+            return stored
+        build = self._build_upper if upper else self._build_lower
+        missing = np.unique(np.asarray(sources)[miss])
+        if missing.size == 1 and np.count_nonzero(slot < 0) > 1:
+            slot = slot.copy()
+            slot[missing] = len(rows)
+            new = build(missing)
+            stored = (np.concatenate([rows, new]) if len(rows) else new, slot)
+        else:
+            self._stored[upper] = self._unstored()
+            del rows, stored
+            stored = (build(np.arange(self.f.n)), np.arange(self.f.n))
+        self._stored[upper] = stored
+        return stored
 
     def lower_table(self) -> np.ndarray:
         """lo of shape (n_time, n_time, n_dist), built on first call."""
-        if self._lo is None:
-            self._lo = self._build_lower()
-            self._rows.clear()
-        return self._lo
+        return self._store(False, np.arange(self.f.n))[0]
 
     def upper_table(self) -> np.ndarray:
-        """hi of shape (n_time, n_time, n_dist): builds every row not yet
-        stored and keeps the rows in source order."""
-        rows, slot = hi = self._hi
-        missing = np.flatnonzero(slot < 0)
-        if missing.size:
-            rows, slot = self._build_upper(hi, missing)
-        order = np.arange(self.f.n)
-        if (slot != order).any():
-            rows = rows[slot]
-            self._hi = (rows, order)
-        return rows
+        """hi of shape (n_time, n_time, n_dist), built on first call."""
+        return self._store(True, np.arange(self.f.n))[0]
 
     def tables(self):
         """(lo, hi) tables of shape (n_time, n_time, n_dist)."""
         return self.lower_table(), self.upper_table()
-
-    def _lower_row(self, si: int) -> np.ndarray:
-        """lo[si] of shape (n_time, n_dist): a view of the full table when it
-        is built, otherwise the one-source DP row, cached."""
-        if self._lo is not None:
-            return self._lo[si]
-        row = self._rows.get(si)
-        if row is None:
-            row = self._rows[si] = self._lower_rows([si])[0]
-        return row
 
     # -- lookups -------------------------------------------------------------
 
@@ -354,24 +342,11 @@ class GeneralizedCone:
 
         P = (t, x) and Q = (t, x) hold time and fiber indices, as ints or
         integer arrays that broadcast against each other.  Backward pairs
-        need no guard: both tables hold -inf wherever t < s.  While `lo` is
-        not built, a lower read that touches one source reads that source's
-        cached row, and one that touches several builds the whole table.
-        An upper read builds and stores just the source rows it touches
-        that are not stored yet."""
+        need no guard: both tables hold -inf wherever t < s.  The rows of
+        the sources touched are stored by `_store`'s rule."""
         (pt, px), (qt, qx) = P, Q
-        cells = self._fiber_cells[upper][px, qx]
-        if not upper:
-            if self._lo is None and np.unique(pt).size == 1:
-                _, qt, cells = np.broadcast_arrays(pt, qt, cells)
-                return self._lower_row(int(np.ravel(pt)[0]))[qt, cells]
-            return self.lower_table()[pt, qt, cells]
-        rows, slot = hi = self._hi
-        at = slot[pt]
-        if (at < 0).any():      # build just the source rows not stored
-            rows, slot = self._build_upper(hi, np.unique(np.asarray(pt)[at < 0]))
-            at = slot[pt]
-        return rows[at, qt, cells]
+        rows, slot = self._store(upper, pt)
+        return rows[slot[pt], qt, self._fiber_cells[upper][px, qx]]
 
     def signed_separation(self, p, q) -> float:
         """Canonical signed separation (lower table); -inf when not causal."""
@@ -387,53 +362,41 @@ class GeneralizedCone:
         """Max over grid entries of hi - lo on the causally related set
         (lo >= 0), 0.0 when it is empty.
 
-        Streams both tables over blocks of source rows and stores neither.
-        A stored `lo` is read in place; otherwise each block of at most
-        LOWER_BLOCK entries is computed by the DP kernel, except the rows
-        that one-source reads cached, and dropped before the next.  Within
-        it, upper rows go in blocks of UPPER_BLOCK: a stored row is read, a
-        missing one computed and dropped.  A row of either kernel does not
-        depend on the sources computed with it and max is exact, so the
-        value does not depend on the blocks."""
-        lo, hi = self._lo, self._hi
+        Streams both tables over blocks of source rows and stores neither:
+        lower rows in blocks of at most LOWER_BLOCK entries, each released
+        before the next is computed, and within a block upper rows in
+        blocks of UPPER_BLOCK.  Stored rows are read in place, missing ones
+        computed by the table's kernel and dropped.  A row of either kernel
+        does not depend on the sources computed with it and max is exact,
+        so the value does not depend on the blocks.  Columns before a
+        row's source are -inf in lo and are skipped."""
+        n = self.f.n
+        step = max(1, UPPER_BLOCK // (n * self.m))
         widths = []
-        for src in self._source_blocks():
-            if lo is not None:
-                widths += self._widths(hi, src, lo[src[0]:src[-1] + 1])
-                continue
-            cached = {s: self._rows.get(s) for s in src.tolist()}
-            new = np.array([s for s, row in cached.items() if row is None],
-                           dtype=int)
-            if new.size:
-                widths += self._widths(hi, new, self._lower_rows(new))
-            for s, row in cached.items():
-                if row is not None:
-                    widths += self._widths(hi, np.array([s]), row[None])
+        for block in self._source_blocks(np.arange(n)):
+            lo = self._read_rows(False, block)
+            for b in range(0, block.size, step):
+                for s, up in self._read_rows(True, block[b:b + step]).items():
+                    low, up = lo[s][s:], up[s:]
+                    rel = low >= 0.0
+                    if rel.any():
+                        widths.append((up[rel] - low[rel]).max())
+            lo = low = None     # release the block before the next
         return float(max(widths)) if widths else 0.0
 
-    def _widths(self, hi, src, lo_rows) -> list:
-        """Maxima of hi - lo on lo >= 0 over blocks of the ascending source
-        rows src, whose lower rows are lo_rows, with the stored upper rows
-        taken from the (rows, slot) pair `hi`.  Columns before a block's
-        first source are -inf in lo and are skipped."""
-        rows, slot = hi
-        step = max(1, UPPER_BLOCK // (self.f.n * self.m))
-        out = []
-        for b in range(0, src.size, step):
-            s = src[b:b + step]
-            at = slot[s]
-            new = at < 0
-            if new.all():
-                up = self._upper_rows(s)
-            else:
-                up = rows[np.maximum(at, 0)]
-                if new.any():
-                    up[new] = self._upper_rows(s[new])
-            up, lo_b = up[:, s[0]:], lo_rows[b:b + step, s[0]:]
-            rel = lo_b >= 0.0
-            if rel.any():
-                out.append((up[rel] - lo_b[rel]).max())
-        return out
+    def _read_rows(self, upper: bool, sources) -> dict:
+        """{s: row} of the lower or upper table over the ascending sources:
+        stored rows as views, the missing ones computed by the table's
+        kernel in one call and not stored."""
+        rows, slot = self._stored[upper]
+        at = slot[sources]
+        got = {s: rows[a] for s, a in zip(sources.tolist(), at.tolist())
+               if a >= 0}
+        new = sources[at < 0]
+        if new.size:
+            build = self._build_upper if upper else self._build_lower
+            got.update(zip(new.tolist(), build(new)))
+        return got
 
     # -- geodesics -----------------------------------------------------------
 
@@ -447,7 +410,10 @@ class GeneralizedCone:
         must start at cell 0."""
         (si, xi), (ti, yi) = p, q
         r = int(self._fiber_cells[False][xi, yi])
-        row = self._lower_row(si) if ti >= si else None
+        row = None
+        if ti >= si:
+            rows, slot = self._store(False, si)
+            row = rows[slot[si]]
         val = NEG_INF if row is None else float(row[ti, r])
         if val == NEG_INF:
             raise NotCausallyRelated(f"{p} !<= {q}")

@@ -23,9 +23,10 @@ class MollifyFailed(ConelabError):
 
 class ResourceLimit(ConelabError):
     """Requested table exceeds the size budget, MAX_TABLE_ENTRIES: the
-    entries of one stored full table.  Stored rows add at most as many
-    again.  `bracket_width` stores no table, so `tau --p --q` holds one
-    block of rows of each table and the pair's rows."""
+    entries of one stored full table of each kind (lower, upper).  Rows
+    stored one at a time stay below n_time rows per table.
+    `bracket_width` stores no table, so `tau --p --q` holds one block of
+    rows of each table and the pair's rows."""
 
 
 class NotCausallyRelated(ConelabError):

@@ -24,7 +24,6 @@ exception.  Transcendental functions go through `math` on the live rows
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -479,74 +478,12 @@ def comparison_interval(K: float, a, b1, c1, b2, c2):
 
 # -- the sampler's draws -------------------------------------------------------
 
-_LOW = np.uint64(0xFFFFFFFF)
-_HALF = np.uint64(32)
-
-
-def _lemire(bitgen, bounds, rounds: int):
-    """The values of `rounds` rounds of `integers(0, n)`, one per bound n
-    in `bounds` (a uint64 array), read from the bit generator's raw
-    stream; None, with the state left as it was, if numpy would have
-    rejected a word.  Otherwise the state ends where those calls leave it.
-
-    For 2 <= n < 2**32 numpy maps a 32-bit word w to (w * n) >> 32 and
-    rejects it while (w * n) mod 2**32 < (2**32 - n) mod n (Lemire's
-    multiply-shift).  Words come from the 64-bit stream low half first; a
-    half left over waits in the state's `has_uint32`/`uinteger` buffer."""
-    saved = bitgen.state
-    need = bounds.size * rounds
-    head = [saved["uinteger"]] if saved["has_uint32"] else []
-    raw = bitgen.random_raw((need - len(head) + 1) // 2)
-    words = np.empty(len(head) + 2 * raw.size, np.uint64)
-    words[:len(head)] = head
-    words[len(head)::2] = raw & _LOW
-    words[len(head) + 1::2] = raw >> _HALF
-    m = words[:need].reshape(rounds, bounds.size) * bounds
-    if ((m & _LOW) < (np.uint64(2 ** 32) - bounds) % bounds).any():
-        bitgen.state = saved
-        return None
-    state = bitgen.state
-    state["has_uint32"] = int(words.size > need)
-    state["uinteger"] = int(raw[-1] >> _HALF)
-    bitgen.state = state
-    return (m >> _HALF).astype(np.int64)
-
-
-def _draw_bounds(nt: int, nx: int):
-    return np.array([nt] * 4 + [nx] * 4, np.uint64)
-
-
-def _emulation_holds(rng, nt: int, nx: int) -> bool:
-    """Whether `_lemire` gives what `rng.integers` gives for one draw, on
-    copies of the generator: the guard against a numpy that draws bounded
-    integers differently."""
-    if min(nt, nx) < 2 or max(nt, nx) >= 2 ** 32:
-        return False
-    real, emulated = copy.deepcopy(rng), copy.deepcopy(rng)
-    want = np.concatenate([real.integers(0, nt, size=4),
-                           real.integers(0, nx, size=4)])
-    try:
-        got = _lemire(emulated.bit_generator, _draw_bounds(nt, nx), 1)
-    except KeyError:    # no 32-bit buffer in the state
-        return False
-    return (got is not None and np.array_equal(got[0], want)
-            and emulated.bit_generator.state == real.bit_generator.state)
-
-
-def _draw_indices(rng, nt: int, nx: int, count: int, emulate: bool):
+def _draw_indices(rng, nt: int, nx: int, count: int):
     """(count, 8) grid indices: row i holds the i-th draw's
-    rng.integers(0, nt, size=4) then rng.integers(0, nx, size=4), and rng
-    ends where those calls leave it.  With `emulate` the chunk is read
-    from the raw stream, and redrawn call by call if a word is rejected."""
-    if emulate:
-        got = _lemire(rng.bit_generator, _draw_bounds(nt, nx), count)
-        if got is not None:
-            return got
-    out = np.empty((count, 8), np.int64)
-    for row in out:
-        row[:4] = rng.integers(0, nt, size=4)
-        row[4:] = rng.integers(0, nx, size=4)
-    return out
+    rng.integers(0, nt, size=4) then rng.integers(0, nx, size=4).  One call
+    with a bound per column reads the stream in the same order as those
+    calls, rejected words included, and leaves rng where they leave it."""
+    return rng.integers(0, np.array([nt] * 4 + [nx] * 4), size=(count, 8))
 
 
 # The six separations of a draw, in the slot order (yx, yz1, yz2, xz1, xz2,
@@ -623,12 +560,11 @@ def tcbb_verify(cone, K: float, samples: int = 200, tol: float = 0.02,
     pi_bound = pi_kappa(-K)
     rng = np.random.default_rng(seed)
     nt, nx = cone.f.n, cone.X.n
-    emulate = _emulation_holds(rng, nt, nx)
     tally = np.zeros(len(_TAGS), np.int64)     # tally[0]: valid draws
     worst, worst_dump = math.inf, None
     draws, limit = 0, max_draw_factor * samples
     while tally[0] < samples and draws < limit:
-        idx = _draw_indices(rng, nt, nx, min(CHUNK, limit - draws), emulate)
+        idx = _draw_indices(rng, nt, nx, min(CHUNK, limit - draws))
         tags, margins, describe = _classify(cone, K, idx, draws, min_sep,
                                             pi_bound)
         # keep the draws up to the one that completes `samples`

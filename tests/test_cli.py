@@ -108,7 +108,38 @@ def test_tau_pair_stores_one_upper_row(workdir, monkeypatch):
     assert run_cli(["--out", workdir / "o_row", "tau", "--cone",
                     workdir / "cone.json", "--p", "3,2", "--q", "30,1"]) == 0
     (cone,) = cones
-    assert np.flatnonzero(cone._hi[1] >= 0).tolist() == [3]
+    assert _stored(cone, True) == [3] and _stored(cone, False) == [3]
+
+
+def _stored(cone, upper):
+    """Source indices of the lower or upper rows a cone has stored."""
+    return np.flatnonzero(cone._stored[upper][1] >= 0).tolist()
+
+
+def test_every_row_goes_through_the_two_kernels(workdir, monkeypatch):
+    # the benchmark times the lower DP and the upper envelope at
+    # _build_lower and _build_upper: tau --p --q computes each row of both
+    # tables there exactly once, and geodesic only its source's lower row
+    made = {"lower": 0, "upper": 0}
+
+    def counted(name, kind):
+        build = getattr(cone_mod.GeneralizedCone, name)
+
+        def wrapper(self, sources):
+            rows = build(self, sources)
+            made[kind] += len(rows)
+            return rows
+        monkeypatch.setattr(cone_mod.GeneralizedCone, name, wrapper)
+
+    counted("_build_lower", "lower")
+    counted("_build_upper", "upper")
+    monkeypatch.setattr(cone_mod, "LOWER_BLOCK", 2 ** 14)
+    args = ["--cone", workdir / "cone.json", "--p", "3,2", "--q", "30,1"]
+    assert run_cli(["--out", workdir / "o_tau", "tau", *args]) == 0
+    assert made == {"lower": 41, "upper": 41}
+    made.update(lower=0, upper=0)
+    assert run_cli(["--out", workdir / "o_geo", "geodesic", *args]) == 0
+    assert made == {"lower": 1, "upper": 0}
 
 
 def _write_strip_81(tmp_path):
@@ -155,7 +186,7 @@ def test_tau_pair_streams_lower_blocks(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert code == 0
     (cone,) = cones
-    assert cone._lo is None and list(cone._rows) == [10]
+    assert _stored(cone, False) == [10]
     width = json.loads((tmp_path / "o" / "report.json").read_text())[
         "bracket_width"]
     lo = cone.lower_table()

@@ -341,25 +341,28 @@ def _kernel_cones():
 def _assert_kernel_exact(cone):
     ref = reference_lower(cone)
     n, nx, m = cone.f.n, cone.X.n, cone.m
-    full = cone._build_lower()
+    full = cone._build_lower(np.arange(n))
     assert np.array_equal(full, ref)
     for s in range(n):
-        assert np.array_equal(cone._lower_rows([s])[0], full[s])
-    some = [1, n // 2, n - 1]
-    assert np.array_equal(cone._lower_rows(some), full[some])
+        assert np.array_equal(cone._build_lower([s])[0], full[s])
+    some = sorted({1 % n, n // 2, n - 1})
+    assert np.array_equal(cone._build_lower(some), full[some])
     # _build_lower split into 2 and 3 blocks of sources
     for parts in (2, 3):
         with mock.patch.object(cone_mod, "LOWER_BLOCK",
                                math.ceil(n / parts) * n * m):
-            assert 2 <= len(cone._source_blocks()) <= 3
-            assert np.array_equal(cone._build_lower(), ref)
-    # one-source rows and separation reads of the stored table, which is
+            assert 2 <= len(cone._source_blocks(np.arange(n))) <= 3
+            assert np.array_equal(cone._build_lower(np.arange(n)), ref)
+        with mock.patch.object(cone_mod, "LOWER_BLOCK", n * m):
+            assert np.array_equal(cone._build_lower(some), full[some])
+    # one-source rows, and separation reads of the stored table, which is
     # the kernel's transposed view of its cell-major state
+    for s in range(n):
+        rows, slot = _twin(cone)._store(False, s)
+        assert np.array_equal(rows[slot[s]], ref[s])
     twin = _twin(cone)
     lo = twin.lower_table()
     assert cone.f.is_zero or lo.base is not None
-    for s in range(n):
-        assert np.array_equal(twin._lower_row(s), ref[s])
     pt, px = np.arange(n)[:, None, None, None], np.arange(nx)[:, None, None]
     qt, qx = np.arange(n)[:, None], np.arange(nx)
     assert np.array_equal(twin.separations((pt, px), (qt, qx)),
@@ -398,16 +401,20 @@ def test_lower_kernel_property(cone):
 def test_lower_table_is_not_copied():
     # one block of sources: the stored table is the kernel's own state, so
     # the peak is about one table (a copy into source-major order would
-    # read about two)
-    cone = minkowski_strip(time_steps=60, fiber_len=2.0, fiber_points=41)
-    assert len(cone._source_blocks()) == 1
-    tracemalloc.start()
-    try:
-        lo = cone.lower_table()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.2 * lo.nbytes
+    # read about two), also when it replaces a row stored before
+    for first in (None, 7):
+        cone = minkowski_strip(time_steps=60, fiber_len=2.0, fiber_points=41)
+        assert len(cone._source_blocks(np.arange(cone.f.n))) == 1
+        if first is not None:
+            cone.separations((first, 0), (40, 3))
+            assert stored(cone, False) == [first]
+        tracemalloc.start()
+        try:
+            lo = cone.lower_table()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * lo.nbytes
 
 
 def test_edge_on_a_one_point_fiber_with_distance_cells():
@@ -434,7 +441,7 @@ def test_maximizer_fresh_cone_reads_one_row():
     for p, q in [((3, 0), (35, 6)), ((10, 2), (30, 2)), ((0, 8), (40, 1))]:
         fresh = make()
         g = fresh.maximizer(p, q)
-        assert fresh._lo is None and stored_upper(fresh) == []
+        assert stored(fresh, False) == [p[0]] and stored(fresh, True) == []
         ref = built.maximizer(p, q)
         assert g.states == ref.states
         assert g.weights == ref.weights
@@ -442,9 +449,78 @@ def test_maximizer_fresh_cone_reads_one_row():
         assert g.tau_length == built.signed_separation(p, q)
 
 
-def stored_upper(cone):
-    """Source indices of the upper rows a cone has stored."""
-    return np.flatnonzero(cone._hi[1] >= 0).tolist()
+def stored(cone, upper):
+    """Source indices of the lower or upper rows a cone has stored."""
+    return np.flatnonzero(cone._stored[upper][1] >= 0).tolist()
+
+
+def stored_after(before, touched, n):
+    """The rows stored after a read that touches the sources `touched`,
+    by the one rule: a read that misses one row, while another stays
+    missing, adds it; any other miss stores the whole table."""
+    missing = set(touched) - set(before)
+    if not missing:
+        return sorted(before)
+    if len(missing) == 1 and len(before) < n - 1:
+        return sorted(set(before) | missing)
+    return list(range(n))
+
+
+def _rule_cones():
+    yield pytest.param(minkowski_strip(time_steps=12, fiber_points=5),
+                       id="strip")
+    ts = np.linspace(0.0, math.pi, 9)
+    yield pytest.param(GeneralizedCone(WarpingFunction(ts, np.sin(ts)),
+                                       circle_arc(1.0, 0.8, 5), N=2.0,
+                                       dist_steps=6, window=3), id="sin-arc")
+
+
+@pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+@pytest.mark.parametrize("cone", list(_rule_cones()))
+def test_storage_rule(cone, upper):
+    n, nx = cone.f.n, cone.X.n
+    full = _twin(cone).upper_table() if upper else _twin(cone).lower_table()
+    cells = cone._fiber_cells[upper]
+
+    def read(c, pt):
+        pt = np.asarray(pt)
+        px, qt, qx = pt % nx, np.full(pt.shape, n - 1), np.zeros_like(pt)
+        got = c.separations((pt, px), (qt, qx), upper=upper)
+        assert np.array_equal(got, full[pt, qt, cells[px, qx]])
+
+    def whole(c):
+        rows, slot = c._stored[upper]
+        assert np.array_equal(slot, np.arange(n))
+        assert np.array_equal(rows, full)
+
+    # a one-source read stores one row; scalar or repeated, and again
+    one = _twin(cone)
+    read(one, 3)
+    assert stored(one, upper) == [3] and stored(one, not upper) == []
+    read(one, [5, 5, 5])
+    read(one, [3, 5])
+    assert stored(one, upper) == [3, 5]
+    # a read that misses several rows stores the whole table in source
+    # order, with or without rows stored before
+    read(one, [0, 1, 3])
+    whole(one)
+    many = _twin(cone)
+    read(many, [[6], [2]])
+    whole(many)
+    # the last missing row stores the whole table
+    last = _twin(cone)
+    for s in range(n - 1, -1, -1):
+        read(last, s)
+        assert stored(last, upper) == stored_after(range(s + 1, n), [s], n)
+    whole(last)
+    # the table's own accessor and bracket_width store nothing more
+    later = _twin(cone)
+    read(later, 4)
+    later.bracket_width()
+    assert stored(later, upper) == [4] and stored(later, not upper) == []
+    assert np.array_equal(
+        later.upper_table() if upper else later.lower_table(), full)
+    whole(later)
 
 
 # -- the one separation lookup against the scalar rule --------------------------
@@ -548,25 +624,25 @@ def _assert_upper_rows_exact(cone, data):
     n, nx = cone.f.n, cone.X.n
     ints = lambda hi_, size: np.array(data.draw(st.lists(
         st.integers(0, hi_ - 1), min_size=size, max_size=size)), dtype=int)
-    touched = set()
-    for _ in range(2):    # the second read appends to the stored rows
+    kept = []
+    for _ in range(2):    # the second read may add to the stored rows
         k, j = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
         pt, px, qt, qx = ints(n, k), ints(nx, k), ints(n, j), ints(nx, j)
         got = fresh.separations((pt[:, None], px[:, None]), (qt, qx),
                                 upper=True)
         want = hi[pt[:, None], qt, full._fiber_cells[True][px[:, None], qx]]
         assert (got == want).all()
-        touched |= set(pt.tolist())
-        assert stored_upper(fresh) == sorted(touched)
+        kept = stored_after(kept, pt.tolist(), n)
+        assert stored(fresh, True) == kept
     # the streamed width against the full-table formula, with some rows
     # stored, all stored and none stored
     rel = lo >= 0.0
     want = float((hi[rel] - lo[rel]).max()) if rel.any() else 0.0
     assert fresh.bracket_width() == want
-    assert stored_upper(fresh) == sorted(touched)
+    assert stored(fresh, True) == kept
     assert full.bracket_width() == want
     none = _twin(cone)
-    assert none.bracket_width() == want and stored_upper(none) == []
+    assert none.bracket_width() == want and stored(none, True) == []
     # filling the other rows puts every row at its source
     assert np.array_equal(fresh.upper_table(), hi)
 
@@ -657,18 +733,18 @@ def _assert_streamed_width_exact(cone, data):
             mock.patch.object(cone_mod, "UPPER_BLOCK", up * n * m):
         none = _twin(cone)
         assert none.bracket_width() == want
-        assert none._lo is None and none._rows == {} \
-            and stored_upper(none) == []
+        assert stored(none, False) == stored(none, True) == []
         one = _twin(cone)
         one.separations((src, 0), (n - 1, nx - 1))
         assert one.bracket_width() == want
-        assert one._lo is None and list(one._rows) == [src]
+        assert stored(one, False) == [src] and stored(one, True) == []
         some = _twin(cone)
         for s in upper:
             some.separations((s, 0), (n - 1, 0), upper=True)
         some.separations((src, nx - 1), (src, 0))
         assert some.bracket_width() == want
-        assert some._lo is None and stored_upper(some) == sorted(set(upper))
+        assert stored(some, False) == [src]
+        assert stored(some, True) == sorted(set(upper))
         built = _twin(cone)
         built.lower_table()
         assert built.bracket_width() == want
@@ -710,13 +786,13 @@ def test_one_source_lower_reads_build_one_row(cone, data):
     got = fresh.separations((pt, px), (qt, qx))
     assert got.shape == (k, j)
     assert np.array_equal(got, lo[pt, qt, cells[px, qx]])
-    assert fresh._lo is None and list(fresh._rows) == [s]
-    # a read that touches two sources stores the whole table
+    assert stored(fresh, False) == [s] and stored(fresh, True) == []
+    # a read of two sources stores the one row it misses
     if n > 1:
         two = np.array([s, (s + 1) % n])
         got = fresh.separations((two, x), (qt[0], qx[0]))
         assert np.array_equal(got, lo[two, qt[0], cells[x, qx[0]]])
-        assert np.array_equal(fresh._lo, lo) and fresh._rows == {}
+        assert stored(fresh, False) == stored_after([s], two.tolist(), n)
 
 
 # -- the backtrace walks the lower DP's own edges --------------------------------

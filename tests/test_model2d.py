@@ -274,46 +274,15 @@ def _per_draw(rng, nt, nx, count):
                      for _ in range(count)])
 
 
-def test_raw_stream_draws_match_per_draw_integers():
-    # the benchmark's bounds: 101 time and 41 fiber points
-    emulated, real = np.random.default_rng(1), np.random.default_rng(1)
-    got = model2d._lemire(emulated.bit_generator,
-                          model2d._draw_bounds(101, 41), 25000)
-    assert got is not None
-    assert np.array_equal(got, _per_draw(real, 101, 41, 25000))
-    assert emulated.bit_generator.state == real.bit_generator.state
-
-
-def test_rejected_words_fall_back_to_per_draw_calls():
-    n = 2 ** 31 + 1     # about half of all words are rejected
-    emulated, real = np.random.default_rng(3), np.random.default_rng(3)
-    saved = emulated.bit_generator.state
-    assert model2d._lemire(emulated.bit_generator,
-                           model2d._draw_bounds(n, 41), 64) is None
-    assert emulated.bit_generator.state == saved
-    # a fallback can leave half a raw word buffered, which the next
-    # emulated chunk must read first
-    buffered = []
-    for nt, count in ((n, 64), (101, 500), (n, 33), (101, 700), (n, 9),
-                      (101, 300), (n, 17), (101, 100)):
-        buffered.append(emulated.bit_generator.state["has_uint32"])
-        got = model2d._draw_indices(emulated, nt, 41, count, emulate=True)
-        assert np.array_equal(got, _per_draw(real, nt, 41, count))
-        assert emulated.bit_generator.state == real.bit_generator.state
-    assert any(buffered)
-
-
-def test_emulation_guard_falls_back_for_the_whole_run(monkeypatch,
-                                                      sin_arc_small):
-    want = tcbb_verify(sin_arc_small, K=1.0, samples=300, tol=0.02, seed=5)
-    assert model2d._emulation_holds(np.random.default_rng(5), 41, 21)
-    real = model2d._lemire
-
-    def shifted(bitgen, bounds, rounds):    # a numpy that draws otherwise
-        got = real(bitgen, bounds, rounds)
-        return None if got is None else (got + 1) % bounds.astype(np.int64)
-
-    monkeypatch.setattr(model2d, "_lemire", shifted)
-    assert not model2d._emulation_holds(np.random.default_rng(5), 41, 21)
-    assert tcbb_verify(sin_arc_small, K=1.0, samples=300, tol=0.02,
-                       seed=5) == want
+def test_chunked_draws_match_per_draw_integers():
+    # one integers call per chunk against one call per draw, for the
+    # benchmark's bounds, for 2**31 + 1 (about half of all words rejected),
+    # for 1 (no word read) and past 2**32 (64-bit words), with the
+    # generator state after every chunk
+    for nt, nx in ((101, 41), (2 ** 31 + 1, 41), (101, 2 ** 31 + 1), (1, 1),
+                   (101, 1), (2 ** 32 + 5, 7)):
+        chunked, real = np.random.default_rng(3), np.random.default_rng(3)
+        for count in (1, 64, 4096, 33, 903, 2, 17):
+            got = model2d._draw_indices(chunked, nt, nx, count)
+            assert np.array_equal(got, _per_draw(real, nt, nx, count))
+            assert chunked.bit_generator.state == real.bit_generator.state
