@@ -21,13 +21,15 @@ monotonicity):
 tau_g(i,j,r) = inf_mu [Phi_ij(mu) - mu r] with Phi prefix-summable over
 time steps, evaluated on a finite mu-grid; the reverse triangle follows
 exactly from additivity of Phi under interval concatenation, and a
-negative envelope value certifies non-causality.
+negative envelope value certifies non-causality.  Its kernel computes one
+source row at a time.
 
 Tables are built only as far as the reads need them, by one rule for
 both: a read that misses exactly one row, while another row stays missing,
 computes and stores that row; any other miss builds the whole table in
 source order and drops the rows stored before.  `bracket_width` streams
-the rows of both tables and stores none.
+the rows of both tables and stores none: one block of lower rows at a
+time, and within it one upper row at a time.
 
 Real fiber distances are rounded up (lo) / down (hi) onto the distance
 grid; since tau is nonincreasing in the distance argument this preserves
@@ -51,11 +53,9 @@ NEG_INF = -math.inf
 # entries n_time^2 * n_dist of one table: the budget for one stored full
 # table of each kind; rows stored one at a time stay below n_time rows per
 # table.  `bracket_width` stores no table: it holds one block of LOWER_BLOCK
-# entries, one of UPPER_BLOCK and the stored rows
+# entries, one upper row and the stored rows
 MAX_TABLE_ENTRIES = 2.0e8
 N_MU = 48   # positive multipliers on the upper envelope's mu-grid
-# entries of one block of upper rows, computed or streamed at a time
-UPPER_BLOCK = 2 ** 16
 # entries of one block of lower rows, the DP kernel's unit in `_build_lower`
 # and so in `bracket_width`: the larger, the fewer DP sweeps, but each edge
 # update also sweeps the block's sources not yet reached, so the block
@@ -191,18 +191,19 @@ class GeneralizedCone:
         block can fall below malloc's mmap threshold and, once freed, stay
         resident on the heap."""
         size, most = len(sources), max(1, LOWER_BLOCK // (self.f.n * self.m))
-        step = math.ceil(size / math.ceil(size / most))
+        step = math.ceil(size / math.ceil(size / most)) if size else 1
         return [sources[b:b + step] for b in range(0, size, step)]
 
     def _build_lower(self, sources) -> np.ndarray:
         """Rows lo[s] for the ascending sources: the DP kernel on each of
-        their blocks, into one array when they span several."""
+        their blocks, into one array when they span several or none."""
         blocks = self._source_blocks(np.asarray(sources, dtype=int))
         if len(blocks) == 1:
             return self._lower_rows(blocks[0])
-        lo, step = np.empty((len(sources), self.f.n, self.m)), len(blocks[0])
-        for i, src in enumerate(blocks):
-            lo[i * step:i * step + src.size] = self._lower_rows(src)
+        lo, at = np.empty((len(sources), self.f.n, self.m)), 0
+        for src in blocks:
+            lo[at:at + src.size] = self._lower_rows(src)
+            at += src.size
         return lo
 
     @cached_property
@@ -238,33 +239,25 @@ class GeneralizedCone:
         is exact by min-splitting.  Negative envelope values certify
         non-causality (tau >= 0 would force the dual >= 0).
 
-        Each entry starts from its mu = 0 value ts[j] - ts[i] (-inf when
-        j < i) and takes a running minimum over the mu-grid, except on pairs
-        across a zero-min step, whose lines are +inf.  The work runs over
-        blocks of UPPER_BLOCK entries and skips the columns before a
-        block's first source, so a row is the same whichever sources are
-        computed with it."""
+        One source row at a time: the columns j < s stay -inf, and each
+        entry j >= s starts from its mu = 0 value ts[j] - ts[s] and takes a
+        running minimum over the mu-grid, except on pairs across a zero-min
+        step, whose lines are +inf."""
         src = np.asarray(sources, dtype=int)
         if self.f.is_zero:     # g = f = 0: both tables are the time gaps
             return self._lower_rows(src)
-        ts, n, m = self.f.ts, self.f.n, self.m
+        ts = self.f.ts
         zcount, mur, B = self._envelope
-        gap = ts[None, :] - ts[src, None]          # Phi at mu = 0
-        hi = np.empty((src.size, n, m))
-        hi[...] = np.where(gap >= 0, gap, NEG_INF)[:, :, None]
-        # lines through zero-min steps are +inf: those pairs keep mu = 0
-        shut = (gap < 0) | ((zcount[None, :] - zcount[src, None]) > 0)
-        step = max(1, UPPER_BLOCK // (n * m))
-        buf = np.empty((min(step, src.size), n, m))
-        for b in range(0, src.size, step):
-            s = src[b:b + step]
-            c0 = int(s.min())
-            blk = hi[b:b + step, c0:]
-            tmp = buf[:s.size, :n - c0]
-            D = B[:, None, c0:] - B[:, s, None]
-            D[:, shut[b:b + step, c0:]] = math.inf
+        hi = np.full((src.size, self.f.n, self.m), NEG_INF)
+        for row, s in zip(hi, src.tolist()):
+            blk = row[s:]
+            blk[...] = (ts[s:] - ts[s])[:, None]     # Phi at mu = 0
+            tmp = np.empty_like(blk)
+            D = B[:, s:] - B[:, s, None]
+            # lines through zero-min steps are +inf: those pairs keep mu = 0
+            D[:, zcount[s:] > zcount[s]] = math.inf
             for d, mr in zip(D, mur):
-                np.subtract(d[:, :, None], mr, out=tmp)
+                np.subtract(d[:, None], mr, out=tmp)
                 np.minimum(blk, tmp, out=blk)
             blk[blk < 0.0] = NEG_INF
         return hi
@@ -362,41 +355,27 @@ class GeneralizedCone:
         """Max over grid entries of hi - lo on the causally related set
         (lo >= 0), 0.0 when it is empty.
 
-        Streams both tables over blocks of source rows and stores neither:
-        lower rows in blocks of at most LOWER_BLOCK entries, each released
-        before the next is computed, and within a block upper rows in
-        blocks of UPPER_BLOCK.  Stored rows are read in place, missing ones
-        computed by the table's kernel and dropped.  A row of either kernel
-        does not depend on the sources computed with it and max is exact,
-        so the value does not depend on the blocks.  Columns before a
-        row's source are -inf in lo and are skipped."""
-        n = self.f.n
-        step = max(1, UPPER_BLOCK // (n * self.m))
+        Streams both tables over blocks of source rows and stores neither.
+        Per block of at most LOWER_BLOCK lower entries, the lower rows not
+        stored are computed in one kernel call; then each source's stored
+        rows are read in place and its missing upper row computed alone.
+        The block is released before the next is computed.  A row of either
+        kernel does not depend on the sources computed with it and max is
+        exact, so the value does not depend on the blocks.  Columns before
+        a row's source are -inf in lo and are skipped."""
         widths = []
-        for block in self._source_blocks(np.arange(n)):
-            lo = self._read_rows(False, block)
-            for b in range(0, block.size, step):
-                for s, up in self._read_rows(True, block[b:b + step]).items():
-                    low, up = lo[s][s:], up[s:]
-                    rel = low >= 0.0
-                    if rel.any():
-                        widths.append((up[rel] - low[rel]).max())
-            lo = low = None     # release the block before the next
+        for block in self._source_blocks(np.arange(self.f.n)):
+            (lows, lslot), (ups, uslot) = self._stored
+            new = iter(self._build_lower(block[lslot[block] < 0]))
+            for s in block.tolist():
+                lo = lows[lslot[s]] if lslot[s] >= 0 else next(new)
+                hi = ups[uslot[s]] if uslot[s] >= 0 else self._build_upper([s])[0]
+                lo, hi = lo[s:], hi[s:]
+                rel = lo >= 0.0
+                if rel.any():
+                    widths.append((hi[rel] - lo[rel]).max())
+            new = lo = hi = None     # release the block before the next
         return float(max(widths)) if widths else 0.0
-
-    def _read_rows(self, upper: bool, sources) -> dict:
-        """{s: row} of the lower or upper table over the ascending sources:
-        stored rows as views, the missing ones computed by the table's
-        kernel in one call and not stored."""
-        rows, slot = self._stored[upper]
-        at = slot[sources]
-        got = {s: rows[a] for s, a in zip(sources.tolist(), at.tolist())
-               if a >= 0}
-        new = sources[at < 0]
-        if new.size:
-            build = self._build_upper if upper else self._build_lower
-            got.update(zip(new.tolist(), build(new)))
-        return got
 
     # -- geodesics -----------------------------------------------------------
 

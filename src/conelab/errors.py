@@ -26,7 +26,7 @@ class ResourceLimit(ConelabError):
     entries of one stored full table of each kind (lower, upper).  Rows
     stored one at a time stay below n_time rows per table.
     `bracket_width` stores no table, so `tau --p --q` holds one block of
-    rows of each table and the pair's rows."""
+    lower rows, one upper row and the pair's rows."""
 
 
 class NotCausallyRelated(ConelabError):

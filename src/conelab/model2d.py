@@ -196,7 +196,6 @@ class FourPointConfig:
     tau_z1z2: float
     kind: str = "future"
     points: tuple = None
-    bounds: dict = None     # optional (lo, hi) brackets per constraint
 
     def __post_init__(self):
         vals = (self.tau_yx, self.tau_yz1, self.tau_yz2,

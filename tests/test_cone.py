@@ -1,3 +1,4 @@
+import contextlib
 import math
 import sys
 import threading
@@ -398,6 +399,12 @@ def test_lower_kernel_property(cone):
     _assert_kernel_exact(cone)
 
 
+@pytest.mark.parametrize("cone", list(_kernel_cones()))
+def test_kernels_of_no_sources_are_empty(cone):
+    for build in (cone._build_lower, cone._build_upper):
+        assert build(np.array([], dtype=int)).shape == (0, cone.f.n, cone.m)
+
+
 def test_lower_table_is_not_copied():
     # one block of sources: the stored table is the kernel's own state, so
     # the peak is about one table (a copy into source-major order would
@@ -718,19 +725,37 @@ def _full_width(cone):
     return float((hi[rel] - lo[rel]).max()) if rel.any() else 0.0
 
 
+@contextlib.contextmanager
+def _counted_rows():
+    """Counts {"lower": rows, "upper": rows} of the rows that the two table
+    kernels compute while the context is open."""
+    made = {"lower": 0, "upper": 0}
+
+    def counted(name, kind):
+        build = getattr(GeneralizedCone, name)
+
+        def wrapper(self, sources):
+            rows = build(self, sources)
+            made[kind] += len(rows)
+            return rows
+        return mock.patch.object(GeneralizedCone, name, wrapper)
+
+    with counted("_build_lower", "lower"), counted("_build_upper", "upper"):
+        yield made
+
+
 def _assert_streamed_width_exact(cone, data):
     """The streamed bracket_width equals the full-table value with ==, for
     drawn block sizes, with no rows stored, one cached one-source lower
-    row, some upper rows stored, and the lower table stored."""
+    row, some upper rows stored, the lower table stored and both tables
+    stored; it computes only the rows not stored."""
     n, nx, m = cone.f.n, cone.X.n, cone.m
     want = _full_width(cone)
     rows = data.draw(st.integers(1, n), label="lower rows per block")
-    up = data.draw(st.integers(1, n), label="upper rows per block")
     src = data.draw(st.integers(0, n - 1), label="cached source")
     upper = data.draw(st.lists(st.integers(0, n - 1), max_size=4),
                       label="stored upper rows")
-    with mock.patch.object(cone_mod, "LOWER_BLOCK", rows * n * m), \
-            mock.patch.object(cone_mod, "UPPER_BLOCK", up * n * m):
+    with mock.patch.object(cone_mod, "LOWER_BLOCK", rows * n * m):
         none = _twin(cone)
         assert none.bracket_width() == want
         assert stored(none, False) == stored(none, True) == []
@@ -742,12 +767,19 @@ def _assert_streamed_width_exact(cone, data):
         for s in upper:
             some.separations((s, 0), (n - 1, 0), upper=True)
         some.separations((src, nx - 1), (src, 0))
-        assert some.bracket_width() == want
+        with _counted_rows() as made:
+            assert some.bracket_width() == want
+        assert made == {"lower": n - 1, "upper": n - len(set(upper))}
         assert stored(some, False) == [src]
         assert stored(some, True) == sorted(set(upper))
         built = _twin(cone)
         built.lower_table()
         assert built.bracket_width() == want
+        both = _twin(cone)
+        both.tables()
+        with _counted_rows() as made:
+            assert both.bracket_width() == want
+        assert made == {"lower": 0, "upper": 0}
 
 
 @pytest.mark.parametrize("cone", list(_lookup_cones()))
