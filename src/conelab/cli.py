@@ -114,8 +114,8 @@ def run_tau(args, outdir: Path) -> dict:
     cone = _load_cone(args.cone)
     report = {"time_points": cone.f.n, "dist_points": cone.m,
               "window": cone.window}
-    # the pair first: the one row of each table it stores is then read
-    # in place by bracket_width
+    # the rows first, the width after: bracket_width then reads the pair's
+    # one stored row of each table, or the two stored tables, in place
     if args.p is not None:
         p, q = _parse_point(args.p, cone), _parse_point(args.q, cone)
         lo = cone.signed_separation(p, q)
@@ -124,9 +124,9 @@ def run_tau(args, outdir: Path) -> dict:
         rows = [(cone.f.ts[p[0]], cone.f.ts[q[0]],
                  cone.X.dist[p[1], q[1]], lo, hi)]
     else:
-        rows = list(cone.export_rows())
-    report["bracket_width"] = cone.bracket_width()
+        rows = cone.export_rows()
     _write_csv(outdir, "tau.csv", ("s", "t", "r", "lo", "hi"), rows)
+    report["bracket_width"] = cone.bracket_width()
     return report
 
 

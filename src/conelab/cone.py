@@ -25,11 +25,12 @@ negative envelope value certifies non-causality.  Its kernel computes one
 source row at a time.
 
 Tables are built only as far as the reads need them, by one rule for
-both: a read that misses exactly one row, while another row stays missing,
-computes and stores that row; any other miss builds the whole table in
-source order and drops the rows stored before.  `bracket_width` streams
-the rows of both tables and stores none: one block of lower rows at a
-time, and within it one upper row at a time.
+both, kept in `_store`: a read that misses one row computes and appends
+it, and any other miss builds the whole table in source order.  `_store`
+is also the one place where the memory budget, MAX_TABLE_BYTES of stored
+rows per table, is checked.  `bracket_width` streams the rows of both
+tables and stores none: one block of lower rows at a time, and within it
+one upper row at a time.
 
 Real fiber distances are rounded up (lo) / down (hi) onto the distance
 grid; since tau is nonincreasing in the distance argument this preserves
@@ -45,30 +46,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotCausallyRelated, ResourceLimit
+from .errors import NotCausallyRelated, ResourceLimit, require_int
 from .metricspace import FiniteMetricSpace
 from .warp import WarpingFunction
 
 NEG_INF = -math.inf
-# entries n_time^2 * n_dist of one table: the budget for one stored full
-# table of each kind; rows stored one at a time stay below n_time rows per
-# table.  `bracket_width` stores no table: it holds one block of LOWER_BLOCK
-# entries, one upper row and the stored rows
-MAX_TABLE_ENTRIES = 2.0e8
+MAX_TABLE_BYTES = 1.6e9   # stored rows of one table: 2e8 float64 entries
 N_MU = 48   # positive multipliers on the upper envelope's mu-grid
 # entries of one block of lower rows, the DP kernel's unit in `_build_lower`
 # and so in `bracket_width`: the larger, the fewer DP sweeps, but each edge
 # update also sweeps the block's sources not yet reached, so the block
 # bounds that waste too
 LOWER_BLOCK = 2 ** 23
-
-
-def require_int(name: str, val, least: int) -> None:
-    """ValueError unless the raw value is an integer (not a bool) >= least:
-    a fractional or too small input is rejected, never coerced."""
-    if isinstance(val, bool) or not isinstance(val, numbers.Integral) \
-            or val < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {val!r}")
 
 
 class GeneralizedCone:
@@ -82,8 +71,10 @@ class GeneralizedCone:
     def __init__(self, f: WarpingFunction, X: FiniteMetricSpace, N: float = 1.0,
                  dist_steps: int | None = None, window: int = 8,
                  dist_refine: int = 1, fiber_weights=None):
-        if N < 1.0:
-            raise ValueError("measure exponent N must be >= 1")
+        if isinstance(N, bool) or not isinstance(N, numbers.Real) \
+                or not (math.isfinite(N) and N >= 1.0):
+            raise ValueError(f"measure exponent N must be a finite number "
+                             f">= 1, got {N!r}")
         require_int("window", window, 1)
         require_int("dist_refine (distRefine)", dist_refine, 1)
         if dist_steps is not None:
@@ -92,7 +83,6 @@ class GeneralizedCone:
         self.X = X
         self.N = float(N)
         diam = X.diam
-        nt = f.n
         if dist_steps is None:
             mean_dt = float(np.mean(np.diff(f.ts)))
             dist_steps = max(1, int(round(diam / mean_dt))) if diam > 0 else 0
@@ -105,11 +95,7 @@ class GeneralizedCone:
         self.m = self.dist_steps + 1
         self.dr = diam / self.dist_steps if self.dist_steps > 0 else 0.0
         self.dist_grid = np.arange(self.m) * self.dr
-        self.window = int(min(window, nt - 1))   # window >= n: the full grid
-        if nt * nt * self.m > MAX_TABLE_ENTRIES:
-            raise ResourceLimit(
-                f"table would hold {nt * nt * self.m:.3g} entries "
-                f"(budget {MAX_TABLE_ENTRIES:.3g})")
+        self.window = int(min(window, f.n - 1))   # window >= n: the full grid
         if fiber_weights is None:
             fiber_weights = np.ones(X.n)
         self.fiber_weights = np.asarray(fiber_weights, dtype=float)
@@ -270,27 +256,38 @@ class GeneralizedCone:
         """The (rows, slot) pair of the lower or upper table, with the rows
         of the sources (ints or an integer array) stored.
 
-        One rule for both tables: a read that misses exactly one row, while
-        another row stays missing, computes and appends that row; any other
-        miss drops the rows stored before and builds the whole table in
-        source order.  The caller reads the returned pair, not
-        self._stored: a racing thread may replace the stored pair by one
-        without these rows."""
+        One rule for both tables: a read that misses one row computes and
+        appends it, and any other miss drops the rows stored before and
+        builds the whole table in source order.  An append that completes
+        the table puts its rows in source order.  Before computing, the
+        read is refused with ResourceLimit when the rows the table would
+        hold after it exceed MAX_TABLE_BYTES.  The caller reads the
+        returned pair, not self._stored: a racing thread may replace the
+        stored pair by one without these rows."""
         rows, slot = stored = self._stored[upper]
         miss = slot[sources] < 0
         if not miss.any():
             return stored
-        build = self._build_upper if upper else self._build_lower
+        n = self.f.n
         missing = np.unique(np.asarray(sources)[miss])
-        if missing.size == 1 and np.count_nonzero(slot < 0) > 1:
+        held = len(rows) + 1 if missing.size == 1 else n
+        if held * n * self.m * 8 > MAX_TABLE_BYTES:
+            raise ResourceLimit(
+                f"{'upper' if upper else 'lower'} table would hold {held} "
+                f"rows of {n * self.m * 8} bytes (budget "
+                f"{MAX_TABLE_BYTES:.3g} bytes)")
+        build = self._build_upper if upper else self._build_lower
+        if missing.size == 1:
             slot = slot.copy()
             slot[missing] = len(rows)
-            new = build(missing)
-            stored = (np.concatenate([rows, new]) if len(rows) else new, slot)
+            rows = np.concatenate([rows, build(missing)])
+            if len(rows) == n:
+                rows, slot = rows[slot], np.arange(n)
+            stored = rows, slot
         else:
             self._stored[upper] = self._unstored()
             del rows, stored
-            stored = (build(np.arange(self.f.n)), np.arange(self.f.n))
+            stored = (build(np.arange(n)), np.arange(n))
         self._stored[upper] = stored
         return stored
 
@@ -363,6 +360,8 @@ class GeneralizedCone:
         kernel does not depend on the sources computed with it and max is
         exact, so the value does not depend on the blocks.  Columns before
         a row's source are -inf in lo and are skipped."""
+        # unbudgeted, as it stores nothing: it holds one block of lower
+        # rows and one upper row besides the stored rows
         widths = []
         for block in self._source_blocks(np.arange(self.f.n)):
             (lows, lslot), (ups, uslot) = self._stored
@@ -504,19 +503,19 @@ class GeneralizedCone:
                 ts = np.linspace(f.a, f.b, steps + 1)
                 f = WarpingFunction(ts, f(ts))
         X = FiniteMetricSpace.from_json(obj["fiber"])
-        return cls(f, X, N=float(obj.get("N", 1.0)),
+        return cls(f, X, N=obj.get("N", 1.0),
                    dist_steps=obj.get("distSteps"),
                    window=obj.get("window", 8),
                    dist_refine=obj.get("distRefine", 1))
 
     def export_rows(self):
-        """CSV rows (s, t, r, lo, hi) over the grid."""
+        """CSV rows (s, t, r, lo, hi) over the grid, as a generator that
+        reads the two stored tables in place; both are built before it is
+        returned."""
         lo, hi = self.tables()
-        ts, rs = self.f.ts, self.dist_grid
-        for i in range(self.f.n):
-            for j in range(i, self.f.n):
-                for k in range(self.m):
-                    yield (ts[i], ts[j], rs[k], lo[i, j, k], hi[i, j, k])
+        ts, rs, n = self.f.ts, self.dist_grid, self.f.n
+        return ((ts[i], ts[j], rs[k], lo[i, j, k], hi[i, j, k])
+                for i in range(n) for j in range(i, n) for k in range(self.m))
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import GeneralizedCone, require_int
-from .errors import BoundaryPoint, SlopeBoundViolated
+from .cone import GeneralizedCone
+from .errors import BoundaryPoint, SlopeBoundViolated, require_int
 from .kappa import pi_kappa
 from .metricspace import (FiniteMetricSpace, ball_indices, ball_subspace,
                           gh_distance)

@@ -1,4 +1,19 @@
-"""Exception types shared across the library."""
+"""Exception types, and the integer rule for raw input values, shared
+across the library."""
+
+from __future__ import annotations
+
+import numbers
+
+
+def require_int(name: str, val, least: int | None = None) -> None:
+    """ValueError unless the raw value is an integer (not a bool), and
+    >= least when least is given: a fractional, boolean or too small input
+    is rejected, never coerced."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Integral) \
+            or (least is not None and val < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {val!r}")
 
 
 class ConelabError(Exception):
@@ -22,11 +37,8 @@ class MollifyFailed(ConelabError):
 
 
 class ResourceLimit(ConelabError):
-    """Requested table exceeds the size budget, MAX_TABLE_ENTRIES: the
-    entries of one stored full table of each kind (lower, upper).  Rows
-    stored one at a time stay below n_time rows per table.
-    `bracket_width` stores no table, so `tau --p --q` holds one block of
-    lower rows, one upper row and the pair's rows."""
+    """A read would store more rows of a bracket table than the budget,
+    MAX_TABLE_BYTES, allows; raised before any row is computed."""
 
 
 class NotCausallyRelated(ConelabError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import SizeLimit
+from .errors import SizeLimit, require_int
 
 METRIC_TOL = 1e-9
 SPLIT_ULPS = 8      # relative slack, in ulps, of an essential-edge split test
@@ -104,9 +104,11 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_json(cls, obj) -> "FiniteMetricSpace":
-        n = int(obj["n"])
+        n, base = obj["n"], obj.get("base", 0)
+        require_int("fiber n", n, 1)
+        require_int("fiber base", base, 0)
         d = np.asarray(obj["dist"], dtype=float).reshape(n, n)
-        return cls(d, int(obj.get("base", 0)))
+        return cls(d, base)
 
 
 def segment(length: float, n: int, base: int = 0) -> FiniteMetricSpace:

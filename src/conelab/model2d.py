@@ -30,9 +30,8 @@ from functools import reduce
 
 import numpy as np
 
-from .cone import require_int
 from .errors import (DomainViolation, InsufficientSamples, MixedModels,
-                     OutsideChart, Unrealizable)
+                     OutsideChart, Unrealizable, require_int)
 from .kappa import pi_kappa
 
 NEG_INF = -math.inf

@@ -24,7 +24,7 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
 from .errors import (AtomNotInPast, NotCausallyCouplable,
-                     NotTimelikeDualizable, ZeroReferenceCell)
+                     NotTimelikeDualizable, ZeroReferenceCell, require_int)
 from .kappa import pi_kappa, sin_kappa
 
 MASS_TOL = 1e-12
@@ -72,8 +72,11 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json(cls, obj) -> "DiscreteMeasure":
-        pts = [(int(e["t"]), int(e["x"])) for e in obj]
-        return cls(tuple(pts), np.array([float(e["mass"]) for e in obj]))
+        for e in obj:
+            require_int("atom t", e["t"])
+            require_int("atom x", e["x"])
+        return cls(tuple((e["t"], e["x"]) for e in obj),
+                   np.array([float(e["mass"]) for e in obj]))
 
 
 def _sorted_measure(mu: DiscreteMeasure) -> DiscreteMeasure:
@@ -121,8 +124,8 @@ class CausalCoupling:
         return self.p_value ** (1.0 / self.p)
 
     def support(self):
-        return [(i, j) for i in range(self.table.shape[0])
-                for j in range(self.table.shape[1]) if self.table[i, j] > 1e-12]
+        """The (i, j) pairs of mass > 1e-12, as Python ints, row major."""
+        return list(zip(*(a.tolist() for a in np.nonzero(self.table > 1e-12))))
 
     def l2_tau_norm(self, L) -> float:
         """L2 norm, against the plan, of the positive part of the separation

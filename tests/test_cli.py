@@ -12,6 +12,7 @@ import pytest
 from conelab import cli
 from conelab import cone as cone_mod
 from conelab.cli import main
+from conelab.errors import ResourceLimit
 
 
 def run_cli(args):
@@ -192,6 +193,61 @@ def test_tau_pair_streams_lower_blocks(tmp_path, monkeypatch):
     lo = cone.lower_table()
     assert peak <= 0.5 * lo.nbytes
     assert cone.bracket_width() == width
+
+
+def test_table_budget_counts_stored_rows(workdir, monkeypatch):
+    # a budget of 2.5 rows of a table: a pair query stores one row of each,
+    # so it runs; a third stored row, or the whole table, is refused before
+    # either kernel computes anything
+    path = workdir / "cone.json"
+    cone = cli._load_cone(path)
+    monkeypatch.setattr(cone_mod, "MAX_TABLE_BYTES",
+                        2.5 * cone.f.n * cone.m * 8)
+    assert run_cli(["--out", workdir / "o_budget", "tau", "--cone", path,
+                    "--p", "3,2", "--q", "30,1"]) == 0
+    cone.signed_separation((3, 2), (30, 1))
+    cone.signed_separation((7, 0), (30, 1))
+    assert _stored(cone, False) == [3, 7]
+
+    def refused(self, sources):
+        raise AssertionError("a kernel ran past the budget")
+    monkeypatch.setattr(cone_mod.GeneralizedCone, "_build_lower", refused)
+    monkeypatch.setattr(cone_mod.GeneralizedCone, "_build_upper", refused)
+    with pytest.raises(ResourceLimit):
+        cone.signed_separation((9, 0), (30, 1))
+    with pytest.raises(ResourceLimit):
+        cone.lower_table()
+    assert _stored(cone, False) == [3, 7]
+
+
+def test_full_table_tau_keeps_no_copy(tmp_path, monkeypatch):
+    # the CSV rows stream from the two stored tables, and the width reads
+    # them in place: the peak is the two tables and a little more, where
+    # a list of the rows took about 16 tables
+    ts = np.linspace(0.0, math.pi, 41)
+    (tmp_path / "sin.json").write_text(json.dumps(
+        {"warp": {"a": 0.0, "b": math.pi, "ts": list(ts),
+                  "vals": list(np.sin(ts))},
+         "fiber": {"n": 9, "base": 0,
+                   "dist": [abs(i - j) * 0.1 for i in range(9)
+                            for j in range(9)]},
+         "N": 2.0, "distSteps": 40, "window": 8}))
+    cones = _keep_loaded_cones(monkeypatch)
+    tracemalloc.start()
+    try:
+        code = run_cli(["--out", tmp_path / "o", "tau", "--cone",
+                        tmp_path / "sin.json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    lo, hi = cones[0].tables()
+    rows = (tmp_path / "o" / "tables" / "tau.csv").read_text().splitlines()
+    assert len(rows) == 1 + 41 * 42 // 2 * 41
+    rep = json.loads((tmp_path / "o" / "report.json").read_text())
+    rel = lo >= 0.0
+    assert rep["bracket_width"] == float((hi[rel] - lo[rel]).max())
+    assert peak <= 3 * lo.nbytes
 
 
 def test_geodesic(workdir):
@@ -412,6 +468,18 @@ def test_measured_rejects_a_fiber_that_is_no_metric(workdir):
     ("tau", ("timeSteps",), True, "timeSteps"),
     ("tau", ("timeSteps",), 0, "timeSteps"),
     ("tau", ("timeSteps",), -3, "timeSteps"),
+    # coerced too: an atom at t 2 or 1, a fiber of 5 points based at 1,
+    # and N NaN, inf, 1.0 or 2.0
+    ("ot", (0, "t"), 2.7, "atom t"),
+    ("ot", (0, "x"), True, "atom x"),
+    ("gh", ("n",), 5.0, "fiber n"),
+    ("gh", ("base",), 1.5, "fiber base"),
+    ("gh", ("base",), True, "fiber base"),
+    ("tau", ("fiber", "base"), 1.5, "fiber base"),
+    ("tau", ("N",), math.nan, "exponent N"),
+    ("tau", ("N",), math.inf, "exponent N"),
+    ("tau", ("N",), True, "exponent N"),
+    ("tau", ("N",), "2", "exponent N"),
 ])
 def test_bad_numbers_in_an_input_file_are_a_value_error(workdir, command,
                                                         path, value, message):

@@ -260,10 +260,15 @@ def test_imprisonment_bound(strip_small):
 
 
 def test_resource_limit():
+    # the budget is checked where rows are stored: the cone is made, and
+    # reading a whole table is refused before anything is computed
     ts = np.linspace(0, 1, 2001)
+    cone = GeneralizedCone(WarpingFunction(ts, np.ones(2001)),
+                           segment(1.0, 301), dist_steps=2000, window=8)
     with pytest.raises(ResourceLimit):
-        GeneralizedCone(WarpingFunction(ts, np.ones(2001)), segment(1.0, 301),
-                        dist_steps=2000, window=8)
+        cone.lower_table()
+    with pytest.raises(ResourceLimit):
+        cone.upper_table()
 
 
 def test_single_point_fiber():
@@ -528,6 +533,22 @@ def test_storage_rule(cone, upper):
     assert np.array_equal(
         later.upper_table() if upper else later.lower_table(), full)
     whole(later)
+
+
+def test_one_source_reads_build_each_row_once():
+    # 101 one-source reads append 101 rows, and the last one puts them in
+    # source order: no row is computed again for the whole table
+    cone = GeneralizedCone(WarpingFunction(np.linspace(0.0, 2.0, 101),
+                                           np.ones(101)),
+                           segment(1.0, 5), dist_steps=8, window=8)
+    full = _twin(cone).lower_table()
+    with _counted_rows() as made:
+        for s in range(100, -1, -1):
+            assert cone.signed_separation((s, 0), (100, 0)) == full[s, 100, 0]
+    assert made == {"lower": 101, "upper": 0}
+    rows, slot = cone._stored[False]
+    assert np.array_equal(slot, np.arange(101))
+    assert np.array_equal(rows, full)
 
 
 # -- the one separation lookup against the scalar rule --------------------------
