@@ -22,7 +22,13 @@ tau_g(i,j,r) = inf_mu [Phi_ij(mu) - mu r] with Phi prefix-summable over
 time steps, evaluated on a finite mu-grid; the reverse triangle follows
 exactly from additivity of Phi under interval concatenation, and a
 negative envelope value certifies non-causality.  Its kernel computes one
-source row at a time.
+source row at a time and reads few of the mu-grid's lines per entry: Phi
+is convex in mu, so the least line's mu is nondecreasing in r, and the
+sorted breakpoints of the lines give the line that owns each cell; only
+cells next to an owner change read the neighbouring lines too.  The values
+read are the same floats as a running minimum over every line computes,
+and min is exact, so the table is that minimum bit for bit; soundness
+holds whichever lines are read, since each line is a weak-dual bound.
 
 Tables are built only as far as the reads need them, by one rule for
 both, kept in `_store`: a read that misses one row computes and appends
@@ -194,10 +200,10 @@ class GeneralizedCone:
 
     @cached_property
     def _envelope(self):
-        """(zcount, mur, B) of the upper envelope: zcount[j] counts the
-        zero-min steps before time j, mur[k] = mu_k * dist_grid and B[k] the
-        prefix sums of Phi(mu_k) over the time steps, for the positive
-        multipliers mu_k in ascending order."""
+        """(zcount, mus, B) of the upper envelope: zcount[j] counts the
+        zero-min steps before time j, mus holds the positive multipliers
+        mu_k in ascending order and B[k] the prefix sums of Phi(mu_k) over
+        the time steps."""
         ts, vals = self.f.ts, self.f.vals
         dt = np.diff(ts)
         c = np.minimum(vals[:-1], vals[1:])
@@ -211,7 +217,7 @@ class GeneralizedCone:
             phi = dt * np.sqrt(cpos * cpos + mu * mu) / cpos
             phi = np.where(zero, 0.0, phi)
             B[k] = np.concatenate([[0.0], np.cumsum(phi)])
-        return zcount, mus[:, None] * self.dist_grid[None, :], B
+        return zcount, mus, B
 
     def _build_upper(self, sources) -> np.ndarray:
         """Rows hi[s] of the upper table for the source indices.
@@ -225,27 +231,85 @@ class GeneralizedCone:
         is exact by min-splitting.  Negative envelope values certify
         non-causality (tau >= 0 would force the dual >= 0).
 
-        One source row at a time: the columns j < s stay -inf, and each
-        entry j >= s starts from its mu = 0 value ts[j] - ts[s] and takes a
-        running minimum over the mu-grid, except on pairs across a zero-min
-        step, whose lines are +inf."""
+        One source row at a time: the columns j < s stay -inf.  Column
+        j >= s has K = N_MU + 1 lines in r: line 0 (mu = 0) with intercept
+        ts[j] - ts[s], and line k with intercept B[k-1, j] - B[k-1, s] and
+        multiplier mus[k-1], +inf across a zero-min step.  Phi is convex in
+        mu, so the least line's mu is nondecreasing in r: line k takes over
+        from line k - 1 at the breakpoint b_k = (L_k - L_{k-1}) /
+        ((mu_k - mu_{k-1}) dr), in cells.  The breakpoints, sorted per
+        column, cut it into the segments of their owner lines, and each
+        cell evaluates its owner.  A cell whose neighbour r - 1 or r + 1
+        has another owner takes the min over the lines own(r - 1) ..
+        own(r + 1), since lines that cross near a cell can trade places by
+        rounding; a cell at distance 0 (cell 0, or every cell when dr == 0)
+        takes the min over every line, which there is its intercept.
+
+        Each value read, L - mu * dist_grid[r], is the same float as in a
+        running minimum over all K lines, and min is exact.  A line that
+        owns no cell within one of r loses at r by at least (mu_k -
+        mu_{k-1}) dr, far above the values' rounding unless a cell is
+        within a few ulps of the intercepts, so the rows equal that
+        minimum bit for bit.  Soundness does not rest on this: every line
+        is a weak-dual bound, so hi >= tau whichever lines are read."""
         src = np.asarray(sources, dtype=int)
         if self.f.is_zero:     # g = f = 0: both tables are the time gaps
             return self._lower_rows(src)
-        ts = self.f.ts
-        zcount, mur, B = self._envelope
-        hi = np.full((src.size, self.f.n, self.m), NEG_INF)
+        ts, n, m, grid = self.f.ts, self.f.n, self.m, self.dist_grid
+        zcount, mus, B = self._envelope
+        slope = np.concatenate([[0.0], mus])
+        K = slope.size
+        BT = np.ascontiguousarray(B.T)
+        # line numbers and multipliers, K per column, for the longest row
+        lines = np.tile(np.arange(K, dtype=np.int8), n)     # K < 128
+        slopes = np.tile(slope, n)
+        span = np.diff(slope) * self.dr
+        zero = grid == 0.0
+        hi = np.full((src.size, n, m), NEG_INF)
         for row, s in zip(hi, src.tolist()):
-            blk = row[s:]
-            blk[...] = (ts[s:] - ts[s])[:, None]     # Phi at mu = 0
-            tmp = np.empty_like(blk)
-            D = B[:, s:] - B[:, s, None]
-            # lines through zero-min steps are +inf: those pairs keep mu = 0
-            D[:, zcount[s:] > zcount[s]] = math.inf
-            for d, mr in zip(D, mur):
-                np.subtract(d[:, None], mr, out=tmp)
-                np.minimum(blk, tmp, out=blk)
-            blk[blk < 0.0] = NEG_INF
+            J, out = n - s, row[s:]
+            L = np.empty((J, K))     # L[j - s, k]: line k's intercept at j
+            L[:, 0] = ts[s:] - ts[s]
+            np.subtract(BT[s:], BT[s], out=L[:, 1:])
+            L[zcount[s:] > zcount[s], 1:] = math.inf
+            # breakpoints in cells; NaN (inf - inf, or 0 / 0 when dr == 0)
+            # never starts a segment
+            with np.errstate(divide="ignore", invalid="ignore"):
+                b = np.diff(L, axis=1) / span
+            b[np.isnan(b)] = math.inf
+            b.sort(axis=1)
+            edges = np.zeros((J, K + 1), dtype=np.intp)
+            edges[:, K] = m
+            edges[:, 1:K] = np.clip(np.ceil(b), 0, m)
+            seg = np.diff(edges, axis=1).ravel()
+            # each cell from its owner line
+            own = np.repeat(lines[:J * K], seg).reshape(J, m)
+            out[...] = np.repeat(L.ravel(), seg).reshape(J, m)
+            mr = np.repeat(slopes[:J * K], seg).reshape(J, m)
+            out -= np.multiply(mr, grid, out=mr)
+            del mr
+            # a boundary cell takes the min over the lines first .. last,
+            # own(r - 1) .. own(r + 1), from one flat gather; own(m) counts
+            # the breakpoints up to cell m.  A cell at distance 0 is the
+            # min of the intercepts, exactly what each line gives there
+            first, last = np.empty_like(own), np.empty_like(own)
+            first[:, 1:], last[:, :-1] = own[:, :-1], own[:, 1:]
+            last[:, -1] = np.count_nonzero(b <= m, axis=1)
+            first[:, zero] = last[:, zero]
+            cells = np.flatnonzero(first != last).astype(np.int32)
+            lo = first.ravel()[cells]
+            count = last.ravel()[cells] - lo + 1
+            at = np.cumsum(count) - count
+            line = np.repeat((lo - at).astype(np.int32), count)
+            line += np.arange(line.size, dtype=np.int32)
+            j, r = np.divmod(np.repeat(cells, count), np.int32(m))
+            cand = slope[line]
+            cand *= grid[r]
+            np.subtract(L.ravel()[j * K + line], cand, out=cand)
+            if cells.size:
+                out.ravel()[cells] = np.minimum.reduceat(cand, at)
+            out[:, zero] = L.min(axis=1)[:, None]
+            out[out < 0.0] = NEG_INF
         return hi
 
     def _unstored(self):
@@ -259,7 +323,8 @@ class GeneralizedCone:
         One rule for both tables: a read that misses one row computes and
         appends it, and any other miss drops the rows stored before and
         builds the whole table in source order.  An append that completes
-        the table puts its rows in source order.  Before computing, the
+        the table copies the stored rows into one new table in source
+        order and writes the new row there.  Before computing, the
         read is refused with ResourceLimit when the rows the table would
         hold after it exceed MAX_TABLE_BYTES.  The caller reads the
         returned pair, not self._stored: a racing thread may replace the
@@ -277,13 +342,17 @@ class GeneralizedCone:
                 f"rows of {n * self.m * 8} bytes (budget "
                 f"{MAX_TABLE_BYTES:.3g} bytes)")
         build = self._build_upper if upper else self._build_lower
-        if missing.size == 1:
+        if missing.size == 1 and held < n:
             slot = slot.copy()
             slot[missing] = len(rows)
-            rows = np.concatenate([rows, build(missing)])
-            if len(rows) == n:
-                rows, slot = rows[slot], np.arange(n)
-            stored = rows, slot
+            stored = np.concatenate([rows, build(missing)]), slot
+        elif missing.size == 1:
+            table = np.empty((n, n, self.m))
+            for s, at in enumerate(slot.tolist()):
+                if at >= 0:
+                    table[s] = rows[at]
+            table[missing] = build(missing)
+            stored = table, np.arange(n)
         else:
             self._stored[upper] = self._unstored()
             del rows, stored
@@ -369,12 +438,12 @@ class GeneralizedCone:
             for s in block.tolist():
                 lo = lows[lslot[s]] if lslot[s] >= 0 else next(new)
                 hi = ups[uslot[s]] if uslot[s] >= 0 else self._build_upper([s])[0]
-                lo, hi = lo[s:], hi[s:]
-                rel = lo >= 0.0
-                if rel.any():
-                    widths.append((hi[rel] - lo[rel]).max())
+                lo = lo[s:]
+                widths.append(np.subtract(hi[s:], lo, where=lo >= 0.0,
+                                          out=np.full(lo.shape, NEG_INF)).max())
             new = lo = hi = None     # release the block before the next
-        return float(max(widths)) if widths else 0.0
+        width = max(widths, default=NEG_INF)
+        return float(width) if width > NEG_INF else 0.0
 
     # -- geodesics -----------------------------------------------------------
 

@@ -342,6 +342,11 @@ def _kernel_cones():
     yield pytest.param(GeneralizedCone(WarpingFunction(ts, 1.0 + ts),
                                        segment(1.0, 7), dist_steps=12,
                                        window=50), id="window>=n")
+    # dr == 0 with several cells: every cell sits at distance 0
+    ts = np.linspace(0.0, 1.0, 11)
+    yield pytest.param(GeneralizedCone(WarpingFunction(ts, 0.3 + ts),
+                                       single_point(), dist_steps=4,
+                                       window=4), id="one-point-cells")
 
 
 def _assert_kernel_exact(cone):
@@ -551,6 +556,42 @@ def test_one_source_reads_build_each_row_once():
     assert np.array_equal(rows, full)
 
 
+def _append_cones():
+    # the lower one-source DP is quick on a coarse strip; the upper kernel's
+    # own temporaries are small against a table on a fine distance grid
+    yield pytest.param(False, GeneralizedCone(
+        WarpingFunction(np.linspace(0.0, 2.0, 101), np.ones(101)),
+        segment(1.0, 5), dist_steps=8, window=8), id="lower")
+    ts = np.linspace(0.0, math.pi, 101)
+    yield pytest.param(True, GeneralizedCone(
+        WarpingFunction(ts, np.sin(ts)), circle_arc(1.0, 0.8, 41), N=2.0,
+        dist_steps=50, window=8, dist_refine=2), id="upper")
+
+
+@pytest.mark.parametrize("upper, cone", list(_append_cones()))
+def test_completing_append_allocates_one_table(upper, cone):
+    # the read that completes a table row by row allocates the table once:
+    # each stored row is copied to its source and the new row written in
+    # place, so about two tables are held at that moment, not three
+    n = cone.f.n
+    cone = _twin(cone)
+    full = _twin(cone).upper_table() if upper else _twin(cone).lower_table()
+    for s in range(n - 1, 0, -1):
+        cone.separations((s, 0), (n - 1, 0), upper=upper)
+    held = cone._stored[upper]
+    tracemalloc.start()
+    try:
+        cone.separations((0, 0), (n - 1, 0), upper=upper)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * full.nbytes
+    rows, slot = cone._stored[upper]
+    assert np.array_equal(slot, np.arange(n)) and np.array_equal(rows, full)
+    # a reader that holds the pair from before keeps its n - 1 rows
+    assert len(held[0]) == n - 1 and np.count_nonzero(held[1] >= 0) == n - 1
+
+
 # -- the one separation lookup against the scalar rule --------------------------
 
 
@@ -623,7 +664,8 @@ def reference_upper(cone):
     if cone.f.is_zero:
         return reference_lower(cone)
     ts = cone.f.ts
-    zcount, mur, B = cone._envelope
+    zcount, mus, B = cone._envelope
+    mur = mus[:, None] * cone.dist_grid
     gap = ts[None, :] - ts[:, None]
     start = np.where(gap >= 0, gap, -np.inf)[:, :, None]
     lines = ((B[:, None, :] - B[:, :, None])[..., None]
@@ -632,6 +674,82 @@ def reference_upper(cone):
     hi = np.where(shut[:, :, None], start, np.minimum(start, lines))
     hi[hi < 0.0] = -np.inf
     return hi
+
+
+def reference_upper_rows(cone, sources):
+    """Rows hi[s] of the dual envelope for the sources, by a running
+    minimum over every line: each entry j >= s starts from its mu = 0 value
+    ts[j] - ts[s] and takes the min with each line of the mu-grid in
+    ascending order, except on pairs across a zero-min step, whose lines
+    are +inf; negative values are -inf.  Row by row, so it also fits the
+    acceptance strip, where `reference_upper` would hold 48 whole tables."""
+    ts = cone.f.ts
+    zcount, mus, B = cone._envelope
+    mur = mus[:, None] * cone.dist_grid
+    hi = np.full((len(sources), cone.f.n, cone.m), -np.inf)
+    for row, s in zip(hi, sources):
+        blk = row[s:]
+        blk[...] = (ts[s:] - ts[s])[:, None]
+        D = B[:, s:] - B[:, s, None]
+        D[:, zcount[s:] > zcount[s]] = np.inf
+        for d, mr in zip(D, mur):
+            np.minimum(blk, d[:, None] - mr, out=blk)
+        blk[blk < 0.0] = -np.inf
+    return hi
+
+
+def _benchmark_cones():
+    """The cones whose upper tables the benchmark builds whole: the cos-arc
+    and sin-arc cones and the cos^(1/i) family with its limit."""
+    arc = circle_arc(1.0, 0.8, 41)
+    ts = np.linspace(-math.pi / 2 * 0.96, math.pi / 2 * 0.96, 101)
+    yield pytest.param(GeneralizedCone(WarpingFunction(ts, np.cos(ts)), arc,
+                                       dist_steps=50, window=8,
+                                       dist_refine=2), id="cos-arc")
+    ts = np.linspace(0.0, math.pi, 101)
+    yield pytest.param(GeneralizedCone(WarpingFunction(ts, np.sin(ts)), arc,
+                                       N=2.0, dist_steps=50, window=8,
+                                       dist_refine=2), id="sin-arc")
+    ts = np.linspace(-math.pi / 2 * 0.98, math.pi / 2 * 0.98, 101)
+    for i in (1, 2, 4, 8, 16):
+        yield pytest.param(GeneralizedCone(
+            WarpingFunction(ts, np.cos(ts) ** (1.0 / i)), segment(1.0, 51),
+            dist_steps=50, window=8), id=f"cos^(1/{i})")
+    yield pytest.param(GeneralizedCone(WarpingFunction(ts, np.ones(101)),
+                                       segment(1.0, 51), dist_steps=50,
+                                       window=8), id="limit")
+
+
+@pytest.mark.parametrize("cone", list(_benchmark_cones()))
+def test_upper_kernel_matches_rows_on_benchmark_cones(cone):
+    # the breakpoint kernel reads a few lines per entry; the running
+    # minimum reads all of them, and the floats must agree everywhere
+    n = cone.f.n
+    assert np.array_equal(_twin(cone).upper_table(),
+                          reference_upper_rows(cone, range(n)))
+
+
+def test_upper_kernel_matches_rows_on_the_acceptance_strip(strip_fine):
+    sources = list(range(0, strip_fine.f.n, 10))
+    assert np.array_equal(strip_fine._build_upper(sources),
+                          reference_upper_rows(strip_fine, sources))
+
+
+@pytest.mark.parametrize("k", [24, 37])
+@pytest.mark.parametrize("r", [1, 4])
+def test_upper_kernel_breakpoint_on_a_cell(k, r):
+    # a fiber length that puts the breakpoint of lines k - 1 and k on the
+    # pair (0, 1) on cell r: the two lines tie there up to rounding, so the
+    # kernel must read both to return the float minimum
+    ts = np.linspace(0.0, 1.0, 11)
+    f = WarpingFunction(ts, 1.0 + ts)
+    _, mus, B = GeneralizedCone(f, segment(1.0, 3), dist_steps=8,
+                                window=4)._envelope
+    slope = np.concatenate([[0.0], mus])
+    L = np.concatenate([[ts[1] - ts[0]], B[:, 1] - B[:, 0]])
+    dr = (L[k] - L[k - 1]) / ((slope[k] - slope[k - 1]) * r)
+    cone = GeneralizedCone(f, segment(8 * dr, 3), dist_steps=8, window=4)
+    assert np.array_equal(cone.upper_table(), reference_upper(cone))
 
 
 def _twin(cone):
