@@ -9,10 +9,13 @@ limit side, |dt| + (max f) * d_fiber; the witness distortion is recorded
 separately.  Quantification over all epsilon-isometries is thereby
 weakened to the single recorded witness.
 
-Verdicts are threshold-based: a finite harness certifies trends, so PASS
-requires the moduli to fall below bracket scale at the largest index, FAIL
-requires a persistent excess beyond 10x bracket scale, everything else is
-INCONCLUSIVE.
+Verdicts come from `transport.verdict` at tol 0.  A finite harness
+certifies trends, so the pessimistic margin is the bracket scale minus the
+worst modulus or GH upper bound at the largest index (PASS when those fall
+below bracket scale).  The optimistic margin is 10x bracket scale minus
+the larger of the last GH lower bound and the smaller worst modulus of
+the last two indices, or -inf when the certified GH lower bound is stuck
+above bracket scale (FAIL on a persistent excess).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import BoundaryPoint, SlopeBoundViolated, require_int
 from .kappa import pi_kappa
 from .metricspace import (FiniteMetricSpace, ball_indices, ball_subspace,
                           gh_distance)
-from .transport import flow_lp
+from .transport import flow_lp, verdict
 from .warp import (WarpingFunction, fk_concavity, log_slope_bound, log_slopes,
                    normalize_and_bound)
 
@@ -376,7 +379,7 @@ def ell_converge_check(seq: ConeSequence, schedule=None) -> dict:
                    if key[0] == nlast]
     last_gh_upper = max(gh[k][nlast][1] for k in gh)
     last_gh_lower = max(gh[k][nlast][0] for k in gh)
-    worst_last = max(last_moduli) if last_moduli else 0.0
+    worst_last = max(last_moduli, default=0.0)
     # persistent excess: the worst modulus over each of the last two indices
     per_index_worst = {}
     for (i, k, l), m in moduli.items():
@@ -388,15 +391,13 @@ def ell_converge_check(seq: ConeSequence, schedule=None) -> dict:
         gh[k][nlast][0] > pass_scale
         and gh[k][nlast][0] >= max(lo for lo, _ in gh[k]) - 1e-12
         for k in gh)
-    if gh_lower_stuck or last_gh_lower > 10.0 * pass_scale \
-            or (tail and min(tail) > 10.0 * pass_scale):
-        verdict = "FAIL"
-    elif worst_last <= pass_scale and last_gh_upper <= pass_scale:
-        verdict = "PASS"
-    else:
-        verdict = "INCONCLUSIVE"
+    # PASS: the last index lies within bracket scale; FAIL: a stuck GH lower
+    # bound or a persistent excess beyond 10x bracket scale
+    pessimistic = pass_scale - max(worst_last, last_gh_upper)
+    optimistic = -math.inf if gh_lower_stuck else \
+        10.0 * pass_scale - max(last_gh_lower, min(tail, default=0.0))
     return {
-        "verdict": verdict,
+        "verdict": verdict(optimistic, pessimistic, 0.0),
         "pass_scale": pass_scale,
         "gh_brackets": {str(k): v for k, v in gh.items()},
         "imprisonment_C": imprisonment_constants(seq),

@@ -6,6 +6,13 @@ empty feasible set raises NotCausallyCouplable.  Costs use the canonical
 (lower) separation table; verifier margins are recomputed against the
 upper table so every verdict carries its bracket width.
 
+Every margin-based verdict of the package comes from `verdict`: PASS
+when the pessimistic margin clears -tol, FAIL when the optimistic margin
+falls below -tol, INCONCLUSIVE otherwise.  The TCD and TMCP verifiers
+take as pessimistic margin the least slot margin over both tables, and as
+optimistic margin that plus the bracket width (the widest slot spread or
+the cone's `bracket_width`, whichever is larger).
+
 Every LP here is a min-cost flow posed through `flow_lp` (a coupling is
 a flow from mu0's atoms to mu1's) and delegated to scipy's HiGHS solver,
 which returns an optimal vertex; determinism comes from the fixed
@@ -142,10 +149,16 @@ def solve_lp(cone, mu0: DiscreteMeasure, mu1: DiscreteMeasure, p: float,
     strict=True restricts admissible pairs to strictly timelike ones.
     Raises NotCausallyCouplable when no admissible coupling exists.
     """
+    mu0, mu1 = _sorted_measure(mu0), _sorted_measure(mu1)
+    return _couple(mu0, mu1, separation_matrix(cone, mu0, mu1), p,
+                   strict=strict)
+
+
+def _couple(mu0: DiscreteMeasure, mu1: DiscreteMeasure, L: np.ndarray,
+            p: float, strict: bool) -> CausalCoupling:
+    """`solve_lp` for sorted measures and their lower separations L."""
     if not (0.0 < p <= 1.0):
         raise ValueError("p must lie in (0, 1]")
-    mu0, mu1 = _sorted_measure(mu0), _sorted_measure(mu1)
-    L = separation_matrix(cone, mu0, mu1)
     feas = L > 0.0 if strict else L >= 0.0
     if not feas.any(axis=1).all() or not feas.any(axis=0).all():
         raise NotCausallyCouplable("an atom has no admissible partner")
@@ -297,24 +310,39 @@ def distortion(K: float, N: float, t: float, theta: float,
 # -- curvature-dimension verifiers -----------------------------------------------
 
 
-def _verdict(min_margin: float, tol: float, bracket: float) -> str:
-    if min_margin >= -tol:
-        return "PASS"
-    if min_margin >= -(tol + bracket):
+def verdict(optimistic: float, pessimistic: float, tol: float) -> str:
+    """The one verdict rule: PASS when the pessimistic margin clears -tol,
+    otherwise FAIL when the optimistic margin falls below -tol, otherwise
+    INCONCLUSIVE.  Infinite margins compare as numbers; a NaN margin reads
+    INCONCLUSIVE."""
+    if math.isnan(optimistic) or math.isnan(pessimistic):
         return "INCONCLUSIVE"
-    return "FAIL"
+    if pessimistic >= -tol:
+        return "PASS"
+    if optimistic < -tol:
+        return "FAIL"
+    return "INCONCLUSIVE"
 
 
 def _margin_report(cone, margins: dict, tol: float) -> dict:
-    """The report tail of per-slot (lower, upper) margins: their finite
-    minimum, the bracket width and the verdict."""
-    finite = [v for pair in margins.values() for v in pair if math.isfinite(v)]
-    min_margin = min(finite) if finite else -math.inf
-    bracket = max(abs(a - b) for a, b in margins.values()) if margins else 0.0
-    bracket = max(bracket, cone.bracket_width())
+    """The report tail of per-slot (lower, upper) margins.  The pessimistic
+    margin, reported as min_margin, is the least margin of all (NaN if one
+    is NaN, -inf with no slot).  bracket_width is the larger of the widest
+    slot spread and the cone's, and the optimistic margin is min_margin
+    plus it; when min_margin is not finite, the optimistic margin is
+    instead the least of the per-slot larger margins (+inf with no slot)."""
+    vals = np.array(list(margins.values()), dtype=float).reshape(-1, 2)
+    spread = [0.0 if a == b else abs(a - b) for a, b in vals.tolist()]
+    bracket = max([cone.bracket_width()] + spread)
+    if not vals.size:
+        pessimistic, optimistic = -math.inf, math.inf
+    else:
+        pessimistic = float(vals.min())
+        optimistic = (pessimistic + bracket if math.isfinite(pessimistic)
+                      else float(vals.max(axis=1).min()))
     return {"margins": {str(t): list(v) for t, v in margins.items()},
-            "min_margin": min_margin, "bracket_width": bracket,
-            "verdict": _verdict(min_margin, tol, bracket)}
+            "min_margin": pessimistic, "bracket_width": bracket,
+            "verdict": verdict(optimistic, pessimistic, tol)}
 
 
 def _density_excluded(measure: DiscreteMeasure, cone,
@@ -358,20 +386,26 @@ def tcd_verify(cone, mu0: DiscreteMeasure, mu1: DiscreteMeasure, p: float,
     """Margin report for the entropic or Renyi timelike curvature-dimension
     inequality along an optimal plan.  Margins are recomputed with the
     upper separations so the verdict can distinguish FAIL from bracket
-    noise (INCONCLUSIVE)."""
+    noise (INCONCLUSIVE).  The strictly timelike LP is solved only when
+    some admissible pair is null."""
     if flavor not in ("entropic", "renyi"):
         raise ValueError("flavor must be 'entropic' or 'renyi'")
-    coupling = solve_lp(cone, mu0, mu1, p)
+    mu0, mu1 = _sorted_measure(mu0), _sorted_measure(mu1)   # the plan's rows
+    L_lo = separation_matrix(cone, mu0, mu1)
+    coupling = _couple(mu0, mu1, L_lo, p, strict=False)
     if coupling.p_value <= 0:
         raise NotTimelikeDualizable("optimal cost vanishes")
-    try:
-        strict = solve_lp(cone, mu0, mu1, p, strict=True)
-    except NotCausallyCouplable as exc:
-        raise NotTimelikeDualizable(str(exc)) from exc
+    # without a null pair the strictly timelike pairs are the admissible
+    # ones, and the strict LP is the same LP
+    strict = coupling
+    if (L_lo == 0.0).any():
+        try:
+            strict = _couple(mu0, mu1, L_lo, p, strict=True)
+        except NotCausallyCouplable as exc:
+            raise NotTimelikeDualizable(str(exc)) from exc
     if strict.p_value < coupling.p_value - 1e-9 * (1 + coupling.p_value):
         raise NotTimelikeDualizable(
             "no optimal coupling concentrated on strictly timelike pairs")
-    mu0, mu1 = strict.mu0, strict.mu1       # sorted, as the plan's rows
 
     def entropic_margin(mu_t, t, L, theta):
         s0 = distortion(K, N, 1.0 - t, theta)
@@ -397,7 +431,7 @@ def tcd_verify(cone, mu0: DiscreteMeasure, mu1: DiscreteMeasure, p: float,
 
     margin = entropic_margin if flavor == "entropic" else renyi_margin
     return {"flavor": flavor, "K": K, "N": N, "p": p, "ell_p": strict.ell_p,
-            **_slot_report(cone, strict, separation_matrix(cone, mu0, mu1),
+            **_slot_report(cone, strict, L_lo,
                            separation_matrix(cone, mu0, mu1, upper=True),
                            t_grid, tol, margin)}
 

@@ -10,8 +10,9 @@ from conelab.errors import (DomainViolation, InsufficientSamples, MixedModels,
 from conelab.model2d import (FourPointConfig, ModelPoint, comparison_interval,
                              config_margin, model_tau, model_tau_nonneg,
                              realize_comparison, tcbb_verify)
+from conelab.curvature import sectional_reduction
 from conelab.metricspace import circle_arc
-from conelab.warp import WarpingFunction
+from conelab.warp import WarpingFunction, fk_concavity, preset
 
 
 def geodesic_oracle(K, p_chart, direction, sigma, steps=4000):
@@ -286,3 +287,19 @@ def test_chunked_draws_match_per_draw_integers():
             got = model2d._draw_indices(chunked, nt, nx, count)
             assert np.array_equal(got, _per_draw(real, nt, nx, count))
             assert chunked.bit_generator.state == real.bit_generator.state
+
+
+def test_cos_warping_k_sign_convention():
+    # for f = cos, f'' + K f <= 0 holds up to K = 1: fk_concavity and the
+    # curvature reductions take K = +1, where tcbb's bound for the same
+    # warping sits at K = -1 (the cone passes there and fails just below)
+    a = 0.48 * math.pi
+    f = preset("cos", -a, a, 101)
+    assert fk_concavity(f, 1.0).is_concave
+    assert not fk_concavity(f, 1.05).is_concave
+    assert sectional_reduction(f, 1.0, 1.0).verdict
+    assert not sectional_reduction(f, 1.05, 1.0).verdict
+    cone = GeneralizedCone(preset("cos", -a, a, 41), circle_arc(1.0, 0.8, 21),
+                           dist_steps=20, window=8)
+    assert tcbb_verify(cone, K=-1.0, samples=300, tol=0.02, seed=5)["pass"]
+    assert not tcbb_verify(cone, K=-1.2, samples=300, tol=0.02, seed=5)["pass"]

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from conelab import transport
 from conelab.cone import GeneralizedCone, minkowski_strip
 from conelab.errors import (AtomNotInPast, NotCausallyCouplable,
                             NotCausallyRelated, NotTimelikeDualizable,
@@ -13,7 +15,7 @@ from conelab.transport import (CausalCoupling, DiscreteMeasure,
                                build_dynamical_plan,
                                check_cyclical_monotonicity, distortion,
                                entropy, separation_matrix, solve_lp,
-                               tcd_verify, tmcp_verify)
+                               tcd_verify, tmcp_verify, verdict)
 from conelab.warp import WarpingFunction
 
 
@@ -421,3 +423,76 @@ def test_verifier_reports_pinned(strip_small, case):
         mu0 = DiscreteMeasure.uniform([(2, 8), (2, 12), (6, 10)])
         got = tmcp_verify(strip_small, mu0, (38, 10), 1.0, 2.0, **kw)
     _assert_same_report(got, want)
+
+
+def test_tcd_solves_the_strict_lp_only_with_a_null_pair(strip_small,
+                                                        monkeypatch):
+    solves = []     # the strict flag of every coupling solve
+
+    def counted(*args, strict):
+        solves.append(strict)
+        return couple(*args, strict=strict)
+
+    couple = transport._couple
+    monkeypatch.setattr(transport, "_couple", counted)
+    m0 = DiscreteMeasure.uniform([(4, 6), (4, 14), (8, 6), (8, 14)])
+    m1 = DiscreteMeasure.uniform([(32, 6), (32, 14), (36, 6), (36, 14)])
+    tcd_verify(strip_small, m0, m1, 0.5, 0.0, 2.0)
+    assert solves == [False]
+    # (0, 0) -> (20, 20) is null and (0, 0) -> (10, 20) spacelike, so the
+    # only coupling sends (0, 0) along the null pair: the cost is positive
+    # through (0, 20) -> (10, 20), and the strict LP has no feasible plan
+    m0 = DiscreteMeasure.uniform([(0, 0), (0, 20)])
+    m1 = DiscreteMeasure.uniform([(20, 20), (10, 20)])
+    assert solve_lp(strip_small, m0, m1, 0.5).p_value > 0
+    solves.clear()
+    with pytest.raises(NotTimelikeDualizable,
+                       match="an atom has no admissible partner"):
+        tcd_verify(strip_small, m0, m1, 0.5, 0.0, 2.0)
+    assert solves == [False, True]
+
+
+@pytest.mark.parametrize("margins, want", [
+    ({0.5: (0.3, -math.inf)}, "INCONCLUSIVE"),
+    ({0.5: (math.nan, 0.3)}, "INCONCLUSIVE"),
+    ({0.25: (0.3, 0.3), 0.5: (np.float64(-np.inf), np.float64(-np.inf))},
+     "FAIL"),
+])
+def test_margin_report_keeps_infinite_and_nan_margins(strip_small, margins,
+                                                      want):
+    rep = transport._margin_report(strip_small, margins, 0.05)
+    assert rep["verdict"] == want
+    assert not rep["min_margin"] >= 0.0
+
+
+def test_tmcp_without_a_slot_is_inconclusive(strip_small):
+    mu0 = DiscreteMeasure.dirac((2, 10))
+    rep = tmcp_verify(strip_small, mu0, (38, 10), 0.0, 2.0, t_grid=[1.0])
+    assert rep["excluded"] == [1.0] and rep["margins"] == {}
+    assert rep["verdict"] == "INCONCLUSIVE"
+    assert rep["min_margin"] == -math.inf
+
+
+_MARGIN = st.floats(allow_nan=True, allow_infinity=True)
+_TOL = st.floats(min_value=0.0, max_value=1e6)
+_RANK = {"FAIL": 0, "INCONCLUSIVE": 1, "PASS": 2}
+
+
+@given(_MARGIN, _MARGIN, _TOL, _TOL)
+def test_verdict_is_monotone_in_tol(optimistic, pessimistic, tol_a, tol_b):
+    lo, hi = sorted((tol_a, tol_b))
+    assert (_RANK[verdict(optimistic, pessimistic, lo)]
+            <= _RANK[verdict(optimistic, pessimistic, hi)])
+
+
+@given(_MARGIN, _MARGIN, _TOL)
+def test_verdict_is_sound_at_the_edges(optimistic, pessimistic, tol):
+    got = verdict(optimistic, pessimistic, tol)
+    if optimistic >= pessimistic >= -tol:
+        assert got == "PASS"
+    if math.isnan(optimistic) or math.isnan(pessimistic):
+        assert got == "INCONCLUSIVE"
+    if got == "PASS":
+        assert pessimistic >= -tol
+    if got == "FAIL":
+        assert optimistic < -tol
