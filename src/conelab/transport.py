@@ -13,12 +13,20 @@ take as pessimistic margin the least slot margin over both tables, and as
 optimistic margin that plus the bracket width (the widest slot spread or
 the cone's `bracket_width`, whichever is larger).
 
-Every LP here is a min-cost flow posed through `flow_lp` (a coupling is
-a flow from mu0's atoms to mu1's) and delegated to scipy's HiGHS solver,
-which returns an optimal vertex; determinism comes from the fixed
-lexicographic ordering of the support atoms.  Test oracles (basis
-enumeration, permutation search) are implemented independently of this
-path.
+A coupling is solved on one of two paths, chosen by the input alone.
+When mu0 and mu1 have the same number of atoms and every mass of both is
+the same number, some optimal vertex is a permutation (Birkhoff-von
+Neumann), so the LP is an assignment problem: scipy's
+`linear_sum_assignment` solves it, and `_certify` accepts the matching
+only when Bellman-Ford finds no negative cycle in its residual graph
+(Villani 2009, Thm 5.10), each unmatched arc's cost raised by
+CERTIFY_TOL * (max |cost| + 1).  Every other LP (unequal masses or atom
+counts, and the W1 flows of `converge`) is a min-cost flow posed through
+`flow_lp` (a coupling is a flow from mu0's atoms to mu1's) and delegated
+to scipy's HiGHS solver, which returns an optimal vertex.  Determinism
+comes from the fixed lexicographic ordering of the support atoms.  Test
+oracles (basis enumeration, permutation search) are implemented
+independently of both paths.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_matrix
 
 from .errors import (AtomNotInPast, NotCausallyCouplable,
@@ -36,6 +44,8 @@ from .kappa import pi_kappa, sin_kappa
 
 MASS_TOL = 1e-12
 MARGINAL_TOL = 1e-10
+SUPPORT_TOL = 1e-12       # plan entries above this are support pairs
+CERTIFY_TOL = 1e-12       # relative slack of the assignment certificate
 DENSITY_CAP_RATIO = 1e6   # verifier slices denser than this are excluded
 T_GRID = tuple(k / 8 for k in range(1, 8))   # verifier slots t
 
@@ -131,13 +141,16 @@ class CausalCoupling:
         return self.p_value ** (1.0 / self.p)
 
     def support(self):
-        """The (i, j) pairs of mass > 1e-12, as Python ints, row major."""
-        return list(zip(*(a.tolist() for a in np.nonzero(self.table > 1e-12))))
+        """The (i, j) pairs of mass > SUPPORT_TOL, as Python ints, row
+        major."""
+        return list(zip(*(a.tolist()
+                          for a in np.nonzero(self.table > SUPPORT_TOL))))
 
     def l2_tau_norm(self, L) -> float:
         """L2 norm, against the plan, of the positive part of the separation
-        matrix L between the atoms of mu0 (rows) and mu1 (columns)."""
-        sup = self.table > 1e-15
+        matrix L between the atoms of mu0 (rows) and mu1 (columns), over
+        the support pairs."""
+        sup = self.table > SUPPORT_TOL
         vals = np.where(sup, np.maximum(L, 0.0), 0.0)
         return float(np.sqrt((vals ** 2 * self.table).sum()))
 
@@ -149,32 +162,87 @@ def solve_lp(cone, mu0: DiscreteMeasure, mu1: DiscreteMeasure, p: float,
     strict=True restricts admissible pairs to strictly timelike ones.
     Raises NotCausallyCouplable when no admissible coupling exists.
     """
+    _require_exponent(p)
     mu0, mu1 = _sorted_measure(mu0), _sorted_measure(mu1)
     return _couple(mu0, mu1, separation_matrix(cone, mu0, mu1), p,
                    strict=strict)
 
 
-def _couple(mu0: DiscreteMeasure, mu1: DiscreteMeasure, L: np.ndarray,
-            p: float, strict: bool) -> CausalCoupling:
-    """`solve_lp` for sorted measures and their lower separations L."""
+def _require_exponent(p: float) -> None:
+    """Reject a cost exponent outside (0, 1] before any table is read."""
     if not (0.0 < p <= 1.0):
         raise ValueError("p must lie in (0, 1]")
+
+
+def _couple(mu0: DiscreteMeasure, mu1: DiscreteMeasure, L: np.ndarray,
+            p: float, strict: bool) -> CausalCoupling:
+    """`solve_lp` for sorted measures and their lower separations L: by
+    certified assignment when both measures have the same atom count and
+    every mass equal to mu0's first, by the HiGHS flow LP otherwise."""
     feas = L > 0.0 if strict else L >= 0.0
     if not feas.any(axis=1).all() or not feas.any(axis=0).all():
         raise NotCausallyCouplable("an atom has no admissible partner")
-    ii, jj = np.nonzero(feas)
-    cost = -(np.maximum(L[ii, jj], 0.0) ** p)
-    # the plan as a flow from mu0's atoms (supply) to mu1's (demand)
-    res = flow_lp(ii, jj + len(mu0.points), cost,
-                  np.concatenate([mu0.masses, -mu1.masses]))
-    if res.status == 2:
-        raise NotCausallyCouplable("no coupling supported on admissible pairs")
-    if not res.success:
-        raise RuntimeError(f"LP solver failed: {res.message}")
+    gain = np.maximum(L, 0.0) ** p
+    m = mu0.masses[0]
+    if L.shape[0] == L.shape[1] and (mu0.masses == m).all() \
+            and (mu1.masses == m).all():
+        cost = np.where(feas, -gain, np.inf)
+        try:
+            rows, cols = linear_sum_assignment(cost)
+        except ValueError as exc:       # no perfect admissible matching
+            raise NotCausallyCouplable(
+                "no coupling supported on admissible pairs") from exc
+        _certify(cost, cols)
+        mass = mu0.masses[rows]
+    else:
+        rows, cols = np.nonzero(feas)
+        # the plan as a flow from mu0's atoms (supply) to mu1's (demand)
+        res = flow_lp(rows, cols + len(mu0.points), -gain[rows, cols],
+                      np.concatenate([mu0.masses, -mu1.masses]))
+        if res.status == 2:
+            raise NotCausallyCouplable(
+                "no coupling supported on admissible pairs")
+        if not res.success:
+            raise RuntimeError(f"LP solver failed: {res.message}")
+        mass = np.maximum(res.x, 0.0)
     table = np.zeros(L.shape)
-    table[ii, jj] = np.maximum(res.x, 0.0)
-    p_value = float((np.maximum(L, 0.0) ** p * np.where(feas, table, 0.0)).sum())
+    table[rows, cols] = mass
+    p_value = float((gain * table).sum())
     return CausalCoupling(mu0=mu0, mu1=mu1, table=table, p=p, p_value=p_value)
+
+
+def _certify(cost: np.ndarray, match: np.ndarray) -> None:
+    """Raise RuntimeError unless the perfect matching r -> match[r]
+    minimizes the total of `cost` (+inf off the admissible pairs).
+
+    The matching is optimal exactly when its residual graph has no negative
+    cycle: row -> column arcs on the admissible unmatched pairs at their
+    cost, column -> row arcs on the matched pairs at minus theirs.  Each
+    row -> column arc is raised by CERTIFY_TOL * (max |cost| + 1), so ties
+    and rounding pass, and Bellman-Ford runs from a virtual source with a
+    zero arc to every row."""
+    # imported here: loading csgraph with the package raised every
+    # pipeline's peak RSS by 1-2 MB
+    from scipy.sparse.csgraph import NegativeCycleError, bellman_ford
+    n = len(match)
+    rows = np.arange(n)
+    admissible = np.isfinite(cost)
+    slack = CERTIFY_TOL * (np.abs(cost[admissible]).max() + 1.0)
+    free = admissible.copy()
+    free[rows, match] = False
+    fr, fc = np.nonzero(free)
+    # nodes: rows 0..n-1, columns n..2n-1, the source 2n
+    graph = coo_matrix(
+        (np.concatenate([cost[fr, fc] + slack, -cost[rows, match],
+                         np.zeros(n)]),
+         (np.concatenate([fr, match + n, np.full(n, 2 * n)]),
+          np.concatenate([fc + n, rows, rows]))),
+        shape=(2 * n + 1, 2 * n + 1))
+    try:
+        bellman_ford(graph, indices=2 * n)
+    except NegativeCycleError as exc:
+        raise RuntimeError("assignment not optimal: its residual graph has "
+                           "a negative cycle") from exc
 
 
 def check_cyclical_monotonicity(cone, coupling: CausalCoupling, p: float,
@@ -390,6 +458,7 @@ def tcd_verify(cone, mu0: DiscreteMeasure, mu1: DiscreteMeasure, p: float,
     some admissible pair is null."""
     if flavor not in ("entropic", "renyi"):
         raise ValueError("flavor must be 'entropic' or 'renyi'")
+    _require_exponent(p)
     mu0, mu1 = _sorted_measure(mu0), _sorted_measure(mu1)   # the plan's rows
     L_lo = separation_matrix(cone, mu0, mu1)
     coupling = _couple(mu0, mu1, L_lo, p, strict=False)

@@ -514,6 +514,28 @@ def test_bad_numbers_in_an_input_file_are_a_value_error(workdir, command,
     assert "bad.json" in rep["message"]
 
 
+@pytest.mark.parametrize("command", ["ot", "tcd"])
+def test_bad_exponent_fails_before_the_tables(workdir, monkeypatch, command):
+    # p is checked before the separations are read: no lower row is built
+    rows = []
+    build = cone_mod.GeneralizedCone._build_lower
+
+    def counted(self, sources):
+        out = build(self, sources)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(cone_mod.GeneralizedCone, "_build_lower", counted)
+    extra = {"ot": ["--seed", 1], "tcd": ["--K", 0.0, "--N", 2.0]}[command]
+    out = workdir / f"o_{command}_p"
+    assert run_cli(["--out", out, command, "--cone", workdir / "cone.json",
+                    "--mu0", workdir / "mu0.json", "--mu1", workdir / "mu1.json",
+                    "--p", 1.5, *extra]) == 1
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "VALUE_ERROR" and "p must lie" in rep["message"]
+    assert rows == []
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_tcbb_bad_sample_count_is_a_value_error(workdir, samples):
     # reported as INSUFFICIENT_SAMPLES after 0 draws

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from conelab import transport
 from conelab.cone import GeneralizedCone, minkowski_strip
@@ -114,6 +114,150 @@ def test_not_causally_couplable_through_the_lp(strip_small):
     with pytest.raises(NotCausallyCouplable,
                        match="no coupling supported on admissible pairs"):
         solve_lp(strip_small, mu0, mu1, 0.5)
+
+
+@pytest.fixture()
+def flow_lp_calls(monkeypatch):
+    """Every coupling solve that reaches HiGHS, counted."""
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return flow_lp(*args)
+
+    flow_lp = transport.flow_lp
+    monkeypatch.setattr(transport, "flow_lp", counted)
+    return calls
+
+
+def _highs_p_value(L, mu0, mu1, p, strict):
+    """The optimum of the same arcs through flow_lp, or None when HiGHS
+    finds the LP infeasible."""
+    feas = L > 0.0 if strict else L >= 0.0
+    ii, jj = np.nonzero(feas)
+    gain = np.maximum(L[ii, jj], 0.0) ** p
+    res = transport.flow_lp(ii, jj + len(mu0.points), -gain,
+                            np.concatenate([mu0.masses, -mu1.masses]))
+    if res.status == 2:
+        return None
+    assert res.success
+    return float(gain @ res.x)
+
+
+_ATOMS = st.tuples(st.integers(0, 25), st.integers(0, 20))
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@settings(max_examples=50, deadline=None)
+@given(cone_name=st.sampled_from(["strip_small", "cos_arc_cone"]),
+       atoms=st.lists(_ATOMS, min_size=2, max_size=12, unique=True),
+       null=st.integers(1, 10), p=st.sampled_from([0.25, 0.5, 0.8, 1.0]))
+def test_equal_mass_assignment_matches_highs(request, strict, cone_name,
+                                             atoms, null, p):
+    # mu0's times overlap mu1's, so that some pairs are spacelike or run
+    # backward and some draws have no perfect admissible matching; mu1's
+    # first atom is null-related to mu0's first on the strip
+    cone = request.getfixturevalue(cone_name)
+    n = len(atoms) // 2
+    a = atoms[:n]
+    b = [(t + 15, x) for t, x in atoms[n:2 * n]]
+    t0, x0 = a[0]
+    tip = (t0 + null, x0 + null if x0 + null <= 20 else x0 - null)
+    if tip not in b:
+        b[0] = tip
+    mu0 = transport._sorted_measure(DiscreteMeasure.uniform(a))
+    mu1 = transport._sorted_measure(DiscreteMeasure.uniform(b))
+    L = separation_matrix(cone, mu0, mu1)
+    feas = L > 0.0 if strict else L >= 0.0
+    want = (_highs_p_value(L, mu0, mu1, p, strict)
+            if feas.any(axis=0).all() and feas.any(axis=1).all() else None)
+    event(f"null pair={bool((L == 0.0).any())}, "
+          f"{'no perfect matching' if want is None else 'matched'}")
+    if want is None:
+        with pytest.raises(NotCausallyCouplable):
+            solve_lp(cone, mu0, mu1, p, strict=strict)
+        return
+    c = solve_lp(cone, mu0, mu1, p, strict=strict)
+    # exact: the best admissible permutation; HiGHS stops within its dual
+    # tolerance (an 8 x 8 draw at p = 1 read 4.2e-9 below the optimum), so
+    # the assignment is never below it and at most 1e-7 above
+    perms = np.array(list(itertools.permutations(range(n))))
+    gain = np.where(feas, np.maximum(L, 0.0) ** p, -np.inf)
+    best = gain[np.arange(n), perms].sum(axis=1).max() / n
+    assert c.p_value == pytest.approx(best, abs=1e-12)
+    assert want - 1e-12 <= c.p_value <= want + 1e-7
+    # a permutation matrix scaled by 1/n, on admissible pairs only
+    assert np.count_nonzero(c.table) == n
+    assert (c.table.max(axis=0) == 1.0 / n).all()
+    assert (c.table.max(axis=1) == 1.0 / n).all()
+    assert feas[c.table > 0].all()
+
+
+def test_certify_rejects_a_swapped_match(strip_small):
+    m0 = DiscreteMeasure.uniform([(0, 2), (0, 8), (0, 14), (0, 20)])
+    m1 = DiscreteMeasure.uniform([(40, 2), (40, 8), (40, 14), (40, 20)])
+    L = separation_matrix(strip_small, m0, m1)
+    cost = np.where(L >= 0.0, -(np.maximum(L, 0.0) ** 0.5), np.inf)
+    transport._certify(cost, np.arange(4))
+    with pytest.raises(RuntimeError, match="negative cycle"):
+        transport._certify(cost, np.array([1, 0, 2, 3]))
+
+
+def test_certify_accepts_tied_optima(strip_small):
+    # on one fiber point, tau is the time gap, so at p = 1 every matching
+    # of these atoms costs the same: each residual cycle costs zero, up to
+    # rounding of the table's sums
+    m0 = DiscreteMeasure.uniform([(0, 10), (1, 10), (3, 10), (6, 10)])
+    m1 = DiscreteMeasure.uniform([(30, 10), (33, 10), (37, 10), (40, 10)])
+    L = separation_matrix(strip_small, m0, m1)
+    cost = np.where(L >= 0.0, -L, np.inf)
+    totals = []
+    for perm in itertools.permutations(range(4)):
+        transport._certify(cost, np.array(perm))
+        totals.append(cost[range(4), perm].sum())
+    assert max(totals) - min(totals) <= 1e-12
+
+
+def test_uniform_hall_failure_raises_like_the_lp(strip_small, flow_lp_calls):
+    # every atom has a causal partner, but (0, 0) and (0, 2) both reach only
+    # (4, 1): no perfect matching of admissible pairs exists
+    mu0 = DiscreteMeasure.uniform([(0, 0), (0, 2), (0, 20)])
+    mu1 = DiscreteMeasure.uniform([(4, 1), (4, 19), (4, 20)])
+    with pytest.raises(NotCausallyCouplable,
+                       match="no coupling supported on admissible pairs"):
+        solve_lp(strip_small, mu0, mu1, 0.5)
+    assert flow_lp_calls == []
+
+
+def test_only_unequal_masses_reach_highs(strip_small, flow_lp_calls):
+    top = [(38, 4), (38, 10), (38, 16)]
+    equal = [(DiscreteMeasure.uniform([(2, 4), (2, 10), (2, 16)]),
+              DiscreteMeasure.uniform(top)),
+             (DiscreteMeasure.dirac((0, 10)), DiscreteMeasure.dirac((40, 10)))]
+    for mu0, mu1 in equal:
+        solve_lp(strip_small, mu0, mu1, 0.5)
+        tcd_verify(strip_small, mu0, mu1, 0.5, 0.0, 2.0, t_grid=[0.5])
+    assert flow_lp_calls == []
+    unequal = [(DiscreteMeasure.uniform([(2, 4), (2, 16)]),        # counts
+                DiscreteMeasure.uniform(top)),
+               (DiscreteMeasure(((2, 4), (2, 10), (2, 16)),        # masses
+                                np.array([0.5, 0.25, 0.25])),
+                DiscreteMeasure.uniform(top))]
+    for mu0, mu1 in unequal:
+        solve_lp(strip_small, mu0, mu1, 0.5)
+    assert len(flow_lp_calls) == 2
+
+
+@pytest.mark.parametrize("p", [0.0, 1.5, math.nan])
+def test_bad_exponent_reads_no_table(strip_small, p, monkeypatch):
+    def refused(*args):
+        raise AssertionError("a separation was read")
+
+    monkeypatch.setattr(transport, "separation_matrix", refused)
+    mu0, mu1 = DiscreteMeasure.dirac((0, 10)), DiscreteMeasure.dirac((40, 10))
+    for verify in (solve_lp, lambda *a: tcd_verify(*a, 0.0, 2.0)):
+        with pytest.raises(ValueError, match=r"p must lie in \(0, 1\]"):
+            verify(strip_small, mu0, mu1, p)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
