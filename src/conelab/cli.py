@@ -124,10 +124,12 @@ def run_tau(args, outdir: Path) -> dict:
         report["pair"] = {"p": list(p), "q": list(q), "lo": lo, "hi": hi}
         rows = [(cone.f.ts[p[0]], cone.f.ts[q[0]],
                  cone.X.dist[p[1], q[1]], lo, hi)]
+        key, sources = "rows_bracket_width", [p[0]]
     else:
         rows = cone.export_rows()
+        key, sources = "bracket_width", None
     _write_csv(outdir, "tau.csv", ("s", "t", "r", "lo", "hi"), rows)
-    report["bracket_width"] = cone.bracket_width()
+    report[key] = cone.bracket_width(sources)
     return report
 
 
@@ -157,7 +159,8 @@ def run_ot(args, outdir: Path) -> dict:
     _write_csv(outdir, "coupling.csv", ("i", "j", "mass"), rows)
     return {"p": args.p, "p_value": coupling.p_value,
             "ell_p": coupling.ell_p, "support": len(rows),
-            "cyclical_slack": slack, "bracket_width": cone.bracket_width()}
+            "cyclical_slack": slack,
+            "rows_bracket_width": cone.bracket_width([t for t, _ in mu0.points])}
 
 
 def run_tcd(args, outdir: Path) -> dict:

@@ -31,12 +31,14 @@ and min is exact, so the table is that minimum bit for bit; soundness
 holds whichever lines are read, since each line is a weak-dual bound.
 
 Tables are built only as far as the reads need them, by one rule for
-both, kept in `_store`: a read that misses one row computes and appends
-it, and any other miss builds the whole table in source order.  `_store`
-is also the one place where the memory budget, MAX_TABLE_BYTES of stored
-rows per table, is checked.  `bracket_width` streams the rows of both
-tables and stores none: one block of lower rows at a time, and within it
-one upper row at a time.
+both, kept in `_store`: a read computes the rows it misses in one kernel
+call and appends them, and the read that completes a table leaves it in
+source order.  `_store` is also the one place where the memory budget,
+MAX_TABLE_BYTES of stored rows per table, is checked.  `bracket_width`
+takes the width over the source rows asked for (every row by default)
+and streams them from both tables, storing none: one block of lower rows
+at a time, and within it one upper row at a time.  So a query that reads
+a few source rows pays for those rows alone, width included.
 
 Real fiber distances are rounded up (lo) / down (hi) onto the distance
 grid; since tau is nonincreasing in the distance argument this preserves
@@ -320,13 +322,15 @@ class GeneralizedCone:
         """The (rows, slot) pair of the lower or upper table, with the rows
         of the sources (ints or an integer array) stored.
 
-        One rule for both tables: a read that misses one row computes and
-        appends it, and any other miss drops the rows stored before and
-        builds the whole table in source order.  An append that completes
-        the table copies the stored rows into one new table in source
-        order and writes the new row there.  Before computing, the
-        read is refused with ResourceLimit when the rows the table would
-        hold after it exceed MAX_TABLE_BYTES.  The caller reads the
+        One rule for both tables: a read computes the rows it misses in one
+        kernel call.  While the table stays incomplete, they are appended
+        to the stored rows in one copy.  A read that completes the table
+        by its one missing row copies the stored rows into one new table
+        in source order and writes the new row there; one that completes
+        it by several rows drops the stored rows and builds the whole table
+        in source order, keeping the kernel's own array.  Before computing,
+        the read is refused with ResourceLimit when the rows the table
+        would hold after it exceed MAX_TABLE_BYTES.  The caller reads the
         returned pair, not self._stored: a racing thread may replace the
         stored pair by one without these rows."""
         rows, slot = stored = self._stored[upper]
@@ -335,16 +339,16 @@ class GeneralizedCone:
             return stored
         n = self.f.n
         missing = np.unique(np.asarray(sources)[miss])
-        held = len(rows) + 1 if missing.size == 1 else n
+        held = len(rows) + missing.size
         if held * n * self.m * 8 > MAX_TABLE_BYTES:
             raise ResourceLimit(
                 f"{'upper' if upper else 'lower'} table would hold {held} "
                 f"rows of {n * self.m * 8} bytes (budget "
                 f"{MAX_TABLE_BYTES:.3g} bytes)")
         build = self._build_upper if upper else self._build_lower
-        if missing.size == 1 and held < n:
+        if held < n:
             slot = slot.copy()
-            slot[missing] = len(rows)
+            slot[missing] = np.arange(len(rows), held)
             stored = np.concatenate([rows, build(missing)]), slot
         elif missing.size == 1:
             table = np.empty((n, n, self.m))
@@ -417,24 +421,29 @@ class GeneralizedCone:
     def causally_related(self, p, q) -> bool:
         return self.signed_separation(p, q) >= 0.0
 
-    def bracket_width(self) -> float:
-        """Max over grid entries of hi - lo on the causally related set
-        (lo >= 0), 0.0 when it is empty.
+    def bracket_width(self, sources=None) -> float:
+        """Max of hi - lo over the grid entries of the source rows (every
+        row when sources is None) on the causally related set (lo >= 0),
+        0.0 when it is empty.
 
-        Streams both tables over blocks of source rows and stores neither.
-        Per block of at most LOWER_BLOCK lower entries, the lower rows not
-        stored are computed in one kernel call; then each source's stored
-        rows are read in place and its missing upper row computed alone.
-        The block is released before the next is computed.  A row of either
-        kernel does not depend on the sources computed with it and max is
-        exact, so the value does not depend on the blocks.  Columns before
-        a row's source are -inf in lo and are skipped."""
+        Streams the rows of both tables over blocks of sources and stores
+        none.  Per block of at most LOWER_BLOCK lower entries, the lower
+        rows not stored are computed in one kernel call (none when all are
+        stored); then each source's stored rows are read in place and its
+        missing upper row computed alone.  The block is released before
+        the next is computed.  A row of either kernel does not depend on
+        the sources computed with it and max is exact, so the value does
+        not depend on the blocks.  Columns before a row's source are -inf
+        in lo and are skipped."""
+        src = (np.arange(self.f.n) if sources is None
+               else np.unique(np.asarray(sources, dtype=int)))
         # unbudgeted, as it stores nothing: it holds one block of lower
         # rows and one upper row besides the stored rows
         widths = []
-        for block in self._source_blocks(np.arange(self.f.n)):
+        for block in self._source_blocks(src):
             (lows, lslot), (ups, uslot) = self._stored
-            new = iter(self._build_lower(block[lslot[block] < 0]))
+            need = block[lslot[block] < 0]
+            new = iter(self._build_lower(need) if need.size else ())
             for s in block.tolist():
                 lo = lows[lslot[s]] if lslot[s] >= 0 else next(new)
                 hi = ups[uslot[s]] if uslot[s] >= 0 else self._build_upper([s])[0]

@@ -66,9 +66,10 @@ def _rows(*vals):
 
 def _lib(fn, live, *args):
     """`math` function `fn` at the live rows, nan elsewhere.  numpy's own
-    float64 transcendentals can differ from these in the last ulp, and so
-    can `x * x` from `x ** 2`, which is libm's pow.  Scalar arguments
-    give a scalar, evaluated once if any row is live."""
+    float64 transcendentals can differ from these in the last ulp.  Squares
+    do not come here: `x * x` is correctly rounded on every host, where
+    libm's pow (`x ** 2`) need not be.  Scalar arguments give a scalar,
+    evaluated once if any row is live."""
     if all(np.ndim(x) == 0 for x in args):
         return fn(*args) if live.any() else np.nan
     out = np.full(live.shape, np.nan)
@@ -377,7 +378,7 @@ def _enclose(K: float, a, b1, c1, b2, c2, code):
         possible = dt[1] >= xs[0]
 
         def sq(x, on):
-            return _lib(math.pow, on, x, 2.0)
+            return np.where(on, x * x, np.nan)
 
         on = live & possible
         T_hi = np.where(on, np.sqrt(_max(sq(dt[1], on) - sq(xs[0], on), 0.0)), 0.0)
@@ -554,6 +555,9 @@ def tcbb_verify(cone, K: float, samples: int = 200, tol: float = 0.02,
     the draw that completes `samples` valid configurations.
     """
     require_int("samples", samples, 1)
+    # both whole tables, one kernel call each: the draws read rows all over
+    # the grid, and the report's bracket_width reads every row
+    cone.tables()
     min_sep = 4.0 * float(np.mean(np.diff(cone.f.ts))) * max(1.0, cone.f.max())
     pi_bound = pi_kappa(-K)
     rng = np.random.default_rng(seed)

@@ -398,7 +398,11 @@ def _margin_report(cone, margins: dict, tol: float) -> dict:
     is NaN, -inf with no slot).  bracket_width is the larger of the widest
     slot spread and the cone's, and the optimistic margin is min_margin
     plus it; when min_margin is not finite, the optimistic margin is
-    instead the least of the per-slot larger margins (+inf with no slot)."""
+    instead the least of the per-slot larger margins (+inf with no slot).
+
+    The cone's width reads every row of both tables, so its callers read
+    the whole tables first (`cone.tables()`), each in one kernel call,
+    rather than a few rows and the rest later."""
     vals = np.array(list(margins.values()), dtype=float).reshape(-1, 2)
     spread = [0.0 if a == b else abs(a - b) for a, b in vals.tolist()]
     bracket = max([cone.bracket_width()] + spread)
@@ -459,6 +463,7 @@ def tcd_verify(cone, mu0: DiscreteMeasure, mu1: DiscreteMeasure, p: float,
     if flavor not in ("entropic", "renyi"):
         raise ValueError("flavor must be 'entropic' or 'renyi'")
     _require_exponent(p)
+    cone.tables()     # one kernel call per table; see `_margin_report`
     mu0, mu1 = _sorted_measure(mu0), _sorted_measure(mu1)   # the plan's rows
     L_lo = separation_matrix(cone, mu0, mu1)
     coupling = _couple(mu0, mu1, L_lo, p, strict=False)
@@ -511,6 +516,7 @@ def tmcp_verify(cone, mu0: DiscreteMeasure, x1, K: float, N: float,
 
     The only admissible coupling is the product mu0 x delta_{x1}.  The t=1
     slot is always excluded (Dirac endpoint, density blow-up)."""
+    cone.tables()     # one kernel call per table; see `_margin_report`
     mu1 = DiscreteMeasure.dirac(x1)
     L_lo = separation_matrix(cone, mu0, mu1)
     bad = [q for q, tau in zip(mu0.points, L_lo[:, 0]) if tau <= 0.0]

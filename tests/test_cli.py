@@ -119,8 +119,8 @@ def _stored(cone, upper):
 
 def test_every_row_goes_through_the_two_kernels(workdir, monkeypatch):
     # the benchmark times the lower DP and the upper envelope at
-    # _build_lower and _build_upper: tau --p --q computes each row of both
-    # tables there exactly once, and geodesic only its source's lower row
+    # _build_lower and _build_upper: tau --p --q computes there only its
+    # source's row of each table, and geodesic its source's lower row
     made = {"lower": 0, "upper": 0}
 
     def counted(name, kind):
@@ -137,7 +137,7 @@ def test_every_row_goes_through_the_two_kernels(workdir, monkeypatch):
     monkeypatch.setattr(cone_mod, "LOWER_BLOCK", 2 ** 14)
     args = ["--cone", workdir / "cone.json", "--p", "3,2", "--q", "30,1"]
     assert run_cli(["--out", workdir / "o_tau", "tau", *args]) == 0
-    assert made == {"lower": 41, "upper": 41}
+    assert made == {"lower": 1, "upper": 1}
     made.update(lower=0, upper=0)
     assert run_cli(["--out", workdir / "o_geo", "geodesic", *args]) == 0
     assert made == {"lower": 1, "upper": 0}
@@ -155,8 +155,8 @@ def _write_strip_81(tmp_path):
 
 
 def test_tau_pair_peak_memory_is_one_table(tmp_path, monkeypatch):
-    # an 81 x 81 x 301 strip: the lower table, one upper row and the
-    # streamed blocks of bracket_width, never a second full table
+    # an 81 x 81 x 301 strip: the pair's row of each table, never a whole
+    # table
     _write_strip_81(tmp_path)
     cones = _keep_loaded_cones(monkeypatch)
     tracemalloc.start()
@@ -174,7 +174,8 @@ def test_tau_pair_peak_memory_is_one_table(tmp_path, monkeypatch):
 
 def test_tau_pair_streams_lower_blocks(tmp_path, monkeypatch):
     # with blocks of at most 10 lower rows, tau --p --q stores no lower
-    # table: it holds one block, the pair's row and blocks of upper rows
+    # table, and its width is over the pair's row alone; the cone's
+    # width, streamed block by block, is at least that
     _write_strip_81(tmp_path)
     monkeypatch.setattr(cone_mod, "LOWER_BLOCK", 2 ** 18)
     cones = _keep_loaded_cones(monkeypatch)
@@ -189,10 +190,11 @@ def test_tau_pair_streams_lower_blocks(tmp_path, monkeypatch):
     (cone,) = cones
     assert _stored(cone, False) == [10]
     width = json.loads((tmp_path / "o" / "report.json").read_text())[
-        "bracket_width"]
+        "rows_bracket_width"]
     lo = cone.lower_table()
     assert peak <= 0.5 * lo.nbytes
-    assert cone.bracket_width() == width
+    assert cone.bracket_width([10]) == width
+    assert width <= cone.bracket_width()
 
 
 def test_table_budget_counts_stored_rows(workdir, monkeypatch):
@@ -305,6 +307,21 @@ def test_ot_and_noncouplable(workdir):
     assert code == 1
     rep = json.loads((bad / "report.json").read_text())
     assert rep["error"] == "NOT_CAUSALLY_COUPLABLE"
+
+
+def test_ot_reads_only_the_rows_of_mu0(workdir, monkeypatch):
+    # both atoms of mu0 sit at time 2: ot stores that lower row alone, and
+    # its width is over that row of both tables
+    cones = _keep_loaded_cones(monkeypatch)
+    out = workdir / "o_ot_rows"
+    assert run_cli(["--out", out, "ot", "--cone", workdir / "cone.json",
+                    "--mu0", workdir / "mu0.json", "--mu1", workdir / "mu1.json",
+                    "--p", 0.5, "--seed", 1]) == 0
+    (cone,) = cones
+    assert _stored(cone, False) == [2] and _stored(cone, True) == []
+    rep = json.loads((out / "report.json").read_text())
+    assert "bracket_width" not in rep
+    assert rep["rows_bracket_width"] == cone.bracket_width([2])
 
 
 def test_tcd_tmcp(workdir):

@@ -471,16 +471,12 @@ def stored(cone, upper):
     return np.flatnonzero(cone._stored[upper][1] >= 0).tolist()
 
 
-def stored_after(before, touched, n):
+def stored_after(before, touched):
     """The rows stored after a read that touches the sources `touched`,
-    by the one rule: a read that misses one row, while another stays
-    missing, adds it; any other miss stores the whole table."""
-    missing = set(touched) - set(before)
-    if not missing:
-        return sorted(before)
-    if len(missing) == 1 and len(before) < n - 1:
-        return sorted(set(before) | missing)
-    return list(range(n))
+    by the one rule: a read stores the rows it misses, so the stored rows
+    are the union of the sources read (all n once it completes the
+    table)."""
+    return sorted(set(before) | set(touched))
 
 
 def _rule_cones():
@@ -517,23 +513,31 @@ def test_storage_rule(cone, upper):
     read(one, [5, 5, 5])
     read(one, [3, 5])
     assert stored(one, upper) == [3, 5]
-    # a read that misses several rows stores the whole table in source
-    # order, with or without rows stored before
+    # a read that misses several rows appends just those, after the rows
+    # stored before
     read(one, [0, 1, 3])
+    assert stored(one, upper) == [0, 1, 3, 5]
+    assert one._stored[upper][1][[3, 5, 0, 1]].tolist() == [0, 1, 2, 3]
+    # one that completes the table by several rows stores it whole, in
+    # source order
+    read(one, np.arange(n))
     whole(one)
     many = _twin(cone)
     read(many, [[6], [2]])
+    assert stored(many, upper) == [2, 6]
+    read(many, np.arange(n - 1, -1, -1))
     whole(many)
     # the last missing row stores the whole table
     last = _twin(cone)
     for s in range(n - 1, -1, -1):
         read(last, s)
-        assert stored(last, upper) == stored_after(range(s + 1, n), [s], n)
+        assert stored(last, upper) == stored_after(range(s + 1, n), [s])
     whole(last)
     # the table's own accessor and bracket_width store nothing more
     later = _twin(cone)
     read(later, 4)
     later.bracket_width()
+    later.bracket_width([1, 4])
     assert stored(later, upper) == [4] and stored(later, not upper) == []
     assert np.array_equal(
         later.upper_table() if upper else later.lower_table(), full)
@@ -778,7 +782,7 @@ def _assert_upper_rows_exact(cone, data):
                                 upper=True)
         want = hi[pt[:, None], qt, full._fiber_cells[True][px[:, None], qx]]
         assert (got == want).all()
-        kept = stored_after(kept, pt.tolist(), n)
+        kept = stored_after(kept, pt.tolist())
         assert stored(fresh, True) == kept
     # the streamed width against the full-table formula, with some rows
     # stored, all stored and none stored
@@ -865,22 +869,33 @@ def _full_width(cone):
 
 
 @contextlib.contextmanager
-def _counted_rows():
-    """Counts {"lower": rows, "upper": rows} of the rows that the two table
-    kernels compute while the context is open."""
-    made = {"lower": 0, "upper": 0}
+def _kernel_calls():
+    """(kind, rows) of each call of the two table kernels, kind "lower" or
+    "upper", made while the context is open, in call order."""
+    calls = []
 
     def counted(name, kind):
         build = getattr(GeneralizedCone, name)
 
         def wrapper(self, sources):
             rows = build(self, sources)
-            made[kind] += len(rows)
+            calls.append((kind, len(rows)))
             return rows
         return mock.patch.object(GeneralizedCone, name, wrapper)
 
     with counted("_build_lower", "lower"), counted("_build_upper", "upper"):
+        yield calls
+
+
+@contextlib.contextmanager
+def _counted_rows():
+    """Counts {"lower": rows, "upper": rows} of the rows that the two table
+    kernels compute while the context is open, filled in as it closes."""
+    made = {"lower": 0, "upper": 0}
+    with _kernel_calls() as calls:
         yield made
+    for kind, rows in calls:
+        made[kind] += rows
 
 
 def _assert_streamed_width_exact(cone, data):
@@ -934,6 +949,65 @@ def test_streamed_width_property(cone, data):
     _assert_streamed_width_exact(cone, data)
 
 
+def _rows_width(lo, hi, sources):
+    """bracket_width(sources) from the two full tables: the max of hi - lo
+    over the entries of the source rows with lo >= 0, 0.0 with none."""
+    rows = sorted(set(sources))
+    rel = lo[rows] >= 0.0
+    return float((hi[rows][rel] - lo[rows][rel]).max()) if rel.any() else 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_warped_cones(), st.data())
+def test_reads_compute_and_store_the_rows_they_miss(cone, data):
+    # random read sequences on both tables: every read returns the full
+    # tables' entries, a read that misses rows makes one kernel call, an
+    # incomplete table holds exactly the sources read so far, and the
+    # width over some source rows is the full tables' width over them,
+    # computing only the rows not stored
+    full = _twin(cone)
+    tables = full.tables()
+    n, nx = cone.f.n, cone.X.n
+    ints = lambda hi_, size: np.array(data.draw(st.lists(
+        st.integers(0, hi_ - 1), min_size=size, max_size=size)), dtype=int)
+    fresh = _twin(cone)
+    read = {False: set(), True: set()}
+    for _ in range(data.draw(st.integers(1, 8), label="reads")):
+        upper = data.draw(st.booleans(), label="upper")
+        k, j = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        pt, px, qt, qx = ints(n, k), ints(nx, k), ints(n, j), ints(nx, j)
+        with _kernel_calls() as calls:
+            got = fresh.separations((pt[:, None], px[:, None]), (qt, qx),
+                                    upper=upper)
+        cells = full._fiber_cells[upper][px[:, None], qx]
+        assert np.array_equal(got, tables[upper][pt[:, None], qt, cells])
+        missed = set(pt.tolist()) - read[upper]
+        assert [kind for kind, _ in calls] \
+            == (["upper" if upper else "lower"] if missed else [])
+        read[upper] |= missed
+        rows, slot = fresh._stored[upper]
+        assert stored(fresh, upper) == sorted(read[upper])
+        assert len(rows) == len(read[upper])
+        for s in read[upper]:
+            assert np.array_equal(rows[slot[s]], tables[upper][s])
+        if len(read[upper]) == n:
+            assert np.array_equal(slot, np.arange(n))
+        sources = data.draw(st.lists(st.integers(0, n - 1), max_size=4),
+                            label="width rows")
+        with _kernel_calls() as calls:
+            assert fresh.bracket_width(sources) == _rows_width(*tables,
+                                                               sources)
+        # one block: one lower call if a lower row is missing, none when
+        # all are stored, and one upper call per missing upper row
+        width_rows = set(sources)
+        assert [kind for kind, _ in calls] \
+            == (["lower"] if width_rows - read[False] else []) \
+            + ["upper"] * len(width_rows - read[True])
+        assert stored(fresh, False) == sorted(read[False])
+        assert stored(fresh, True) == sorted(read[True])
+    assert fresh.bracket_width() == _rows_width(*tables, range(n))
+
+
 @pytest.mark.parametrize("cone", list(_lookup_cones()))
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
@@ -963,7 +1037,7 @@ def test_one_source_lower_reads_build_one_row(cone, data):
         two = np.array([s, (s + 1) % n])
         got = fresh.separations((two, x), (qt[0], qx[0]))
         assert np.array_equal(got, lo[two, qt[0], cells[x, qx[0]]])
-        assert stored(fresh, False) == stored_after([s], two.tolist(), n)
+        assert stored(fresh, False) == stored_after([s], two.tolist())
 
 
 # -- the backtrace walks the lower DP's own edges --------------------------------

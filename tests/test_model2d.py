@@ -177,6 +177,37 @@ def test_comparison_interval_contains_point_value():
             done += 1
 
 
+# Brackets (centre of each of a, b1, c1, b2, c2; half-width 0.02) whose flat
+# enclosure squares a value x where libm's pow can round differently from
+# x * x: dt_hi, xs_lo, then xs_hi.  Each pair is (T_lo, T_hi) by x * x.
+_POW_ROWS = [
+    ((0.46134533008803674, 0.5427368301822111, 0.601601761881848,
+      1.6918542508029133, 0.5915025996582102), (0.0, 2.3082737051016236)),
+    ((0.5209682198167378, 0.9296221370826077, 0.33843142152509564,
+      1.8486476547481179, 0.6158814841222471), (0.0, 1.1276676264862948)),
+    ((0.6568926394988968, 0.8131193049144981, 0.9132334413015721,
+      1.3989271750244083, 0.5130796945357327),
+     (0.5653443229837098, 1.559655687928393)),
+]
+
+
+@pytest.mark.parametrize("centres, want", _POW_ROWS)
+def test_flat_enclosure_squares_by_multiplication(centres, want):
+    # x * x is correctly rounded on every host, math.pow(x, 2.0) need not
+    # be: where libm's pow misrounds dt_hi, xs_lo or xs_hi here, a pow
+    # square reads one ulp off these values
+    brackets = [(v - 0.02, v + 0.02) for v in centres]
+    assert comparison_interval(0.0, *brackets) == want
+    a, b1, c1, b2, c2 = (tuple(np.array([x]) for x in iv) for iv in brackets)
+    t1, x1 = model2d._flat_zbar_interval(a, b1, c1)
+    t2, x2 = model2d._flat_zbar_interval(a, b2, c2)
+    dt_lo, dt_hi = float(t2[0][0] - t1[1][0]), float(t2[1][0] - t1[0][0])
+    xs_lo, xs_hi = float(x1[0][0] + x2[0][0]), float(x1[1][0] + x2[1][0])
+    t_lo = math.sqrt(max(dt_lo * dt_lo - xs_hi * xs_hi, 0.0)) \
+        if dt_lo >= xs_hi else 0.0
+    assert want == (t_lo, math.sqrt(dt_hi * dt_hi - xs_lo * xs_lo))
+
+
 def test_tcbb_strip_passes(strip_small):
     rep = tcbb_verify(strip_small, K=0.0, samples=120, tol=0.02, seed=3)
     assert rep["pass"]
