@@ -36,6 +36,10 @@ from .warp import (WarpingFunction, fk_concavity, log_slope_bound, log_slopes,
                    normalize_and_bound)
 
 NEIGHBOR_CAP = 12   # nearest neighbours per state in a modulus search
+# row states of one block of a modulus pass: each block holds a few arrays
+# of MODULUS_BLOCK x s entries beside the three whole s x s ones; the
+# larger, the fewer numpy calls per slot pair
+MODULUS_BLOCK = 32
 CLUSTER_TOL = 0.05  # grid-wise spread of one limit cluster, precompactness
 
 
@@ -182,72 +186,116 @@ def _cross_states(seq: ConeSequence, i: int, k: int):
     return _states(seq.cones[i], lv_i), mapped, _states(seq.limit, lv_l)
 
 
-def _transported(seq: ConeSequence, i: int, k: int):
-    """The `_cross_states` of cone i and the limit on the k-th cover, and
-    the cross metric D[a, b] between i-state a, carried into the limit, and
-    limit state b, in the limit-side proxy |dt| + (max f) * d_fiber."""
-    cone, limit = seq.cones[i], seq.limit
-    (ti, xi), mapped, (tl, xl) = _cross_states(seq, i, k)
-    D = (np.abs(cone.f.ts[ti][:, None] - limit.f.ts[tl][None, :])
-         + seq.covers[-1][k - 1].fmax * limit.X.dist[np.ix_(mapped, xl)])
-    return (ti, xi), (tl, xl), D
+def _cross_metric(seq: ConeSequence, i: int, k: int, rows=slice(None),
+                  cols=slice(None)):
+    """Block D[rows, cols] of the cross metric on the k-th cover: D[a, b]
+    between i-state a, carried into the limit, and limit state b, in the
+    limit-side proxy |dt| + (max f) * d_fiber (`_cross_states` order).
+    Each entry is the same float whichever block it is computed in."""
+    (ti, _), mapped, (tl, xl) = _cross_states(seq, i, k)
+    limit = seq.limit
+    return (np.abs(seq.cones[i].f.ts[ti[rows]][:, None]
+                   - limit.f.ts[tl[cols]][None, :])
+            + seq.covers[-1][k - 1].fmax
+            * limit.X.dist[np.ix_(mapped[rows], xl[cols])])
+
+
+def _blocks(size: int):
+    """Consecutive slices of at most MODULUS_BLOCK rows covering range(size)."""
+    return [slice(r, min(r + MODULUS_BLOCK, size))
+            for r in range(0, size, MODULUS_BLOCK)]
+
+
+def _separation_matrix(cone: GeneralizedCone, t, x):
+    """Lower-table separations between every pair of the states (t, x).
+
+    The rows of every source are stored in one `_store` call, one kernel
+    call for those it misses, and then read MODULUS_BLOCK states at a time
+    into one array, so no s x s cell-index temporary is made."""
+    cone._store(False, t)
+    out = np.empty((t.size, t.size))
+    for b in _blocks(t.size):
+        out[b] = cone.separations((t[b, None], x[b, None]), (t, x))
+    return out
 
 
 def _limit_separations(seq: ConeSequence, k: int):
     """Lower-table separations between every pair of limit states on the
     k-th cover; the same for every member i."""
-    tl, xl = _states(seq.limit, seq.covers[-1][k - 1])
-    return seq.limit.separations((tl[:, None], xl[:, None]), (tl, xl))
+    return _separation_matrix(seq.limit, *_states(seq.limit,
+                                                  seq.covers[-1][k - 1]))
 
 
 def _neighbours(D, delta):
-    """The neighbours (nbr, cost) of every row of D within delta: at most
-    the NEIGHBOR_CAP nearest, in n slots, the most that any row fills.  A
-    row's slots past its own count hold column 0 at cost +inf.
+    """The neighbours (nbr, cost) of every row of D within delta, in n
+    slots, the most that any row fills.  A row's slots past its own count
+    hold column 0 at cost +inf.
 
-    When no row has more than NEIGHBOR_CAP entries within delta, the
-    entries are picked directly, in column order.  Otherwise every row is
-    cut from a full s x s argsort, copied so that the argsort is freed on
-    return."""
+    One rule per row: a row with at most NEIGHBOR_CAP entries within delta
+    keeps them all, in column order; a row with more keeps its
+    NEIGHBOR_CAP nearest, cut from an argsort of that row alone.  So a
+    row's neighbours depend on that row only, and a search over a block of
+    rows finds what the search over all of them finds."""
     within = D <= delta
     count = within.sum(axis=1)
-    n = int(count.max(initial=0))
-    if n > NEIGHBOR_CAP:
-        nbr = np.argsort(D, axis=1)[:, :NEIGHBOR_CAP]
-        cost = np.take_along_axis(D, nbr, axis=1)
-        cost[~(cost <= delta)] = math.inf
-        n = int(np.isfinite(cost).sum(axis=1).max(initial=0))
-        return nbr[:, :n].copy(), cost[:, :n].copy()
+    over = np.flatnonzero(count > NEIGHBOR_CAP)
+    within[over] = False
+    count[over] = 0
+    n = NEIGHBOR_CAP if over.size else int(count.max(initial=0))
     rows, cols = np.nonzero(within)
     slot = np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
     nbr = np.zeros((D.shape[0], n), dtype=np.intp)
     cost = np.full((D.shape[0], n), math.inf)
     nbr[rows, slot] = cols
     cost[rows, slot] = D[rows, cols]
+    if over.size:
+        crowded = D[over]
+        nbr[over] = np.argsort(crowded, axis=1)[:, :NEIGHBOR_CAP]
+        cost[over] = np.take_along_axis(crowded, nbr[over], axis=1)
     return nbr, cost
 
 
-def _joint_extrema(L, nbr, cost, delta, want_max: bool = True):
+def _search(blocks, delta):
+    """`_neighbours` of every row of the D blocks, stacked in block order and
+    padded to the widest block's slot count."""
+    found = [_neighbours(D, delta) for D in blocks]
+    n = max(nbr.shape[1] for nbr, _ in found)
+    nbr = np.concatenate([np.pad(nbr, ((0, 0), (0, n - nbr.shape[1])))
+                          for nbr, _ in found])
+    cost = np.concatenate([np.pad(cost, ((0, 0), (0, n - cost.shape[1])),
+                                  constant_values=math.inf)
+                           for _, cost in found])
+    return nbr, cost
+
+
+def _joint_extrema(L, nbr, cost, delta, rows=slice(None),
+                   want_max: bool = True):
     """(min, max) of L[u, v] over joint neighbour pairs within delta, for
-    every row pair (a, b): u and v range over the neighbours (nbr, cost)
-    of rows a and b from `_neighbours`, with cost[a, u] + cost[b, v] <=
-    delta.  The max is None unless wanted.
+    every row pair (a, b) with a in `rows` (all by default): u and v range
+    over the neighbours (nbr, cost) of rows a and b from `_neighbours`,
+    with cost[a, u] + cost[b, v] <= delta.  The max is None unless wanted.
+    Both hold one row per a in `rows`, so a call takes O(len(rows) x s)
+    memory; min and max are exact, so a block's rows equal the whole's.
 
     Only causal target pairs (L >= 0) count: the source definition
     compares against nearby separation values, and a spacelike neighbor
     carries no finite value to compare with (even the identical sequence
     has spacelike pairs arbitrarily close to null ones).  A row pair with
     no such pair gets (+inf, -inf); L holds finite values or -inf, so
-    min < inf says a pair was found."""
-    s, n = nbr.shape
-    lo = np.full((s, s), math.inf)
-    hi = np.full((s, s), -math.inf) if want_max else None
-    joint = np.empty((s, s))    # joint cost of one slot pair, reused
-    ok = np.empty((s, s), dtype=bool)
+    min < inf, like max > -inf, says a pair was found."""
+    rn, rc = nbr[rows], cost[rows]
+    (B, n), s = rn.shape, nbr.shape[0]
+    lo = np.full((B, s), math.inf)
+    hi = np.full((B, s), -math.inf) if want_max else None
+    La = np.empty((B, L.shape[1]))  # the L rows of one slot, reused
+    joint = np.empty((B, s))        # joint cost of one slot pair, reused
+    vals = np.empty((B, s))         # L at one slot pair, reused
+    ok = np.empty((B, s), dtype=bool)
     for a in range(n):
+        np.take(L, rn[:, a], axis=0, out=La, mode="clip")
         for b in range(n):
-            vals = L[np.ix_(nbr[:, a], nbr[:, b])]
-            np.add(cost[:, a][:, None], cost[:, b][None, :], out=joint)
+            np.take(La, nbr[:, b], axis=1, out=vals, mode="clip")
+            np.add(rc[:, a][:, None], cost[:, b][None, :], out=joint)
             np.less_equal(joint, delta, out=ok)
             ok &= vals >= 0.0
             np.minimum(lo, vals, out=lo, where=ok)
@@ -262,54 +310,83 @@ def _moduli(seq: ConeSequence, i: int, k: int, levels, delta: float, Ll):
     metric, Li, both searches and eps1 depend only on (i, k) and delta.
     Ll is `_limit_separations(seq, k)`.
 
-    Each s x s intermediate is dropped as soon as it is spent, and the
-    property-(2) side, which needs only a min, runs first, so at most six
-    s x s float arrays (Ll included) and a few boolean masks are alive at
-    once."""
-    (ti, xi), _, D = _transported(seq, i, k)
-    near_l = _neighbours(D, delta)      # i-state -> limit neighbours
-    near_i = _neighbours(D.T, delta)    # limit-state -> i neighbours
-    del D
-    Li = seq.cones[i].separations((ti[:, None], xi[:, None]), (ti, xi))
+    Three s x s float arrays are whole: Ll, Li and maxLl, the limit's
+    nearby maximum of every member pair, which inclusion 1 reads at the
+    global eps = max(eps1, eps2), known only after every block.  All else
+    runs over blocks of at most MODULUS_BLOCK row states, in O(block x s)
+    memory: the cross metric (member rows, then limit columns), both
+    neighbour searches, the joint extrema and their gaps, and the two
+    inclusions.  Every output is a max, a count or an all, exact and
+    independent of the blocks."""
+    (ti, xi), _, (tl, _) = _cross_states(seq, i, k)
+    # i-state -> limit neighbours, and limit-state -> i neighbours
+    near_l = _search((_cross_metric(seq, i, k, rows=b)
+                      for b in _blocks(ti.size)), delta)
+    near_i = _search((_cross_metric(seq, i, k, cols=b).T
+                      for b in _blocks(tl.size)), delta)
+    Li = _separation_matrix(seq.cones[i], ti, xi)
 
     # property (2): limit pairs against the member's nearby values
-    minLi, _ = _joint_extrema(Li, *near_i, delta, want_max=False)
-    have_l = minLi < math.inf
-    gap = np.subtract(Ll, minLi, out=minLi)
-    part2 = []
-    for l in levels:
-        level = Ll >= 1.0 / l
-        part2.append((float(np.max(gap, where=level & have_l, initial=0.0)),
-                      int(np.count_nonzero(level & ~have_l)),
-                      not bool(level.any())))
-    del minLi, gap
+    eps2 = [0.0] * len(levels)
+    unmatched2 = [0] * len(levels)
+    nonempty = [False] * len(levels)
+    for b in _blocks(tl.size):
+        minLi, _ = _joint_extrema(Li, *near_i, delta, b, want_max=False)
+        have_l = minLi < math.inf
+        gap = np.subtract(Ll[b], minLi, out=minLi)
+        for j, l in enumerate(levels):
+            level = Ll[b] >= 1.0 / l
+            eps2[j] = max(eps2[j], float(np.max(gap, where=level & have_l,
+                                                initial=0.0)))
+            unmatched2[j] += int(np.count_nonzero(level & ~have_l))
+            nonempty[j] = nonempty[j] or bool(level.any())
+        del minLi, gap, have_l, level
 
     # property (1): member pairs against the limit's nearby values
-    minLl, maxLl = _joint_extrema(Ll, *near_l, delta)
-    have_i = minLl < math.inf
-    causal = Li >= 0.0
-    gap = np.subtract(Li, minLl, out=minLl)
-    eps1 = float(np.max(gap, where=causal & have_i, initial=0.0))
-    unmatched = int(np.count_nonzero(causal & ~have_i))
-    del minLl, gap
+    maxLl = np.empty_like(Li)
+    eps1, unmatched = 0.0, 0
+    for b in _blocks(ti.size):
+        minLl, maxLl[b] = _joint_extrema(Ll, *near_l, delta, b)
+        have_i = minLl < math.inf
+        causal = Li[b] >= 0.0
+        gap = np.subtract(Li[b], minLl, out=minLl)
+        eps1 = max(eps1, float(np.max(gap, where=causal & have_i,
+                                      initial=0.0)))
+        unmatched += int(np.count_nonzero(causal & ~have_i))
+        del minLl, gap, have_i, causal
 
     out = []
-    for l, (eps2, unmatched_l, ls_empty) in zip(levels, part2):
-        eps = max(eps1, eps2)
+    for l, e2, unmatched_l, ne in zip(levels, eps2, unmatched2, nonempty):
+        eps = max(eps1, e2)
         # remark inclusion 1, at the level its proof actually yields:
         # {l_i >= 1/l - eps} lies within delta of {l_lim >= 1/l - 2 eps}
-        inclusion1 = bool(np.all(maxLl >= 1.0 / l - 2.0 * eps,
-                                 where=(Li >= 1.0 / l - eps) & have_i))
+        inclusion1 = all(
+            np.all(maxLl[b] >= 1.0 / l - 2.0 * eps,
+                   where=(Li[b] >= 1.0 / l - eps) & (maxLl[b] > -math.inf))
+            for b in _blocks(ti.size))
         # remark inclusion 2: delta-neighborhood of the level set has
         # l_i >= 1/(2l)
-        inclusion2 = bool(np.all(Li >= 1.0 / (2.0 * l),
-                                 where=maxLl >= 1.0 / l))
+        inclusion2 = all(np.all(Li[b] >= 1.0 / (2.0 * l),
+                                where=maxLl[b] >= 1.0 / l)
+                         for b in _blocks(ti.size))
         out.append(ConvergenceModulus(
-            i=i, k=k, l=l, delta=float(delta), eps1=eps1, eps2=eps2,
-            inclusion1=inclusion1, inclusion2=inclusion2,
-            level_set_empty=ls_empty,
+            i=i, k=k, l=l, delta=float(delta), eps1=eps1, eps2=e2,
+            inclusion1=bool(inclusion1), inclusion2=bool(inclusion2),
+            level_set_empty=not ne,
             unmatched_pairs=unmatched + unmatched_l))
     return out
+
+
+def _require_level(k, l, depth: int) -> None:
+    """ValueError unless k is an integer cover level, 1 <= k <= depth, and
+    l a number > 0 (bools are neither): the rule of every (k, l) that a
+    modulus is asked for."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) \
+            or not 1 <= k <= depth:
+        raise ValueError(f"cover level k={k!r} needs an integer "
+                         f"1 <= k <= {depth} (the cover depth)")
+    if isinstance(l, bool) or not isinstance(l, numbers.Real) or not l > 0:
+        raise ValueError(f"threshold level l={l!r} needs a number l > 0")
 
 
 def uniform_modulus(seq: ConeSequence, i: int, k: int, l: int,
@@ -317,9 +394,19 @@ def uniform_modulus(seq: ConeSequence, i: int, k: int, l: int,
     """Worst property-(1) excess (eps1) and property-(2) deficiency (eps2)
     of the uniform-convergence definition at cover level k and threshold
     level 1/l, with the two remark set-inclusions evaluated at the achieved
-    epsilon."""
+    epsilon.  Raises ValueError unless i is a member index, (k, l) is a
+    schedule entry of `ell_converge_check` and delta (default
+    `default_delta`) is a finite number >= 0."""
+    require_int("member index i", i, 0)
+    if i >= len(seq.cones):
+        raise ValueError(f"member index i={i} needs i < {len(seq.cones)} "
+                         f"(the number of members)")
+    _require_level(k, l, seq.depth)
     if delta is None:
         delta = default_delta(seq, i, k)
+    elif isinstance(delta, bool) or not isinstance(delta, numbers.Real) \
+            or not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta={delta!r} needs a finite number >= 0")
     return _moduli(seq, i, k, [l], delta, _limit_separations(seq, k))[0]
 
 
@@ -347,13 +434,12 @@ def ell_converge_check(seq: ConeSequence, schedule=None) -> dict:
                          f"got {schedule!r}")
     for entry in schedule:
         pair = isinstance(entry, (list, tuple)) and len(entry) == 2
-        k, l = entry if pair else (None, None)
-        numeric = (isinstance(k, numbers.Integral) and isinstance(l, numbers.Real)
-                   and not isinstance(k, bool) and not isinstance(l, bool))
-        if not (numeric and 1 <= k <= seq.depth and l > 0):
+        try:
+            _require_level(*(entry if pair else (None, None)), seq.depth)
+        except ValueError:
             raise ValueError(f"schedule entry {entry!r} needs an integer k, "
                              f"1 <= k <= {seq.depth} (the cover depth), and "
-                             f"a number l > 0")
+                             f"a number l > 0") from None
     nlast = len(seq.cones) - 1
     gh = {k: covered_gh(seq, k) for k in range(1, seq.depth + 1)}
     # one neighbour search per (i, k) serves every level l scheduled at k

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
 
+import conelab.converge as converge
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +11,9 @@ from scipy.sparse import coo_matrix
 
 from conelab.cone import GeneralizedCone
 from conelab.converge import (NEIGHBOR_CAP, ConvergenceModulus,
-                              _joint_extrema, _neighbours, _states,
-                              _transported, cone_sequence, covered_gh, default_delta,
+                              _cross_metric, _cross_states, _joint_extrema,
+                              _limit_separations, _moduli, _neighbours,
+                              _states, cone_sequence, covered_gh, default_delta,
                               ell_converge_check, imprisonment_constants,
                               measured_converge_check, precompact_harness,
                               tangent_cone, uniform_modulus)
@@ -104,6 +107,26 @@ def test_monotone_direction_eps1_zero():
     m = uniform_modulus(seq, 0, 1, 2, delta=1e-9)
     assert m.eps1 == 0.0
     assert m.eps2 > 0.0
+
+
+@pytest.mark.parametrize("i, k, l, delta, names", [
+    (0, 1, 2, math.nan, "delta=nan"),
+    (0, 1, 2, -1.0, "delta=-1.0"),
+    (0, 1, 2, math.inf, "delta=inf"),
+    (0, 1, 0, None, "threshold level l=0"),
+    (0, 1, True, None, "threshold level l=True"),
+    (-1, 1, 2, None, "member index i"),
+    (3, 1, 2, None, "member index i=3"),
+    (0, 0, 2, None, "cover level k=0"),
+    (0, 3, 2, None, "cover level k=3"),
+    (0, 1.0, 2, None, "cover level k=1.0"),
+])
+def test_uniform_modulus_rejects_bad_arguments(const_seq, i, k, l, delta,
+                                               names):
+    # three members, cover depth 2: the rule of an ell_converge_check
+    # schedule entry, a member index and a finite delta >= 0
+    with pytest.raises(ValueError, match=names):
+        uniform_modulus(const_seq, i, k, l, delta=delta)
 
 
 def test_cos_family_moduli_decreasing(cos_seq):
@@ -264,7 +287,8 @@ def test_joint_extrema_matches_reference_saturated(problem):
 def test_joint_extrema_matches_reference_on_cos_family(cos_seq):
     # the modulus's own inputs: 1 occupied slot at 0.5 dt, 3 at 0.05 and
     # all NEIGHBOR_CAP at the default delta
-    _, (tl, xl), D = _transported(cos_seq, 4, 1)
+    _, _, (tl, xl) = _cross_states(cos_seq, 4, 1)
+    D = _cross_metric(cos_seq, 4, 1)
     Ll = cos_seq.limit.separations((tl[:, None], xl[:, None]), (tl, xl))
     dt = float(np.diff(cos_seq.limit.f.ts).max())
     for delta in (1e-9, 0.5 * dt, 0.05, default_delta(cos_seq, 4, 1)):
@@ -343,9 +367,10 @@ def test_ell_converge_moduli_pinned():
 
 
 def test_ell_converge_footprint():
-    # one modulus keeps at most about six s x s float arrays alive, the
-    # limit's separation matrix included; numpy reports its buffers to
-    # tracemalloc, so the peak is deterministic
+    # a loose ceiling on a depth-1 sequence: one modulus keeps three s x s
+    # float arrays whole, the limit's separation matrix included, and the
+    # rest in row blocks; numpy reports its buffers to tracemalloc, so the
+    # peak is deterministic
     seq = cone_sequence([cos_family_cone(i) for i in (1, 16)],
                         cos_family_limit(), depth=1)
     s = _states(seq.limit, seq.covers[-1][0])[0].size
@@ -357,6 +382,41 @@ def test_ell_converge_footprint():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * s * s * 8
+
+
+def test_ell_converge_keeps_three_whole_arrays(cos_seq):
+    # Ll, Li and maxLl are the only s x s float arrays of a modulus; the
+    # rest lives in blocks of MODULUS_BLOCK rows.  3.28 s^2 float64 entries
+    # measured at s = 693 (k = 2); the whole-matrix passes peaked at 6.51
+    s = max(_states(cos_seq.limit, lv)[0].size for lv in cos_seq.covers[-1])
+    assert s == 693
+    ell_converge_check(cos_seq)     # stores the table rows it reads
+    tracemalloc.start()
+    try:
+        ell_converge_check(cos_seq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.4 * s * s * 8
+
+
+def test_ell_converge_reads_each_cover_in_one_kernel_call():
+    # every cone's rows of one cover level come from one lower-DP call,
+    # as before the moduli were blocked: 6 cones x 2 levels, then the
+    # limit's and the last member's remaining rows for bracket_width
+    seq = cone_sequence([cos_family_cone(i) for i in (1, 2, 4, 8, 16)],
+                        cos_family_limit(), depth=2)
+    calls = []
+    kernel = GeneralizedCone._lower_rows
+
+    def counting(cone, sources):
+        calls.append(len(sources))
+        return kernel(cone, sources)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GeneralizedCone, "_lower_rows", counting)
+        ell_converge_check(seq)
+    assert calls == [17] * 6 + [16] * 6 + [18] * 2
 
 
 def test_measured_footprint_is_linear():
@@ -510,7 +570,8 @@ def test_tangent_cone_boundary_rejected():
 def _dense_w1(seq, i, k):
     # the transportation LP over every (member state, limit state) pair:
     # plan rows sum to the member's masses, columns to the limit's
-    (ti, xi), (tl, xl), D = _transported(seq, i, k)
+    (ti, xi), _, (tl, xl) = _cross_states(seq, i, k)
+    D = _cross_metric(seq, i, k)
     wi = seq.cones[i].reference_measure()[ti, xi]
     wl = seq.limit.reference_measure()[tl, xl]
     ii, jj = np.indices(D.shape).reshape(2, -1)
@@ -588,3 +649,78 @@ def test_measured_flow_matches_dense_lp_on_families(cos_seq):
     seq.fiber_maps[(0, 1)] = (np.minimum(to_limit, NX - 2), dist)
     assert measured_converge_check(seq, 1)[0] == pytest.approx(
         _dense_w1(seq, 0, 1), rel=0, abs=1e-12)
+
+
+# -- blocked moduli against the whole-matrix computation ---------------------
+
+
+def reference_moduli(seq, i, k, levels, delta):
+    # every intermediate whole: the cross metric, both separation matrices
+    # and the joint extrema over all s x s row pairs
+    (ti, xi), _, (tl, xl) = _cross_states(seq, i, k)
+    D = _cross_metric(seq, i, k)
+    Li = seq.cones[i].separations((ti[:, None], xi[:, None]), (ti, xi))
+    Ll = seq.limit.separations((tl[:, None], xl[:, None]), (tl, xl))
+    minLi, have_l = reference_joint_extremum(Li, D.T, delta, True)
+    minLl, have_i = reference_joint_extremum(Ll, D, delta, True)
+    maxLl, _ = reference_joint_extremum(Ll, D, delta, False)
+    causal = Li >= 0.0
+    eps1 = float(np.max(Li - minLl, where=causal & have_i, initial=0.0))
+    out = []
+    for l in levels:
+        level = Ll >= 1.0 / l
+        eps2 = float(np.max(Ll - minLi, where=level & have_l, initial=0.0))
+        eps = max(eps1, eps2)
+        out.append(ConvergenceModulus(
+            i=i, k=k, l=l, delta=float(delta), eps1=eps1, eps2=eps2,
+            inclusion1=bool(np.all(maxLl >= 1.0 / l - 2.0 * eps,
+                                   where=(Li >= 1.0 / l - eps) & have_i)),
+            inclusion2=bool(np.all(Li >= 1.0 / (2.0 * l),
+                                   where=maxLl >= 1.0 / l)),
+            level_set_empty=not level.any(),
+            unmatched_pairs=int(np.count_nonzero(causal & ~have_i))
+            + int(np.count_nonzero(level & ~have_l))))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(_w1_problem(), st.sampled_from(["tiny", "half_dt", "fixed", "default"]))
+def test_blocked_moduli_equal_whole(seq, which):
+    # blocks of one row, of a few, of all but one, of all and past all;
+    # these small cones seldom crowd more than NEIGHBOR_CAP states within
+    # delta of a row, the cos-family test below does
+    dt = float(np.diff(seq.limit.f.ts).max())
+    delta = {"tiny": 1e-9, "half_dt": 0.5 * dt, "fixed": 0.05,
+             "default": default_delta(seq, 0, 1)}[which]
+    levels = [1, 2, 4]
+    expected = reference_moduli(seq, 0, 1, levels, delta)
+    (ti, _), _, (tl, _) = _cross_states(seq, 0, 1)
+    s = max(ti.size, tl.size)
+    for block in (1, 3, max(1, s - 1), s, 2 * s):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(converge, "MODULUS_BLOCK", block)
+            got = _moduli(seq, 0, 1, levels, delta, _limit_separations(seq, 1))
+        assert got == expected, block
+
+
+@pytest.mark.parametrize("which", ["tiny", "half_dt", "fixed", "default"])
+def test_blocked_moduli_equal_whole_on_cos_family(which):
+    # 63 states a side; at the default delta more than NEIGHBOR_CAP states
+    # lie within delta of most rows, so the crowded rows' argsort rule runs
+    seq = cone_sequence([cos_family_cone(4, nt=20, nx=9)],
+                        cos_family_limit(nt=20, nx=9), depth=1)
+    dt = float(np.diff(seq.limit.f.ts).max())
+    delta = {"tiny": 1e-9, "half_dt": 0.5 * dt, "fixed": 0.05,
+             "default": default_delta(seq, 0, 1)}[which]
+    D = _cross_metric(seq, 0, 1)
+    s = D.shape[0]
+    assert D.shape == (63, 63)
+    crowded = ((D <= delta).sum(axis=1) > NEIGHBOR_CAP).any()
+    assert crowded == (which == "default")
+    expected = reference_moduli(seq, 0, 1, [1, 2, 4], delta)
+    for block in (1, 3, s - 1, s, 2 * s):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(converge, "MODULUS_BLOCK", block)
+            got = _moduli(seq, 0, 1, [1, 2, 4], delta,
+                          _limit_separations(seq, 1))
+        assert got == expected, block
