@@ -206,36 +206,49 @@ def _blocks(size: int):
             for r in range(0, size, MODULUS_BLOCK)]
 
 
-def _separation_matrix(cone: GeneralizedCone, t, x):
-    """Lower-table separations between every pair of the states (t, x).
+def _separation_matrix(cone: GeneralizedCone, level: CoverLevel):
+    """Lower-table separations between every pair of the cover level's
+    states, which must be the product of its time rows and its fiber
+    ball, time-major (`_states` order).
 
     The rows of every source are stored in one `_store` call, one kernel
-    call for those it misses, and then read MODULUS_BLOCK states at a time
-    into one array, so no s x s cell-index temporary is made."""
-    cone._store(False, t)
-    out = np.empty((t.size, t.size))
-    for b in _blocks(t.size):
-        out[b] = cone.separations((t[b, None], x[b, None]), (t, x))
+    call for those it misses.  Then `separations` fills one time row of
+    states at a time: that row's time against every time of the level,
+    and the ball against itself, so one nx x nx cell-index gather serves
+    the row's nt x nx x nx entries and no s x s temporary is made."""
+    times, ball = level.time_indices, level.fiber_idx
+    nt, nx = times.size, ball.size
+    cone._store(False, times)
+    out = np.empty((nt * nx, nt * nx))
+    grid = out.reshape(nt, nx, nt, nx)
+    for p, t in enumerate(times.tolist()):
+        grid[p] = cone.separations((t, ball[:, None, None]),
+                                   (times[None, :, None], ball[None, None, :]))
     return out
 
 
 def _limit_separations(seq: ConeSequence, k: int):
     """Lower-table separations between every pair of limit states on the
     k-th cover; the same for every member i."""
-    return _separation_matrix(seq.limit, *_states(seq.limit,
-                                                  seq.covers[-1][k - 1]))
+    return _separation_matrix(seq.limit, seq.covers[-1][k - 1])
 
 
-def _neighbours(D, delta):
+def _neighbours(D, delta, first: int = 0, whole=None):
     """The neighbours (nbr, cost) of every row of D within delta, in n
     slots, the most that any row fills.  A row's slots past its own count
     hold column 0 at cost +inf.
 
     One rule per row: a row with at most NEIGHBOR_CAP entries within delta
     keeps them all, in column order; a row with more keeps its
-    NEIGHBOR_CAP nearest, cut from an argsort of that row alone.  So a
+    NEIGHBOR_CAP nearest, cut from an argsort of that whole row.  So a
     row's neighbours depend on that row only, and a search over a block of
-    rows finds what the search over all of them finds."""
+    rows finds what the search over all of them finds.
+
+    D may hold a window of the columns, first, first + 1, ..., that holds
+    every entry of its rows within delta; nbr counts columns of the whole
+    row.  Then whole(over) must give the whole rows `over` of D, read for
+    the crowded rows only: an argsort over fewer columns can order ties
+    differently.  By default D is whole."""
     within = D <= delta
     count = within.sum(axis=1)
     over = np.flatnonzero(count > NEIGHBOR_CAP)
@@ -246,26 +259,60 @@ def _neighbours(D, delta):
     slot = np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
     nbr = np.zeros((D.shape[0], n), dtype=np.intp)
     cost = np.full((D.shape[0], n), math.inf)
-    nbr[rows, slot] = cols
+    nbr[rows, slot] = cols + first
     cost[rows, slot] = D[rows, cols]
     if over.size:
-        crowded = D[over]
+        crowded = D[over] if whole is None else whole(over)
         nbr[over] = np.argsort(crowded, axis=1)[:, :NEIGHBOR_CAP]
         cost[over] = np.take_along_axis(crowded, nbr[over], axis=1)
     return nbr, cost
 
 
-def _search(blocks, delta):
-    """`_neighbours` of every row of the D blocks, stacked in block order and
-    padded to the widest block's slot count."""
-    found = [_neighbours(D, delta) for D in blocks]
-    n = max(nbr.shape[1] for nbr, _ in found)
-    nbr = np.concatenate([np.pad(nbr, ((0, 0), (0, n - nbr.shape[1])))
-                          for nbr, _ in found])
-    cost = np.concatenate([np.pad(cost, ((0, 0), (0, n - cost.shape[1])),
-                                  constant_values=math.inf)
-                           for _, cost in found])
-    return nbr, cost
+def _search(seq: ConeSequence, i: int, k: int, delta: float,
+            limit_side: bool):
+    """`_neighbours` of every row of the cross metric D of member i on the
+    k-th cover: the member states' neighbours among the limit's, or, when
+    limit_side, the limit states' among the member's (the rows of D.T).
+
+    Searched one time row of states at a time.  The states are time-major
+    and D = |dt| + (max f) * d_fiber, whose second term is >= 0, so, as
+    rounding is monotone, D > delta wherever the computed |dt| > delta.  A
+    time row computes D only on the other side's time rows with
+    |dt| <= delta (a window of columns, in ascending order), and a crowded
+    row reads its whole row.  When the members share the limit's time grid
+    and fiber, `ell_converge_check`'s delta (the witness misalignment,
+    about 1e-9) leaves each state one neighbour, in its own time row, so a
+    time row reads nx x nx entries, not nx x s."""
+    lv_i, lv_l = seq.covers[i][k - 1], seq.covers[-1][k - 1]
+    dt = np.abs(seq.cones[i].f.ts[lv_i.time_indices][:, None]
+                - seq.limit.f.ts[lv_l.time_indices][None, :])
+    nx, nx_other = lv_i.fiber_idx.size, lv_l.fiber_idx.size
+    if limit_side:
+        dt, nx, nx_other = dt.T, nx_other, nx
+
+    def metric(rows, cols):
+        if limit_side:
+            return _cross_metric(seq, i, k, cols, rows).T
+        return _cross_metric(seq, i, k, rows, cols)
+
+    s, s_other = dt.shape[0] * nx, dt.shape[1] * nx_other
+    nbr = np.zeros((s, NEIGHBOR_CAP), dtype=np.intp)
+    cost = np.full((s, NEIGHBOR_CAP), math.inf)
+    width = 0
+    for p, near in enumerate(dt <= delta):
+        q = np.flatnonzero(near)
+        if not q.size:
+            continue
+        rows = np.arange(p * nx, (p + 1) * nx)
+        cols = slice(q[0] * nx_other, (q[-1] + 1) * nx_other)
+        found = _neighbours(
+            metric(rows, cols), delta, cols.start,
+            None if cols.stop - cols.start == s_other
+            else lambda over: metric(rows[over], slice(None)))
+        n = found[0].shape[1]
+        nbr[rows, :n], cost[rows, :n] = found
+        width = max(width, n)
+    return nbr[:, :width], cost[:, :width]
 
 
 def _joint_extrema(L, nbr, cost, delta, rows=slice(None),
@@ -282,7 +329,11 @@ def _joint_extrema(L, nbr, cost, delta, rows=slice(None),
     carries no finite value to compare with (even the identical sequence
     has spacelike pairs arbitrarily close to null ones).  A row pair with
     no such pair gets (+inf, -inf); L holds finite values or -inf, so
-    min < inf, like max > -inf, says a pair was found."""
+    min < inf, like max > -inf, says a pair was found.
+
+    A slot pair whose largest costs sum to at most delta skips the
+    joint-cost mask: rounding is monotone, so every joint cost of the
+    pair is then within delta (a +inf slot never is)."""
     rn, rc = nbr[rows], cost[rows]
     (B, n), s = rn.shape, nbr.shape[0]
     lo = np.full((B, s), math.inf)
@@ -291,13 +342,18 @@ def _joint_extrema(L, nbr, cost, delta, rows=slice(None),
     joint = np.empty((B, s))        # joint cost of one slot pair, reused
     vals = np.empty((B, s))         # L at one slot pair, reused
     ok = np.empty((B, s), dtype=bool)
+    top_a = rc.max(axis=0, initial=-math.inf)
+    top_b = cost.max(axis=0, initial=-math.inf)
     for a in range(n):
         np.take(L, rn[:, a], axis=0, out=La, mode="clip")
         for b in range(n):
             np.take(La, nbr[:, b], axis=1, out=vals, mode="clip")
-            np.add(rc[:, a][:, None], cost[:, b][None, :], out=joint)
-            np.less_equal(joint, delta, out=ok)
-            ok &= vals >= 0.0
+            if top_a[a] + top_b[b] <= delta:
+                np.greater_equal(vals, 0.0, out=ok)
+            else:
+                np.add(rc[:, a][:, None], cost[:, b][None, :], out=joint)
+                np.less_equal(joint, delta, out=ok)
+                ok &= vals >= 0.0
             np.minimum(lo, vals, out=lo, where=ok)
             if want_max:
                 np.maximum(hi, vals, out=hi, where=ok)
@@ -312,79 +368,96 @@ def _moduli(seq: ConeSequence, i: int, k: int, levels, delta: float, Ll):
 
     Three s x s float arrays are whole: Ll, Li and maxLl, the limit's
     nearby maximum of every member pair, which inclusion 1 reads at the
-    global eps = max(eps1, eps2), known only after every block.  All else
-    runs over blocks of at most MODULUS_BLOCK row states, in O(block x s)
-    memory: the cross metric (member rows, then limit columns), both
-    neighbour searches, the joint extrema and their gaps, and the two
-    inclusions.  Every output is a max, a count or an all, exact and
-    independent of the blocks."""
-    (ti, xi), _, (tl, _) = _cross_states(seq, i, k)
+    global eps = max(eps1, eps2), known only after every block.  The
+    neighbour searches go by time row (`_search`); all else runs over
+    blocks of at most MODULUS_BLOCK row states, in O(block x s) memory:
+    the joint extrema and their gaps, and the two inclusions.  Each block
+    is read once for all levels: its level-invariant masks are made once,
+    property (2) reads its levels only when they can change, and an
+    inclusion stops reading a level once it is False.  Every output is a
+    max, a count or an all, exact and independent of the blocks."""
+    (ti, _), _, (tl, _) = _cross_states(seq, i, k)
     # i-state -> limit neighbours, and limit-state -> i neighbours
-    near_l = _search((_cross_metric(seq, i, k, rows=b)
-                      for b in _blocks(ti.size)), delta)
-    near_i = _search((_cross_metric(seq, i, k, cols=b).T
-                      for b in _blocks(tl.size)), delta)
-    Li = _separation_matrix(seq.cones[i], ti, xi)
+    near_l = _search(seq, i, k, delta, limit_side=False)
+    near_i = _search(seq, i, k, delta, limit_side=True)
+    Li = _separation_matrix(seq.cones[i], seq.covers[i][k - 1])
 
-    # property (2): limit pairs against the member's nearby values
+    # property (2): limit pairs against the member's nearby values.  The
+    # gap is -inf where no pair was found, so it never raises the max there
     eps2 = [0.0] * len(levels)
     unmatched2 = [0] * len(levels)
-    nonempty = [False] * len(levels)
     for b in _blocks(tl.size):
         minLi, _ = _joint_extrema(Li, *near_i, delta, b, want_max=False)
-        have_l = minLi < math.inf
+        lost = minLi == math.inf
+        some_lost = bool(lost.any())
         gap = np.subtract(Ll[b], minLi, out=minLi)
+        # only a gap > 0 raises a level's max, and only a lost pair adds
+        # to its count: the levels are read when either occurs
+        rises = bool(gap.max(initial=0.0) > 0.0)
+        if not (rises or some_lost):
+            continue
         for j, l in enumerate(levels):
             level = Ll[b] >= 1.0 / l
-            eps2[j] = max(eps2[j], float(np.max(gap, where=level & have_l,
-                                                initial=0.0)))
-            unmatched2[j] += int(np.count_nonzero(level & ~have_l))
-            nonempty[j] = nonempty[j] or bool(level.any())
-        del minLi, gap, have_l, level
+            if rises:
+                eps2[j] = max(eps2[j], float(np.max(gap, where=level,
+                                                    initial=0.0)))
+            if some_lost:
+                unmatched2[j] += int(np.count_nonzero(level & lost))
+        del minLi, gap, lost
+    top = float(Ll.max(initial=-math.inf))
 
     # property (1): member pairs against the limit's nearby values
     maxLl = np.empty_like(Li)
     eps1, unmatched = 0.0, 0
     for b in _blocks(ti.size):
         minLl, maxLl[b] = _joint_extrema(Ll, *near_l, delta, b)
-        have_i = minLl < math.inf
+        lost = minLl == math.inf
         causal = Li[b] >= 0.0
         gap = np.subtract(Li[b], minLl, out=minLl)
-        eps1 = max(eps1, float(np.max(gap, where=causal & have_i,
-                                      initial=0.0)))
-        unmatched += int(np.count_nonzero(causal & ~have_i))
-        del minLl, gap, have_i, causal
+        eps1 = max(eps1, float(np.max(gap, where=causal, initial=0.0)))
+        if lost.any():
+            unmatched += int(np.count_nonzero(causal & lost))
+        del minLl, gap, lost, causal
 
-    out = []
-    for l, e2, unmatched_l, ne in zip(levels, eps2, unmatched2, nonempty):
-        eps = max(eps1, e2)
-        # remark inclusion 1, at the level its proof actually yields:
-        # {l_i >= 1/l - eps} lies within delta of {l_lim >= 1/l - 2 eps}
-        inclusion1 = all(
-            np.all(maxLl[b] >= 1.0 / l - 2.0 * eps,
-                   where=(Li[b] >= 1.0 / l - eps) & (maxLl[b] > -math.inf))
-            for b in _blocks(ti.size))
-        # remark inclusion 2: delta-neighborhood of the level set has
-        # l_i >= 1/(2l)
-        inclusion2 = all(np.all(Li[b] >= 1.0 / (2.0 * l),
-                                where=maxLl[b] >= 1.0 / l)
-                         for b in _blocks(ti.size))
-        out.append(ConvergenceModulus(
-            i=i, k=k, l=l, delta=float(delta), eps1=eps1, eps2=e2,
-            inclusion1=bool(inclusion1), inclusion2=bool(inclusion2),
-            level_set_empty=not ne,
-            unmatched_pairs=unmatched + unmatched_l))
-    return out
+    eps = [max(eps1, e2) for e2 in eps2]
+    inclusion1 = [True] * len(levels)
+    inclusion2 = [True] * len(levels)
+    for b in _blocks(ti.size):
+        found = maxLl[b] > -math.inf
+        for j, l in enumerate(levels):
+            # remark inclusion 1, at the level its proof actually yields:
+            # {l_i >= 1/l - eps} lies within delta of {l_lim >= 1/l - 2 eps}
+            if inclusion1[j]:
+                inclusion1[j] = bool(np.all(
+                    maxLl[b] >= 1.0 / l - 2.0 * eps[j],
+                    where=(Li[b] >= 1.0 / l - eps[j]) & found))
+            # remark inclusion 2: delta-neighborhood of the level set has
+            # l_i >= 1/(2l)
+            if inclusion2[j]:
+                inclusion2[j] = bool(np.all(Li[b] >= 1.0 / (2.0 * l),
+                                            where=maxLl[b] >= 1.0 / l))
+    return [ConvergenceModulus(
+        i=i, k=k, l=l, delta=float(delta), eps1=eps1, eps2=e2,
+        inclusion1=inc1, inclusion2=inc2, level_set_empty=top < 1.0 / l,
+        unmatched_pairs=unmatched + unmatched_l)
+        for l, e2, inc1, inc2, unmatched_l in zip(
+            levels, eps2, inclusion1, inclusion2, unmatched2)]
 
 
-def _require_level(k, l, depth: int) -> None:
-    """ValueError unless k is an integer cover level, 1 <= k <= depth, and
-    l a number > 0 (bools are neither): the rule of every (k, l) that a
-    modulus is asked for."""
+def _require_cover_level(k, depth: int) -> None:
+    """ValueError unless k is an integer cover level, 1 <= k <= depth
+    (bools are not): the rule of every k that a check is asked for."""
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) \
             or not 1 <= k <= depth:
         raise ValueError(f"cover level k={k!r} needs an integer "
                          f"1 <= k <= {depth} (the cover depth)")
+
+
+def _require_level(k, l, depth: int) -> None:
+    """ValueError unless k is a cover level (`_require_cover_level`) and
+    l a number > 0 (bools are not): the rule of every (k, l) that a
+    modulus is asked for."""
+    _require_cover_level(k, depth)
     if isinstance(l, bool) or not isinstance(l, numbers.Real) or not l > 0:
         raise ValueError(f"threshold level l={l!r} needs a number l > 0")
 
@@ -527,10 +600,9 @@ def _w1(src, dst, X: FiniteMetricSpace, fmax: float) -> float:
 def measured_converge_check(seq: ConeSequence, k: int) -> list:
     """Per-i W1 distances between normalized restricted reference measures
     on every state of the k-th cover, the member's transported into the
-    limit cover through the witness correspondence."""
-    if not 1 <= k <= seq.depth:
-        raise ValueError(f"cover level k={k} needs 1 <= k <= {seq.depth} "
-                         f"(the cover depth)")
+    limit cover through the witness correspondence.  Raises ValueError
+    unless k is an integer cover level, 1 <= k <= depth."""
+    _require_cover_level(k, seq.depth)
     limit = seq.limit
     out = []
     for i, c in enumerate(seq.cones):

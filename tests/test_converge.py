@@ -13,8 +13,9 @@ from conelab.cone import GeneralizedCone
 from conelab.converge import (NEIGHBOR_CAP, ConvergenceModulus,
                               _cross_metric, _cross_states, _joint_extrema,
                               _limit_separations, _moduli, _neighbours,
-                              _states, cone_sequence, covered_gh, default_delta,
-                              ell_converge_check, imprisonment_constants,
+                              _search, _states, cone_sequence, covered_gh,
+                              default_delta, ell_converge_check,
+                              imprisonment_constants,
                               measured_converge_check, precompact_harness,
                               tangent_cone, uniform_modulus)
 from conelab.errors import BoundaryPoint
@@ -127,6 +128,17 @@ def test_uniform_modulus_rejects_bad_arguments(const_seq, i, k, l, delta,
     # schedule entry, a member index and a finite delta >= 0
     with pytest.raises(ValueError, match=names):
         uniform_modulus(const_seq, i, k, l, delta=delta)
+
+
+@pytest.mark.parametrize("k, names", [
+    (True, "cover level k=True"),
+    (1.5, "cover level k=1.5"),
+])
+def test_measured_rejects_bad_cover_level(const_seq, k, names):
+    # the cover-level rule of uniform_modulus: True was read as level 1,
+    # and 1.5 ended in an untyped TypeError from list indexing
+    with pytest.raises(ValueError, match=names):
+        measured_converge_check(const_seq, k)
 
 
 def test_cos_family_moduli_decreasing(cos_seq):
@@ -295,6 +307,30 @@ def test_joint_extrema_matches_reference_on_cos_family(cos_seq):
         lo, hi = _joint_extrema(Ll, *_neighbours(D, delta), delta)
         assert np.array_equal(lo, reference_joint_extremum(Ll, D, delta, True)[0])
         assert np.array_equal(hi, reference_joint_extremum(Ll, D, delta, False)[0])
+
+
+def test_joint_extrema_mask_elision_at_the_edge():
+    # a slot pair skips the joint-cost mask when its largest costs sum to
+    # at most delta: at exactly delta it may, one ulp over it may not, and
+    # a +inf padded slot beside finite ones never does
+    inf, up = math.inf, np.nextafter(0.25, 1.0)
+    L = np.array([[0.0, 1.0, -inf, 2.0], [0.5, -inf, 0.25, 1.0],
+                  [1.0, 2.0, 0.0, -0.5], [-inf, 0.5, 1.5, 0.0]])
+    edge = np.array([[0.0, 0.25, 0.25, 0.0], [0.25, 0.0, 0.0, 0.25],
+                     [0.0, 0.0, 0.25, 0.25]])
+    over = edge.copy()
+    over[1, 0] = up
+    padded = np.array([[0.0, 0.1, 0.2, 1.0], [1.0, 0.0, 1.0, 1.0],
+                       [0.1, 1.0, 1.0, 1.0]])
+    for D in (edge, over, padded):
+        nbr, cost = _neighbours(D, 0.5)
+        lo, hi = _joint_extrema(L, nbr, cost, 0.5)
+        assert np.array_equal(lo, reference_joint_extremum(L, D, 0.5, True)[0])
+        assert np.array_equal(hi, reference_joint_extremum(L, D, 0.5, False)[0])
+    assert 2 * _neighbours(edge, 0.5)[1].max() == 0.5
+    assert up + up > 0.5
+    cost = _neighbours(padded, 0.5)[1]
+    assert np.isinf(cost[:, 1]).any() and np.isfinite(cost[:, 1]).any()
 
 
 def test_modulus_and_measured_pinned(cos_seq):
@@ -724,3 +760,90 @@ def test_blocked_moduli_equal_whole_on_cos_family(which):
             got = _moduli(seq, 0, 1, [1, 2, 4], delta,
                           _limit_separations(seq, 1))
         assert got == expected, block
+
+
+# -- the time-row neighbour search against the whole-row search -------------
+
+
+@st.composite
+def _time_row_problem(draw):
+    # uniform grids, the member's shifted off the limit's by a part of a
+    # step, fibers with tied distances and any witness map: many tied
+    # costs, and at the larger deltas more than NEIGHBOR_CAP of them
+    nt = draw(st.integers(2, 16))
+    step = 2.0 / nt
+    shift = draw(st.sampled_from([0.0, 1e-3, 0.25, 0.5, 1.0])) * step
+    ts = np.linspace(-1.0, 1.0, nt + 1)
+    vals = lambda: np.array(draw(st.lists(st.floats(0.5, 1.5), min_size=nt + 1,
+                                          max_size=nt + 1)))
+    # evenly spaced short segments put many states within delta of a row
+    fiber = lambda: (segment(draw(st.sampled_from([0.05, 0.3, 1.0])),
+                             draw(st.integers(1, 14)))
+                     if draw(st.booleans())
+                     else _fiber(draw, draw(st.integers(1, 10))))
+    member = GeneralizedCone(WarpingFunction(ts + shift, vals()), fiber(),
+                             N=2.0)
+    limit = GeneralizedCone(WarpingFunction(ts, vals()), fiber(), N=2.0)
+    seq = cone_sequence([member], limit, depth=1)
+    to_limit, dist = seq.fiber_maps[(0, 1)]
+    nb = seq.covers[-1][0].fiber_idx.size
+    seq.fiber_maps[(0, 1)] = (np.array(draw(st.lists(
+        st.integers(0, nb - 1), min_size=to_limit.size,
+        max_size=to_limit.size))), dist)
+    return seq
+
+
+@settings(max_examples=80, deadline=None)
+@given(_time_row_problem(), st.sampled_from(["zero", "tiny", "half_dt",
+                                             "two_dt", "default"]))
+def test_time_row_search_equals_whole_row_search(seq, which):
+    # at 2 dt a row sees a few time rows of the other side, so crowded
+    # rows read their whole row from a window of columns
+    dt = float(np.diff(seq.limit.f.ts).max())
+    delta = {"zero": 0.0, "tiny": 1e-9, "half_dt": 0.5 * dt, "two_dt": 2 * dt,
+             "default": default_delta(seq, 0, 1)}[which]
+    D = _cross_metric(seq, 0, 1)
+    for limit_side, whole in ((False, D), (True, D.T)):
+        nbr, cost = _search(seq, 0, 1, delta, limit_side)
+        ref_nbr, ref_cost = _neighbours(whole, delta)
+        assert nbr.shape == ref_nbr.shape
+        assert np.array_equal(cost, ref_cost)
+        finite = np.isfinite(ref_cost)
+        assert np.array_equal(nbr[finite], ref_nbr[finite])
+
+
+@pytest.mark.parametrize("which", ["tiny", "two_dt", "default"])
+def test_time_row_search_reads_only_near_time_rows(cos_seq, which):
+    # at delta = 1e-9 each state's neighbour lies in the same time row, so
+    # a side computes at most 2 s nx cross-metric entries (the whole-row
+    # search computed s^2); at 2 dt the middle rows are crowded within a
+    # window of 5 time rows and read their whole row, and at the default
+    # delta every row is crowded; the result is the whole-row search's
+    lv = cos_seq.covers[-1][0]
+    s, nx = _states(cos_seq.limit, lv)[0].size, lv.fiber_idx.size
+    dt = float(np.diff(cos_seq.limit.f.ts).max())
+    delta = {"tiny": 1e-9, "two_dt": 2 * dt,
+             "default": default_delta(cos_seq, 4, 1)}[which]
+    D = _cross_metric(cos_seq, 4, 1)
+    metric = converge._cross_metric
+    for limit_side, whole in ((False, D), (True, D.T)):
+        entries = []
+
+        def counting(*args):
+            block = metric(*args)
+            entries.append(block.size)
+            return block
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(converge, "_cross_metric", counting)
+            nbr, cost = _search(cos_seq, 4, 1, delta, limit_side)
+        ref_nbr, ref_cost = _neighbours(whole, delta)
+        assert np.array_equal(nbr, ref_nbr) and np.array_equal(cost, ref_cost)
+        if which == "tiny":
+            assert sum(entries) <= 2 * s * nx
+            assert nbr.shape == (s, 1)
+        else:
+            assert nbr.shape == (s, NEIGHBOR_CAP)
+        if which == "two_dt":
+            crowded = ((whole <= delta).sum(axis=1) > NEIGHBOR_CAP).sum()
+            assert 0 < crowded < s
