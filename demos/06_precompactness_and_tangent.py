@@ -20,7 +20,7 @@ ts = np.linspace(0.03, math.pi - 0.03, nt + 1)
 cones = [GeneralizedCone(WarpingFunction(ts, np.sin(ts) * (1 + 0.1 / i)),
                          segment(1.0, 11), N=2.0, window=8)
          for i in (1, 2, 4, 8)]
-rep = precompact_harness(cones, K=1.0, N=2.0, D=4.0, depth=1)
+rep = precompact_harness(cones, K=1.0, D=4.0, depth=1)
 print(f"precompactness harness: selected={rep['selected']}, "
       f"verdict={rep['verdict']}")
 

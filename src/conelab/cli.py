@@ -115,8 +115,6 @@ def run_tau(args, outdir: Path) -> dict:
     cone = _load_cone(args.cone)
     report = {"time_points": cone.f.n, "dist_points": cone.m,
               "window": cone.window}
-    # the rows first, the width after: bracket_width then reads the pair's
-    # one stored row of each table, or the two stored tables, in place
     if args.p is not None:
         p, q = _parse_point(args.p, cone), _parse_point(args.q, cone)
         lo = cone.signed_separation(p, q)
@@ -215,7 +213,7 @@ def run_measured(args, outdir: Path) -> dict:
 
 def run_precompact(args, outdir: Path) -> dict:
     cones = _read(args.seq, _load_cones)
-    return converge.precompact_harness(cones, K=args.K, N=args.N, D=args.D,
+    return converge.precompact_harness(cones, K=args.K, D=args.D,
                                        depth=args.depth)
 
 
@@ -326,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("precompact", run_precompact)
     p.add_argument("--seq", required=True)
     p.add_argument("--K", type=float, required=True)
-    p.add_argument("--N", type=float, required=True)
     p.add_argument("--D", type=float, required=True)
     p.add_argument("--depth", type=int, default=2)
 

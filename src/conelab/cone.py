@@ -34,11 +34,10 @@ Tables are built only as far as the reads need them, by one rule for
 both, kept in `_store`: a read computes the rows it misses in one kernel
 call and appends them, and the read that completes a table leaves it in
 source order.  `_store` is also the one place where the memory budget,
-MAX_TABLE_BYTES of stored rows per table, is checked.  `bracket_width`
-takes the width over the source rows asked for (every row by default)
-and streams them from both tables, storing none: one block of lower rows
-at a time, and within it one upper row at a time.  So a query that reads
-a few source rows pays for those rows alone, width included.
+MAX_TABLE_BYTES of stored rows per table, is checked.  Every read goes
+through it, `bracket_width` included, which takes the width over the
+source rows asked for (every row by default).  So a query that reads a
+few source rows pays for those rows alone, width included.
 
 Real fiber distances are rounded up (lo) / down (hi) onto the distance
 grid; since tau is nonincreasing in the distance argument this preserves
@@ -61,10 +60,9 @@ from .warp import WarpingFunction
 NEG_INF = -math.inf
 MAX_TABLE_BYTES = 1.6e9   # stored rows of one table: 2e8 float64 entries
 N_MU = 48   # positive multipliers on the upper envelope's mu-grid
-# entries of one block of lower rows, the DP kernel's unit in `_build_lower`
-# and so in `bracket_width`: the larger, the fewer DP sweeps, but each edge
-# update also sweeps the block's sources not yet reached, so the block
-# bounds that waste too
+# entries of one block of lower rows, the DP kernel's unit in `_build_lower`:
+# the larger, the fewer DP sweeps, but each edge update also sweeps the
+# block's sources not yet reached, so the block bounds that waste too
 LOWER_BLOCK = 2 ** 23
 
 
@@ -72,8 +70,7 @@ class GeneralizedCone:
     """Discrete cone: time grid of the warping x finite fiber, N-cone measure.
 
     Each table keeps the rows that reads asked for, by the one rule of
-    `_store`; `bracket_width` streams the rows of both without storing
-    them.
+    `_store`.
     """
 
     def __init__(self, f: WarpingFunction, X: FiniteMetricSpace, N: float = 1.0,
@@ -424,34 +421,18 @@ class GeneralizedCone:
     def bracket_width(self, sources=None) -> float:
         """Max of hi - lo over the grid entries of the source rows (every
         row when sources is None) on the causally related set (lo >= 0),
-        0.0 when it is empty.
-
-        Streams the rows of both tables over blocks of sources and stores
-        none.  Per block of at most LOWER_BLOCK lower entries, the lower
-        rows not stored are computed in one kernel call (none when all are
-        stored); then each source's stored rows are read in place and its
-        missing upper row computed alone.  The block is released before
-        the next is computed.  A row of either kernel does not depend on
-        the sources computed with it and max is exact, so the value does
-        not depend on the blocks.  Columns before a row's source are -inf
-        in lo and are skipped."""
+        0.0 when it is empty.  The rows of both tables are read, and the
+        missing ones stored, by `_store`'s rule.  Columns before a row's
+        source are -inf in lo and are skipped."""
         src = (np.arange(self.f.n) if sources is None
                else np.unique(np.asarray(sources, dtype=int)))
-        # unbudgeted, as it stores nothing: it holds one block of lower
-        # rows and one upper row besides the stored rows
-        widths = []
-        for block in self._source_blocks(src):
-            (lows, lslot), (ups, uslot) = self._stored
-            need = block[lslot[block] < 0]
-            new = iter(self._build_lower(need) if need.size else ())
-            for s in block.tolist():
-                lo = lows[lslot[s]] if lslot[s] >= 0 else next(new)
-                hi = ups[uslot[s]] if uslot[s] >= 0 else self._build_upper([s])[0]
-                lo = lo[s:]
-                widths.append(np.subtract(hi[s:], lo, where=lo >= 0.0,
-                                          out=np.full(lo.shape, NEG_INF)).max())
-            new = lo = hi = None     # release the block before the next
-        width = max(widths, default=NEG_INF)
+        lows, lslot = self._store(False, src)
+        ups, uslot = self._store(True, src)
+        width = NEG_INF
+        for s in src.tolist():
+            lo, hi = lows[lslot[s], s:], ups[uslot[s], s:]
+            width = max(width, np.subtract(hi, lo, where=lo >= 0.0,
+                                           out=np.full(lo.shape, NEG_INF)).max())
         return float(width) if width > NEG_INF else 0.0
 
     # -- geodesics -----------------------------------------------------------

@@ -615,12 +615,18 @@ def measured_converge_check(seq: ConeSequence, k: int) -> list:
     return out
 
 
-def precompact_harness(cones, K: float, N: float, D: float,
-                       depth: int = 2) -> dict:
+def precompact_harness(cones, K: float, D: float, depth: int = 2) -> dict:
     """Normalize, certify the log-slope bound, extract a grid-wise limit
     candidate (normalized warpings within CLUSTER_TOL of each other cluster
     together), and run the ell-convergence check on the selected
-    subsequence."""
+    subsequence.  Each normalized cone keeps its input cone's N.  Raises
+    ValueError unless K is a finite number and D a number > 0 (bools are
+    not)."""
+    if isinstance(K, bool) or not isinstance(K, numbers.Real) \
+            or not math.isfinite(K):
+        raise ValueError(f"curvature bound K={K!r} needs a finite number")
+    if isinstance(D, bool) or not isinstance(D, numbers.Real) or not D > 0:
+        raise ValueError(f"diameter bound D={D!r} needs a number D > 0")
     for idx, c in enumerate(cones):
         span = c.f.b - c.f.a
         if span > D + 1e-12:
@@ -673,8 +679,9 @@ def tangent_cone(cone: GeneralizedCone, point, eps_list, frame: float = 1.0,
     """Rescale around an interior point by each eps, compare against the
     constant-warping product candidate, and report whether the rescaled
     warpings flatten at rate 2*eps (up to 1e-3)."""
-    if not eps_list or min(eps_list) <= 0:
-        raise ValueError(f"eps values must be positive, got {list(eps_list)}")
+    if not eps_list or not all(math.isfinite(e) and e > 0 for e in eps_list):
+        raise ValueError(f"eps values must be positive and finite, got "
+                         f"{list(eps_list)}")
     ti, xi = int(point[0]), int(point[1])
     if ti <= 0 or ti >= cone.f.n - 1:
         raise BoundaryPoint("tangent point must be an interior grid point")

@@ -352,13 +352,13 @@ def test_criterion_12_precompactness():
     profiles = [np.sin(ts) * (1.0 + 0.1 / i) for i in (1, 2, 4, 8, 16)]
     cones = [GeneralizedCone(WarpingFunction(ts, v), segment(1.0, 11),
                              N=2.0, window=8) for v in profiles]
-    rep = precompact_harness(cones, K=1.0, N=2.0, D=4.0, depth=1)
+    rep = precompact_harness(cones, K=1.0, D=4.0, depth=1)
     pass5 = rep["selected"] == [0, 1, 2, 3, 4] and \
         rep["verdict"] in ("PASS", "INCONCLUSIVE")
     bad = GeneralizedCone(WarpingFunction(ts, np.sin(ts) + 0.1),
                           segment(1.0, 11), N=2.0, window=8)
     try:
-        precompact_harness([bad], K=1.0, N=2.0, D=4.0)
+        precompact_harness([bad], K=1.0, D=4.0)
         rejected, msg = False, "no rejection"
     except ValueError as exc:
         rejected, msg = "at t=" in str(exc), str(exc)

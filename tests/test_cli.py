@@ -103,8 +103,8 @@ def _keep_loaded_cones(monkeypatch):
 
 
 def test_tau_pair_stores_one_upper_row(workdir, monkeypatch):
-    # bracket_width streams the upper rows without storing them, and the
-    # pair's upper read builds only its source's row
+    # the pair's reads, and its width over p's row, store only that
+    # source's row of each table
     cones = _keep_loaded_cones(monkeypatch)
     assert run_cli(["--out", workdir / "o_row", "tau", "--cone",
                     workdir / "cone.json", "--p", "3,2", "--q", "30,1"]) == 0
@@ -310,15 +310,15 @@ def test_ot_and_noncouplable(workdir):
 
 
 def test_ot_reads_only_the_rows_of_mu0(workdir, monkeypatch):
-    # both atoms of mu0 sit at time 2: ot stores that lower row alone, and
-    # its width is over that row of both tables
+    # both atoms of mu0 sit at time 2: ot stores that row alone of each
+    # table, and its width is over that row of both tables
     cones = _keep_loaded_cones(monkeypatch)
     out = workdir / "o_ot_rows"
     assert run_cli(["--out", out, "ot", "--cone", workdir / "cone.json",
                     "--mu0", workdir / "mu0.json", "--mu1", workdir / "mu1.json",
                     "--p", 0.5, "--seed", 1]) == 0
     (cone,) = cones
-    assert _stored(cone, False) == [2] and _stored(cone, True) == []
+    assert _stored(cone, False) == [2] and _stored(cone, True) == [2]
     rep = json.loads((out / "report.json").read_text())
     assert "bracket_width" not in rep
     assert rep["rows_bracket_width"] == cone.bracket_width([2])
@@ -583,8 +583,8 @@ def test_every_report_carries_its_command(workdir):
         "gh": ["--A", w / "fib.json", "--B", w / "fib.json"],
         "ellconv": ["--seq", seq],
         "measured": ["--seq", seq],
-        "precompact": ["--seq", w / "pseq.json", "--K", 0.0, "--N", 2.0,
-                       "--D", 4.0, "--depth", 1],
+        "precompact": ["--seq", w / "pseq.json", "--K", 0.0, "--D", 4.0,
+                       "--depth", 1],
         "tangent": cone + ["--point", "20,2", "--eps", "0.5,0.25"],
         "ricci": ["--warp", w / "warp.json", "--K", 1.0, "--n", 2,
                   "--fiber-bound", 1.0],
@@ -620,7 +620,7 @@ def test_precompact_command(workdir):
     p = workdir / "pseq.json"
     p.write_text(json.dumps({"cones": [cone, cone]}))
     code = run_cli(["--out", workdir / "o_pre", "precompact", "--seq", p,
-                    "--K", 1.0, "--N", 2.0, "--D", 4.0, "--depth", 1])
+                    "--K", 1.0, "--D", 4.0, "--depth", 1])
     assert code in (0, 3)
 
 

@@ -409,6 +409,27 @@ def test_lower_kernel_property(cone):
     _assert_kernel_exact(cone)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_small_warped_cones())
+def test_reverse_triangle_property(cone):
+    # both tables, every s <= u <= t and r1 + r2 < m:
+    # table[s, t, r1 + r2] >= table[s, u, r1] + table[u, t, r2] up to a
+    # relative 1e-9, wherever both terms are causal (so the left side too)
+    n, m = cone.f.n, cone.m
+    r = np.arange(m)
+    fits = r[:, None] + r[None, :] < m
+    r12 = np.where(fits, r[:, None] + r[None, :], 0)
+    for table in cone.tables():
+        for s in range(n):
+            for u in range(s, n):
+                a, b = table[s, u][None, :, None], table[u, u:][:, None, :]
+                both = fits & (a > -np.inf) & (b > -np.inf)
+                whole = table[s, u:][:, r12][both]
+                assert (whole > -np.inf).all()
+                total = (a + np.where(b > -np.inf, b, 0.0))[both]
+                assert (whole - total >= -1e-9 * (1 + np.abs(whole))).all()
+
+
 @pytest.mark.parametrize("cone", list(_kernel_cones()))
 def test_kernels_of_no_sources_are_empty(cone):
     for build in (cone._build_lower, cone._build_upper):
@@ -479,6 +500,13 @@ def stored_after(before, touched):
     return sorted(set(before) | set(touched))
 
 
+def completing_rows(n, missing):
+    """Rows the kernel computes for a read that completes a table of n
+    rows by its `missing` rows, by the one rule: the one missing row alone,
+    or the whole table when several are missing."""
+    return n if missing > 1 else missing
+
+
 def _rule_cones():
     yield pytest.param(minkowski_strip(time_steps=12, fiber_points=5),
                        id="strip")
@@ -533,15 +561,35 @@ def test_storage_rule(cone, upper):
         read(last, s)
         assert stored(last, upper) == stored_after(range(s + 1, n), [s])
     whole(last)
-    # the table's own accessor and bracket_width store nothing more
+    # bracket_width reads the rows of both tables by the same rule, and so
+    # does the table's own accessor
     later = _twin(cone)
     read(later, 4)
-    later.bracket_width()
     later.bracket_width([1, 4])
-    assert stored(later, upper) == [4] and stored(later, not upper) == []
+    assert stored(later, upper) == [1, 4] and stored(later, not upper) == [1, 4]
+    later.bracket_width()
+    whole(later)
     assert np.array_equal(
         later.upper_table() if upper else later.lower_table(), full)
     whole(later)
+
+
+@pytest.mark.parametrize("cone", list(_rule_cones()))
+def test_width_is_budgeted(cone, monkeypatch):
+    # bracket_width stores its rows through _store: over a budget of all
+    # but half a row of a table, the cone's width is refused before either
+    # kernel computes a row, and the width over two rows still runs
+    lo, hi = _twin(cone).tables()
+    cone, n = _twin(cone), cone.f.n
+    monkeypatch.setattr(cone_mod, "MAX_TABLE_BYTES",
+                        (n - 0.5) * n * cone.m * 8)
+    with _kernel_calls() as calls:
+        with pytest.raises(ResourceLimit):
+            cone.bracket_width()
+    assert calls == []
+    assert stored(cone, False) == stored(cone, True) == []
+    assert cone.bracket_width([1, 4]) == _rows_width(lo, hi, [1, 4])
+    assert stored(cone, False) == stored(cone, True) == [1, 4]
 
 
 def test_one_source_reads_build_each_row_once():
@@ -784,15 +832,16 @@ def _assert_upper_rows_exact(cone, data):
         assert (got == want).all()
         kept = stored_after(kept, pt.tolist())
         assert stored(fresh, True) == kept
-    # the streamed width against the full-table formula, with some rows
-    # stored, all stored and none stored
+    # the width against the full-table formula, with some rows stored, all
+    # stored and none stored; it stores every row by the one rule
     rel = lo >= 0.0
     want = float((hi[rel] - lo[rel]).max()) if rel.any() else 0.0
     assert fresh.bracket_width() == want
-    assert stored(fresh, True) == kept
+    assert stored(fresh, True) == list(range(n))
     assert full.bracket_width() == want
     none = _twin(cone)
-    assert none.bracket_width() == want and stored(none, True) == []
+    assert none.bracket_width() == want
+    assert stored(none, True) == list(range(n))
     # filling the other rows puts every row at its source
     assert np.array_equal(fresh.upper_table(), hi)
 
@@ -899,10 +948,10 @@ def _counted_rows():
 
 
 def _assert_streamed_width_exact(cone, data):
-    """The streamed bracket_width equals the full-table value with ==, for
-    drawn block sizes, with no rows stored, one cached one-source lower
-    row, some upper rows stored, the lower table stored and both tables
-    stored; it computes only the rows not stored."""
+    """bracket_width equals the full-table value with ==, for drawn block
+    sizes, with no rows stored, one cached one-source lower row, some upper
+    rows stored, the lower table stored and both tables stored; it stores
+    the rows it misses by `_store`'s rule."""
     n, nx, m = cone.f.n, cone.X.n, cone.m
     want = _full_width(cone)
     rows = data.draw(st.integers(1, n), label="lower rows per block")
@@ -912,20 +961,20 @@ def _assert_streamed_width_exact(cone, data):
     with mock.patch.object(cone_mod, "LOWER_BLOCK", rows * n * m):
         none = _twin(cone)
         assert none.bracket_width() == want
-        assert stored(none, False) == stored(none, True) == []
+        assert stored(none, False) == stored(none, True) == list(range(n))
         one = _twin(cone)
         one.separations((src, 0), (n - 1, nx - 1))
         assert one.bracket_width() == want
-        assert stored(one, False) == [src] and stored(one, True) == []
+        assert stored(one, False) == stored(one, True) == list(range(n))
         some = _twin(cone)
         for s in upper:
             some.separations((s, 0), (n - 1, 0), upper=True)
         some.separations((src, nx - 1), (src, 0))
         with _counted_rows() as made:
             assert some.bracket_width() == want
-        assert made == {"lower": n - 1, "upper": n - len(set(upper))}
-        assert stored(some, False) == [src]
-        assert stored(some, True) == sorted(set(upper))
+        assert made == {"lower": completing_rows(n, n - 1),
+                        "upper": completing_rows(n, n - len(set(upper)))}
+        assert stored(some, False) == stored(some, True) == list(range(n))
         built = _twin(cone)
         built.lower_table()
         assert built.bracket_width() == want
@@ -964,7 +1013,7 @@ def test_reads_compute_and_store_the_rows_they_miss(cone, data):
     # tables' entries, a read that misses rows makes one kernel call, an
     # incomplete table holds exactly the sources read so far, and the
     # width over some source rows is the full tables' width over them,
-    # computing only the rows not stored
+    # read from both tables by the same rule
     full = _twin(cone)
     tables = full.tables()
     n, nx = cone.f.n, cone.X.n
@@ -997,12 +1046,14 @@ def test_reads_compute_and_store_the_rows_they_miss(cone, data):
         with _kernel_calls() as calls:
             assert fresh.bracket_width(sources) == _rows_width(*tables,
                                                                sources)
-        # one block: one lower call if a lower row is missing, none when
-        # all are stored, and one upper call per missing upper row
+        # one call per table that misses a row of the width, none when all
+        # are stored
         width_rows = set(sources)
         assert [kind for kind, _ in calls] \
             == (["lower"] if width_rows - read[False] else []) \
-            + ["upper"] * len(width_rows - read[True])
+            + (["upper"] if width_rows - read[True] else [])
+        read[False] |= width_rows
+        read[True] |= width_rows
         assert stored(fresh, False) == sorted(read[False])
         assert stored(fresh, True) == sorted(read[True])
     assert fresh.bracket_width() == _rows_width(*tables, range(n))

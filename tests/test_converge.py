@@ -438,21 +438,29 @@ def test_ell_converge_keeps_three_whole_arrays(cos_seq):
 
 def test_ell_converge_reads_each_cover_in_one_kernel_call():
     # every cone's rows of one cover level come from one lower-DP call,
-    # as before the moduli were blocked: 6 cones x 2 levels, then the
-    # limit's and the last member's remaining rows for bracket_width
+    # as before the moduli were blocked: 6 cones x 2 levels; then
+    # bracket_width completes the limit's and the last member's tables by
+    # _store's rule, which builds a table whole when several rows are
+    # missing: one lower call of all 51 rows and one upper call each
     seq = cone_sequence([cos_family_cone(i) for i in (1, 2, 4, 8, 16)],
                         cos_family_limit(), depth=2)
-    calls = []
-    kernel = GeneralizedCone._lower_rows
+    calls, upper = [], []
+    kernel, envelope = GeneralizedCone._lower_rows, GeneralizedCone._build_upper
 
     def counting(cone, sources):
         calls.append(len(sources))
         return kernel(cone, sources)
 
+    def counting_upper(cone, sources):
+        upper.append(len(sources))
+        return envelope(cone, sources)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(GeneralizedCone, "_lower_rows", counting)
+        mp.setattr(GeneralizedCone, "_build_upper", counting_upper)
         ell_converge_check(seq)
-    assert calls == [17] * 6 + [16] * 6 + [18] * 2
+    assert calls == [17] * 6 + [16] * 6 + [51] * 2
+    assert upper == [51] * 2
 
 
 def test_measured_footprint_is_linear():
@@ -532,7 +540,7 @@ def test_precompact_harness_sin_profiles():
         return GeneralizedCone(WarpingFunction(ts, vals), segment(1.0, 11),
                                N=2.0, window=8)
     rep = precompact_harness([sincone(0.1 / i) for i in (1, 2, 4, 8, 16)],
-                             K=1.0, N=2.0, D=4.0, depth=1)
+                             K=1.0, D=4.0, depth=1)
     assert rep["verdict"] in ("PASS", "INCONCLUSIVE")
     assert rep["selected"] == [0, 1, 2, 3, 4]
 
@@ -546,7 +554,7 @@ def test_precompact_alternating_selects_even_cluster():
     cones = [GeneralizedCone(WarpingFunction(ts, tent if i % 2 == 0 else bump),
                              segment(1.0, 11), N=2.0, window=8)
              for i in range(6)]
-    rep = precompact_harness(cones, K=0.0, N=2.0, D=4.0, depth=1)
+    rep = precompact_harness(cones, K=0.0, D=4.0, depth=1)
     assert rep["selected"] == [0, 2, 4]
 
 
@@ -555,7 +563,21 @@ def test_precompact_diameter_precondition():
     f = WarpingFunction(ts, np.sin(ts * math.pi / 6.0))
     cone = GeneralizedCone(f, segment(1.0, 11), N=2.0, window=8)
     with pytest.raises(ValueError):
-        precompact_harness([cone], K=1.0, N=2.0, D=4.0)
+        precompact_harness([cone], K=1.0, D=4.0)
+
+
+@pytest.mark.parametrize("K, D, match", [
+    (1.0, math.nan, "D=nan"), (1.0, 0.0, "D=0.0"), (1.0, -1.0, "D=-1.0"),
+    (1.0, True, "D=True"), (math.nan, 4.0, "K=nan"), (math.inf, 4.0, "K=inf"),
+    (-math.inf, 4.0, "K=-inf")])
+def test_precompact_rejects_bad_bounds(K, D, match):
+    # two sin cones on an interval of length 3.08: a NaN D skipped the
+    # diameter precondition, and a NaN K read as a concavity residual
+    ts = np.linspace(0.03, math.pi - 0.03, NT + 1)
+    cone = GeneralizedCone(WarpingFunction(ts, np.sin(ts)), segment(1.0, 11),
+                           N=2.0, window=8)
+    with pytest.raises(ValueError, match=match):
+        precompact_harness([cone, cone], K=K, D=D, depth=1)
 
 
 def test_precompact_rejects_non_concave_with_location():
@@ -563,7 +585,7 @@ def test_precompact_rejects_non_concave_with_location():
     cone = GeneralizedCone(WarpingFunction(ts, np.sin(ts) + 0.1),
                            segment(1.0, 11), N=2.0, window=8)
     with pytest.raises(ValueError, match="not FK-concave.*at t="):
-        precompact_harness([cone], K=1.0, N=2.0, D=4.0)
+        precompact_harness([cone], K=1.0, D=4.0)
 
 
 def test_tangent_cone_flat_cone():
@@ -590,6 +612,16 @@ def test_tangent_cone_identity_eps():
                        depth=1)
     assert rep["flattening_ok"]
     assert rep["warp_deviation"][0] == 0.0
+
+
+@pytest.mark.parametrize("eps", [[math.inf], [0.5, math.nan], [0.0],
+                                 [-0.5], []])
+def test_tangent_cone_rejects_bad_eps(eps):
+    ts = np.linspace(0.2, 2.0, 21)
+    cone = GeneralizedCone(WarpingFunction(ts, ts.copy()), segment(1.0, 5),
+                           window=4)
+    with pytest.raises(ValueError, match="eps values must be positive and finite"):
+        tangent_cone(cone, (10, 2), eps)
 
 
 def test_tangent_cone_boundary_rejected():
