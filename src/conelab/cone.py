@@ -415,9 +415,6 @@ class GeneralizedCone:
     def signed_separation_upper(self, p, q) -> float:
         return float(self.separations(p, q, upper=True))
 
-    def causally_related(self, p, q) -> bool:
-        return self.signed_separation(p, q) >= 0.0
-
     def bracket_width(self, sources=None) -> float:
         """Max of hi - lo over the grid entries of the source rows (every
         row when sources is None) on the causally related set (lo >= 0),
@@ -482,13 +479,6 @@ class GeneralizedCone:
                             weights=tuple(float(w) for w in weights),
                             tau_length=float(val))
 
-    def causal_diamond(self, p, q):
-        """Grid states u with p <= u <= q under the canonical relation, in
-        time-major order."""
-        u = (np.arange(p[0], q[0] + 1)[:, None], np.arange(self.X.n))
-        inside = (self.separations(p, u) >= 0.0) & (self.separations(u, q) >= 0.0)
-        return [(int(p[0] + a), int(x)) for a, x in zip(*np.nonzero(inside))]
-
     def imprisonment_bound(self, time_len: float, fiber_diam: float) -> float:
         """Metric arclength bound for causal curves in a cover set.
 
@@ -524,13 +514,6 @@ class GeneralizedCone:
                                FiniteMetricSpace(dist, self.X.base), N=self.N,
                                dist_steps=self.dist_steps, window=self.window,
                                fiber_weights=self.fiber_weights)
-
-    def rescale(self, eps: float) -> "GeneralizedCone":
-        """The 1/eps-rescaled cone: times and fiber distances divided by eps;
-        signed separations scale by 1/eps on corresponding grid pairs."""
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        return self._like(self.f.ts / eps, self.f.vals, self.X.dist / eps)
 
     def scaling_isomorphism_check(self, lam: float) -> float:
         """Max |l - l'| over grid pairs for the (lam f, X/lam) cone."""
@@ -608,22 +591,6 @@ class GridGeodesic:
         if len(kinds) > 1:
             return "mixed"
         return kinds.pop() if kinds else "timelike"
-
-    def energy_diagnostic(self):
-        """Per-edge Clairaut values fbar^2 * (fiber speed in tau-arclength).
-
-        Along a timelike maximizer the fiber speed is proportional to
-        1/f^2, so these values should agree across edges up to grid error;
-        kept as a diagnostic only (the tables never use it)."""
-        vals = self.cone.f.vals
-        out = []
-        for (a, ra), (b, rb), w in zip(self.states, self.states[1:],
-                                       self.weights):
-            if rb - ra <= 0 or w <= 1e-12:
-                continue
-            fbar = float(vals[a:b + 1].max())
-            out.append(fbar * fbar * (rb - ra) / w)
-        return out
 
     def state_at(self, t: float):
         """State at normalized parameter t in [0, 1] (tau-arclength when

@@ -37,7 +37,7 @@ from .warp import (WarpingFunction, fk_concavity, log_slope_bound, log_slopes,
 
 NEIGHBOR_CAP = 12   # nearest neighbours per state in a modulus search
 # row states of one block of a modulus pass: each block holds a few arrays
-# of MODULUS_BLOCK x s entries beside the three whole s x s ones; the
+# of MODULUS_BLOCK x s entries beside the two whole s x s ones; the
 # larger, the fewer numpy calls per slot pair
 MODULUS_BLOCK = 32
 CLUSTER_TOL = 0.05  # grid-wise spread of one limit cluster, precompactness
@@ -366,16 +366,25 @@ def _moduli(seq: ConeSequence, i: int, k: int, levels, delta: float, Ll):
     metric, Li, both searches and eps1 depend only on (i, k) and delta.
     Ll is `_limit_separations(seq, k)`.
 
-    Three s x s float arrays are whole: Ll, Li and maxLl, the limit's
-    nearby maximum of every member pair, which inclusion 1 reads at the
-    global eps = max(eps1, eps2), known only after every block.  The
-    neighbour searches go by time row (`_search`); all else runs over
-    blocks of at most MODULUS_BLOCK row states, in O(block x s) memory:
-    the joint extrema and their gaps, and the two inclusions.  Each block
-    is read once for all levels: its level-invariant masks are made once,
-    property (2) reads its levels only when they can change, and an
-    inclusion stops reading a level once it is False.  Every output is a
-    max, a count or an all, exact and independent of the blocks."""
+    Two s x s float arrays are whole: Ll and Li.  The neighbour searches
+    go by time row (`_search`); all else runs in two passes over blocks
+    of at most MODULUS_BLOCK row states, in O(block x s) memory: property
+    (2)'s pass over limit rows, then property (1)'s over member rows,
+    which also evaluates inclusion 2 on the block's nearby maximum maxLl.
+    Each block is read once for all levels: its level-invariant masks are
+    made once, property (2) reads its levels only when they can change,
+    and inclusion 2 stops reading a level once it is False.  Every output
+    is a max, a count or an all, exact and independent of the blocks.
+
+    Remark inclusion 1 is property (1)'s consequence, so it is reported
+    True, not evaluated.  At the level its proof yields it reads: every
+    member pair with l_i >= 1/l - eps that is found (maxLl > -inf, some
+    joint neighbour pair is causal) has maxLl >= 1/l - 2 eps, where eps =
+    max(eps1, eps2).  A found pair has maxLl >= minLl >= 0, so this holds
+    when 1/l - 2 eps <= 0.  Otherwise l_i >= 1/l - eps > 0 makes the pair
+    causal, and eps1 >= l_i - minLl gives maxLl >= minLl >= l_i - eps1 >=
+    1/l - 2 eps.  Only rounding could break it; a property test pins it
+    against a whole-array evaluation."""
     (ti, _), _, (tl, _) = _cross_states(seq, i, k)
     # i-state -> limit neighbours, and limit-state -> i neighbours
     near_l = _search(seq, i, k, delta, limit_side=False)
@@ -406,11 +415,18 @@ def _moduli(seq: ConeSequence, i: int, k: int, levels, delta: float, Ll):
         del minLi, gap, lost
     top = float(Ll.max(initial=-math.inf))
 
-    # property (1): member pairs against the limit's nearby values
-    maxLl = np.empty_like(Li)
+    # property (1): member pairs against the limit's nearby values, and
+    # remark inclusion 2: the delta-neighborhood of the level set has
+    # l_i >= 1/(2l)
     eps1, unmatched = 0.0, 0
+    inclusion2 = [True] * len(levels)
     for b in _blocks(ti.size):
-        minLl, maxLl[b] = _joint_extrema(Ll, *near_l, delta, b)
+        minLl, maxLl = _joint_extrema(Ll, *near_l, delta, b)
+        for j, l in enumerate(levels):
+            if inclusion2[j]:
+                inclusion2[j] = bool(np.all(Li[b] >= 1.0 / (2.0 * l),
+                                            where=maxLl >= 1.0 / l))
+        del maxLl
         lost = minLl == math.inf
         causal = Li[b] >= 0.0
         gap = np.subtract(Li[b], minLl, out=minLl)
@@ -418,30 +434,12 @@ def _moduli(seq: ConeSequence, i: int, k: int, levels, delta: float, Ll):
         if lost.any():
             unmatched += int(np.count_nonzero(causal & lost))
         del minLl, gap, lost, causal
-
-    eps = [max(eps1, e2) for e2 in eps2]
-    inclusion1 = [True] * len(levels)
-    inclusion2 = [True] * len(levels)
-    for b in _blocks(ti.size):
-        found = maxLl[b] > -math.inf
-        for j, l in enumerate(levels):
-            # remark inclusion 1, at the level its proof actually yields:
-            # {l_i >= 1/l - eps} lies within delta of {l_lim >= 1/l - 2 eps}
-            if inclusion1[j]:
-                inclusion1[j] = bool(np.all(
-                    maxLl[b] >= 1.0 / l - 2.0 * eps[j],
-                    where=(Li[b] >= 1.0 / l - eps[j]) & found))
-            # remark inclusion 2: delta-neighborhood of the level set has
-            # l_i >= 1/(2l)
-            if inclusion2[j]:
-                inclusion2[j] = bool(np.all(Li[b] >= 1.0 / (2.0 * l),
-                                            where=maxLl[b] >= 1.0 / l))
     return [ConvergenceModulus(
         i=i, k=k, l=l, delta=float(delta), eps1=eps1, eps2=e2,
-        inclusion1=inc1, inclusion2=inc2, level_set_empty=top < 1.0 / l,
+        inclusion1=True, inclusion2=inc2, level_set_empty=top < 1.0 / l,
         unmatched_pairs=unmatched + unmatched_l)
-        for l, e2, inc1, inc2, unmatched_l in zip(
-            levels, eps2, inclusion1, inclusion2, unmatched2)]
+        for l, e2, inc2, unmatched_l in zip(
+            levels, eps2, inclusion2, unmatched2)]
 
 
 def _require_cover_level(k, depth: int) -> None:
@@ -466,10 +464,11 @@ def uniform_modulus(seq: ConeSequence, i: int, k: int, l: int,
                     delta: float | None = None) -> ConvergenceModulus:
     """Worst property-(1) excess (eps1) and property-(2) deficiency (eps2)
     of the uniform-convergence definition at cover level k and threshold
-    level 1/l, with the two remark set-inclusions evaluated at the achieved
-    epsilon.  Raises ValueError unless i is a member index, (k, l) is a
-    schedule entry of `ell_converge_check` and delta (default
-    `default_delta`) is a finite number >= 0."""
+    level 1/l, with remark inclusion 2 evaluated and inclusion 1 reported
+    as property (1)'s consequence (`_moduli`).  Raises ValueError unless
+    i is a member index, (k, l) is a schedule entry of
+    `ell_converge_check` and delta (default `default_delta`) is a finite
+    number >= 0."""
     require_int("member index i", i, 0)
     if i >= len(seq.cones):
         raise ValueError(f"member index i={i} needs i < {len(seq.cones)} "
@@ -620,8 +619,10 @@ def precompact_harness(cones, K: float, D: float, depth: int = 2) -> dict:
     candidate (normalized warpings within CLUSTER_TOL of each other cluster
     together), and run the ell-convergence check on the selected
     subsequence.  Each normalized cone keeps its input cone's N.  Raises
-    ValueError unless K is a finite number and D a number > 0 (bools are
-    not)."""
+    ValueError unless cones is non-empty, K is a finite number and D a
+    number > 0 (bools are not)."""
+    if not cones:
+        raise ValueError("cones needs at least one cone")
     if isinstance(K, bool) or not isinstance(K, numbers.Real) \
             or not math.isfinite(K):
         raise ValueError(f"curvature bound K={K!r} needs a finite number")

@@ -101,11 +101,3 @@ def oneill_diagnostics(f: WarpingFunction, n: int):
     }
 
 
-def reconstructed_tangential_bound(f: WarpingFunction, K: float, n: int,
-                                   fiber_ric_bound: float) -> np.ndarray:
-    """Pointwise slack of the tangential Ricci chain for a verdict-true
-    input: fiber bound + (f''/f + (n-1) f'^2/f^2) f^2 + nK f^2 >= 0 up to
-    the stencil error."""
-    d = oneill_diagnostics(f, n)
-    f2 = f.vals[1:-1] ** 2
-    return fiber_ric_bound + d["tangential"] * f2 + n * K * f2

@@ -289,9 +289,3 @@ def gh_distance(A: FiniteMetricSpace, B: FiniteMetricSpace, mode: str = "heurist
     witness = Correspondence.build(A, B, _exact_search(A, B, witness))
     val = 0.5 * witness.distortion
     return val, val, witness
-
-
-def relabel(X: FiniteMetricSpace, perm) -> FiniteMetricSpace:
-    perm = np.asarray(perm, dtype=int)
-    inv = np.argsort(perm)
-    return FiniteMetricSpace(X.dist[np.ix_(perm, perm)], int(inv[X.base]))

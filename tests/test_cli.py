@@ -624,6 +624,17 @@ def test_precompact_command(workdir):
     assert code in (0, 3)
 
 
+def test_precompact_without_cones_is_a_value_error(workdir):
+    p = workdir / "empty_seq.json"
+    p.write_text(json.dumps({"cones": []}))
+    out = workdir / "o_pre_empty"
+    assert run_cli(["--out", out, "precompact", "--seq", p,
+                    "--K", 1.0, "--D", 4.0]) == 1
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == "VALUE_ERROR"
+    assert "cones" in rep["message"]
+
+
 def test_preset_command(tmp_path):
     assert run_cli(["--out", tmp_path, "preset", "warp", "sin",
                     "--a", 0, "--b", 3.1, "--n", 21]) == 0

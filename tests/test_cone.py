@@ -132,24 +132,6 @@ def test_maximizer_not_related(strip_small):
         strip_small.maximizer((0, 0), (5, 20))
 
 
-def test_energy_diagnostic():
-    # constant warping: the Clairaut value is exactly constant edge-to-edge
-    ts = np.linspace(0.0, 2.0, 101)
-    strip = GeneralizedCone(WarpingFunction(ts, np.ones(101)),
-                            segment(1.0, 51), dist_steps=50, window=8,
-                            dist_refine=2)
-    vals = strip.maximizer((0, 0), (100, 25)).energy_diagnostic()
-    assert max(vals) - min(vals) <= 1e-12
-    # varying warping: constant at coarse grain (allocation is cellwise)
-    ts2 = np.linspace(0.5, 2.0, 101)
-    cone = GeneralizedCone(WarpingFunction(ts2, ts2.copy()), segment(1.0, 51),
-                           dist_steps=50, window=8, dist_refine=2)
-    v = cone.maximizer((0, 0), (100, 40)).energy_diagnostic()
-    half = len(v) // 2
-    m1, m2 = np.mean(v[:half]), np.mean(v[half:])
-    assert abs(m1 - m2) / max(m1, m2) <= 0.2
-
-
 def test_maximizer_limit_under_refinement():
     # the coarse maximizer's states survive as a causal near-maximal path
     # on the doubled grid
@@ -189,17 +171,6 @@ def test_reference_measure_examples():
     assert total == pytest.approx(math.pi / 2 * 3, rel=1e-3)
 
 
-def test_rescale_identity_and_doubling(strip_small):
-    same = strip_small.rescale(1.0)
-    lo0, _ = strip_small.tables()
-    lo1, _ = same.tables()
-    np.testing.assert_allclose(lo0, lo1)
-    double = strip_small.rescale(0.5)
-    lo2, _ = double.tables()
-    mask = lo0 > -np.inf
-    np.testing.assert_allclose(lo2[mask], 2.0 * lo0[mask], atol=1e-9)
-
-
 def test_scaling_isomorphism(strip_small):
     assert strip_small.scaling_isomorphism_check(1.0) == 0.0
     assert strip_small.scaling_isomorphism_check(2.0) <= 1e-12
@@ -225,16 +196,24 @@ def test_causal_diamond_monotone_under_refinement():
     ts_f = np.linspace(0.0, 1.0, 41)
     fine = GeneralizedCone(WarpingFunction(ts_f, np.ones(41)),
                            segment(0.5, 11), dist_steps=20, window=8)
-    dia_c = coarse.causal_diamond((2, 0), (18, 6))
-    dia_f = fine.causal_diamond((4, 0), (36, 6))
+    dia_c = causal_diamond(coarse, (2, 0), (18, 6))
+    dia_f = causal_diamond(fine, (4, 0), (36, 6))
     mapped = {(2 * a, x) for a, x in dia_c}
     assert mapped <= set(dia_f)
     assert len(dia_f) >= len(dia_c)
     assert dia_c == reference_diamond(coarse, (2, 0), (18, 6))
     assert dia_f == reference_diamond(fine, (4, 0), (36, 6))
-    assert fine.causal_diamond((9, 3), (30, 10)) \
+    assert causal_diamond(fine, (9, 3), (30, 10)) \
         == reference_diamond(fine, (9, 3), (30, 10))
-    assert coarse.causal_diamond((18, 6), (2, 0)) == []
+    assert causal_diamond(coarse, (18, 6), (2, 0)) == []
+
+
+def causal_diamond(cone, p, q):
+    """Grid states u with p <= u <= q under the canonical relation, in
+    time-major order, from two broadcast `separations` reads."""
+    u = (np.arange(p[0], q[0] + 1)[:, None], np.arange(cone.X.n))
+    inside = (cone.separations(p, u) >= 0.0) & (cone.separations(u, q) >= 0.0)
+    return [(int(p[0] + a), int(x)) for a, x in zip(*np.nonzero(inside))]
 
 
 def reference_diamond(cone, p, q):
@@ -243,7 +222,8 @@ def reference_diamond(cone, p, q):
     for a in range(p[0], q[0] + 1):
         for x in range(cone.X.n):
             u = (a, x)
-            if cone.causally_related(p, u) and cone.causally_related(u, q):
+            if cone.signed_separation(p, u) >= 0.0 \
+                    and cone.signed_separation(u, q) >= 0.0:
                 out.append(u)
     return out
 

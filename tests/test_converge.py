@@ -403,7 +403,7 @@ def test_ell_converge_moduli_pinned():
 
 
 def test_ell_converge_footprint():
-    # a loose ceiling on a depth-1 sequence: one modulus keeps three s x s
+    # a loose ceiling on a depth-1 sequence: one modulus keeps two s x s
     # float arrays whole, the limit's separation matrix included, and the
     # rest in row blocks; numpy reports its buffers to tracemalloc, so the
     # peak is deterministic
@@ -420,10 +420,11 @@ def test_ell_converge_footprint():
     assert peak <= 8 * s * s * 8
 
 
-def test_ell_converge_keeps_three_whole_arrays(cos_seq):
-    # Ll, Li and maxLl are the only s x s float arrays of a modulus; the
-    # rest lives in blocks of MODULUS_BLOCK rows.  3.28 s^2 float64 entries
-    # measured at s = 693 (k = 2); the whole-matrix passes peaked at 6.51
+def test_ell_converge_keeps_two_whole_arrays(cos_seq):
+    # Ll and Li are the only s x s float arrays of a modulus; the rest,
+    # the nearby maximum maxLl included, lives in blocks of MODULUS_BLOCK
+    # rows.  2.32 s^2 float64 entries measured at s = 693 (k = 2); a third
+    # whole array reads 3.32
     s = max(_states(cos_seq.limit, lv)[0].size for lv in cos_seq.covers[-1])
     assert s == 693
     ell_converge_check(cos_seq)     # stores the table rows it reads
@@ -433,7 +434,7 @@ def test_ell_converge_keeps_three_whole_arrays(cos_seq):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.4 * s * s * 8
+    assert peak <= 2.4 * s * s * 8
 
 
 def test_ell_converge_reads_each_cover_in_one_kernel_call():
@@ -578,6 +579,12 @@ def test_precompact_rejects_bad_bounds(K, D, match):
                            N=2.0, window=8)
     with pytest.raises(ValueError, match=match):
         precompact_harness([cone, cone], K=K, D=D, depth=1)
+
+
+def test_precompact_rejects_no_cones():
+    # an empty list ended in numpy's "need at least one array to stack"
+    with pytest.raises(ValueError, match="cones needs at least one cone"):
+        precompact_harness([], K=1.0, D=4.0)
 
 
 def test_precompact_rejects_non_concave_with_location():

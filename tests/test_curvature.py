@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conelab.curvature import (oneill_diagnostics,
-                               reconstructed_tangential_bound,
-                               ricci_reduction, sectional_reduction)
+from conelab.curvature import (oneill_diagnostics, ricci_reduction,
+                               sectional_reduction)
 from conelab.errors import GridTooCoarse
 from conelab.warp import WarpingFunction
 
@@ -97,6 +96,15 @@ def test_non_monotonicity_in_K():
     assert bad.cond1_concave        # f'' + K' f = -4 <= 0
     assert not bad.cond2_fiber      # K_f jumps to 4 > 0
     assert not bad.verdict
+
+
+def reconstructed_tangential_bound(f, K, n, fiber_ric_bound):
+    """Pointwise slack of the tangential Ricci chain for a verdict-true
+    input: fiber bound + (f''/f + (n-1) f'^2/f^2) f^2 + nK f^2 >= 0 up to
+    the stencil error."""
+    d = oneill_diagnostics(f, n)
+    f2 = f.vals[1:-1] ** 2
+    return fiber_ric_bound + d["tangential"] * f2 + n * K * f2
 
 
 def test_only_if_chain_consistency():

@@ -9,11 +9,18 @@ from hypothesis import given, settings, strategies as st
 from conelab.errors import SizeLimit
 from conelab.metricspace import (Correspondence, FiniteMetricSpace,
                                  ball_subspace, circle_arc, gh_distance,
-                                 relabel, segment, single_point)
+                                 segment, single_point)
 
 
 def two_point(gap):
     return FiniteMetricSpace(np.array([[0.0, gap], [gap, 0.0]]))
+
+
+def relabel(X, perm):
+    """X with its points reordered by perm: an isometric copy."""
+    perm = np.asarray(perm, dtype=int)
+    inv = np.argsort(perm)
+    return FiniteMetricSpace(X.dist[np.ix_(perm, perm)], int(inv[X.base]))
 
 
 def rand_space(rng, n):
