@@ -2,9 +2,9 @@
 
 Every pipeline writes report.json (sorted keys, no timestamps; identical
 arguments and seed give byte-identical bytes) plus CSV tables; wall-clock
-metadata goes to a run_meta.json sidecar.  Each `run_<command>` returns
-its report; `main` tags it with the command and maps it to the exit code:
-0 PASS, 1 error, 2 FAIL, 3 INCONCLUSIVE.
+metadata and the process's peak RSS go to a run_meta.json sidecar.  Each
+`run_<command>` returns its report; `main` tags it with the command and
+maps it to the exit code: 0 PASS, 1 error, 2 FAIL, 3 INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import resource
 import sys
 import time
 from pathlib import Path
@@ -40,9 +41,11 @@ def _write_report(outdir: Path, report: dict, t_start: float) -> None:
     with open(outdir / "report.json", "w") as fh:
         json.dump(report, fh, sort_keys=True, indent=2, allow_nan=True)
         fh.write("\n")
+    # ru_maxrss is in KiB on Linux; this process only
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
     with open(outdir / "run_meta.json", "w") as fh:
-        json.dump({"started": t_start, "elapsed": time.time() - t_start},
-                  fh, indent=2)
+        json.dump({"started": t_start, "elapsed": time.time() - t_start,
+                   "peak_rss_mb": rss}, fh, indent=2)
 
 
 def _write_csv(outdir: Path, name: str, header, rows) -> None:

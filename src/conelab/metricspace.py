@@ -9,6 +9,9 @@ so the restricted minimum equals the true minimum.
 Everything here treats finite samples; where the source theory asks for a
 geodesic metric space the finite-sample stand-in is the artifact's own
 discretization choice.
+
+scipy is imported inside the functions that call it, so a command that
+reads no essential edges never loads it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import SizeLimit, require_int
 
@@ -68,8 +70,7 @@ class FiniteMetricSpace:
         d(a, b) + d(b, c) > d(a, c) beyond a few-ulp relative slack, as two
         index arrays.  Their shortest-path metric is d; that is checked to
         1e-12 (1 + diam), and a table that fails it raises ValueError."""
-        # imported here: only W1 needs csgraph, and loading it with the
-        # package raised every pipeline's peak RSS by about 1 MB
+        from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import shortest_path
         d, n = self.dist, self.n
         slack = 1.0 + SPLIT_ULPS * np.finfo(float).eps

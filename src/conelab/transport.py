@@ -27,6 +27,11 @@ to scipy's HiGHS solver, which returns an optimal vertex.  Determinism
 comes from the fixed lexicographic ordering of the support atoms.  Test
 oracles (basis enumeration, permutation search) are implemented
 independently of both paths.
+
+scipy is imported inside the functions that call it, so a command that
+solves no coupling or flow never loads it.  `linprog` stays a name of this
+module, a forwarder to scipy's, so that every HiGHS call can be wrapped at
+one attribute (`bench/spans.py` times them there).
 """
 
 from __future__ import annotations
@@ -35,8 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import coo_matrix
 
 from .errors import (AtomNotInPast, NotCausallyCouplable,
                      NotTimelikeDualizable, ZeroReferenceCell, require_int)
@@ -108,11 +111,18 @@ def separation_matrix(cone, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     return cone.separations((t0[:, None], x0[:, None]), (t1, x1), upper=upper)
 
 
+def linprog(*args, **kwargs):
+    """scipy's `linprog`, imported on the first call."""
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
+
+
 def flow_lp(tails, heads, cost, supply):
     """HiGHS solution of the min-cost flow min cost . x, x >= 0, over the
     arcs tails[e] -> heads[e], where every node's outflow minus inflow is
     its supply (the supplies sum to zero).  Returns scipy's OptimizeResult;
     callers judge it."""
+    from scipy.sparse import coo_matrix
     na = len(tails)
     A = coo_matrix((np.concatenate([np.ones(na), -np.ones(na)]),
                     (np.concatenate([tails, heads]), np.tile(np.arange(na), 2))),
@@ -186,6 +196,7 @@ def _couple(mu0: DiscreteMeasure, mu1: DiscreteMeasure, L: np.ndarray,
     m = mu0.masses[0]
     if L.shape[0] == L.shape[1] and (mu0.masses == m).all() \
             and (mu1.masses == m).all():
+        from scipy.optimize import linear_sum_assignment
         cost = np.where(feas, -gain, np.inf)
         try:
             rows, cols = linear_sum_assignment(cost)
@@ -221,8 +232,7 @@ def _certify(cost: np.ndarray, match: np.ndarray) -> None:
     row -> column arc is raised by CERTIFY_TOL * (max |cost| + 1), so ties
     and rounding pass, and Bellman-Ford runs from a virtual source with a
     zero arc to every row."""
-    # imported here: loading csgraph with the package raised every
-    # pipeline's peak RSS by 1-2 MB
+    from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import NegativeCycleError, bellman_ford
     n = len(match)
     rows = np.arange(n)

@@ -654,6 +654,33 @@ def test_console_entry_point(workdir):
     assert "tau" in proc.stdout
 
 
+def test_tau_and_geodesic_never_load_scipy(workdir):
+    # scipy is imported inside the functions that call it, so the pair
+    # commands run on numpy alone; a fresh interpreter shows what they load
+    script = f"""
+import json, sys
+from conelab import cli
+for cmd in ("tau", "geodesic"):
+    assert cli.main(["--out", {str(workdir / "o_noscipy")!r}, cmd, "--cone",
+                     {str(workdir / "cone.json")!r}, "--p", "0,2",
+                     "--q", "40,2"]) == 0
+print(json.dumps([m for m in ("scipy.optimize", "scipy.sparse")
+                  if m in sys.modules]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_run_meta_records_peak_rss(workdir):
+    out = workdir / "o_meta"
+    assert run_cli(["--out", out, "tau", "--cone", workdir / "cone.json",
+                    "--p", "0,2", "--q", "40,2"]) == 0
+    rss = json.loads((out / "run_meta.json").read_text())["peak_rss_mb"]
+    assert isinstance(rss, float) and rss > 0.0
+
+
 def test_every_traced_seam_exists():
     # bench/spans.py wraps these names for its per-layer metrics; a name it
     # cannot find is recorded as absent and its metric silently reads zero

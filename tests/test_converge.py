@@ -801,6 +801,36 @@ def test_blocked_moduli_equal_whole_on_cos_family(which):
         assert got == expected, block
 
 
+def test_inclusion2_read_past_the_first_block():
+    # the member's warp jumps to 4 at t > 0.25 over a short fiber: its late
+    # pairs that move in the fiber are spacelike or short where the flat
+    # limit's are not, while earlier rows have time to move before the
+    # jump.  So inclusion 2 fails at l = 4 and 8 in member rows (time-major)
+    # past the first MODULUS_BLOCK block only
+    ts = np.linspace(-1.0, 1.0, 21)
+    member = GeneralizedCone(
+        WarpingFunction(ts, np.where(ts > 0.25, 4.0, 1.0)), segment(0.25, 9),
+        N=2.0, window=8)
+    seq = cone_sequence([member], flat(fiber_len=0.25, nt=20, nx=9), depth=1)
+    levels, delta = [2, 4, 8], 1e-9
+    (ti, xi), _, (tl, xl) = _cross_states(seq, 0, 1)
+    Li = member.separations((ti[:, None], xi[:, None]), (ti, xi))
+    Ll = seq.limit.separations((tl[:, None], xl[:, None]), (tl, xl))
+    maxLl, _ = reference_joint_extremum(Ll, _cross_metric(seq, 0, 1), delta,
+                                        False)
+    for l in levels[1:]:
+        rows = np.flatnonzero(((Li < 1.0 / (2 * l)) & (maxLl >= 1.0 / l))
+                              .any(axis=1))
+        assert rows.size and rows.min() >= converge.MODULUS_BLOCK
+    expected = reference_moduli(seq, 0, 1, levels, delta)
+    assert [m.inclusion2 for m in expected] == [True, False, False]
+    for block in (1, 3, converge.MODULUS_BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(converge, "MODULUS_BLOCK", block)
+            got = _moduli(seq, 0, 1, levels, delta, _limit_separations(seq, 1))
+        assert got == expected, block
+
+
 # -- the time-row neighbour search against the whole-row search -------------
 
 
