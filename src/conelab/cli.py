@@ -2,7 +2,8 @@
 
 Every pipeline writes report.json (sorted keys, no timestamps; identical
 arguments and seed give byte-identical bytes) plus CSV tables; wall-clock
-metadata and the process's peak RSS go to a run_meta.json sidecar.  Each
+metadata and the process's peak RSS, at `main`'s entry and at the report,
+go to a run_meta.json sidecar.  Each
 `run_<command>` returns its report; `main` tags it with the command and
 maps it to the exit code: 0 PASS, 1 error, 2 FAIL, 3 INCONCLUSIVE.
 """
@@ -36,16 +37,24 @@ def _error_code(exc: Exception) -> str:
     return "".join(out)
 
 
-def _write_report(outdir: Path, report: dict, t_start: float) -> None:
+def _peak_rss_mb() -> float:
+    """This process's peak RSS so far; ru_maxrss is in KiB on Linux."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+
+
+def _write_report(outdir: Path, report: dict, t_start: float,
+                  rss_start: float) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "report.json", "w") as fh:
         json.dump(report, fh, sort_keys=True, indent=2, allow_nan=True)
         fh.write("\n")
-    # ru_maxrss is in KiB on Linux; this process only
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+    # the peak is the process's high-water mark: a command run after
+    # another in one process raises it above rss_start only when its own
+    # peak is higher
     with open(outdir / "run_meta.json", "w") as fh:
         json.dump({"started": t_start, "elapsed": time.time() - t_start,
-                   "peak_rss_mb": rss}, fh, indent=2)
+                   "peak_rss_mb": _peak_rss_mb(),
+                   "peak_rss_start_mb": rss_start}, fh, indent=2)
 
 
 def _write_csv(outdir: Path, name: str, header, rows) -> None:
@@ -364,17 +373,19 @@ def main(argv=None) -> int:
     """Run one pipeline; writes report.json (+ tables) under --out.
 
     Exit status: 0 PASS, 1 error, 2 FAIL, 3 INCONCLUSIVE."""
+    rss0 = _peak_rss_mb()
     args = build_parser().parse_args(argv)
     out = Path(args.out)
     t0 = time.time()
     try:
         report = args.fn(args, out)
     except (ConelabError, ValueError, OSError, KeyError) as exc:
-        _write_report(out, {"error": _error_code(exc), "message": str(exc)}, t0)
+        _write_report(out, {"error": _error_code(exc), "message": str(exc)},
+                      t0, rss0)
         print(f"error: {_error_code(exc)}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     report["command"] = args.command
-    _write_report(out, report, t0)
+    _write_report(out, report, t0, rss0)
     print(json.dumps({k: report[k] for k in sorted(report)
                       if k in ("command", "verdict", "pass", "min_margin",
                                "worst_margin", "lower", "upper", "ell_p")},

@@ -33,11 +33,13 @@ holds whichever lines are read, since each line is a weak-dual bound.
 Tables are built only as far as the reads need them, by one rule for
 both, kept in `_store`: a read computes the rows it misses in one kernel
 call and appends them, and the read that completes a table leaves it in
-source order.  `_store` is also the one place where the memory budget,
-MAX_TABLE_BYTES of stored rows per table, is checked.  Every read goes
-through it, `bracket_width` included, which takes the width over the
-source rows asked for (every row by default).  So a query that reads a
-few source rows pays for those rows alone, width included.
+source order.  Every stored read goes through it, `bracket_width`
+included, which takes the width over the source rows asked for (every
+row by default).  So a query that reads a few source rows pays for those
+rows alone, width included.  `lower_block` reads a box of time rows
+against each other from rows cut at its last time, and stores nothing.
+Both check one memory budget, `_require_budget`: MAX_TABLE_BYTES of rows
+per table.
 
 Real fiber distances are rounded up (lo) / down (hi) onto the distance
 grid; since tau is nonincreasing in the distance argument this preserves
@@ -134,9 +136,10 @@ class GeneralizedCone:
         nk = self.m if feas.all() else int(np.argmin(feas))
         return nk, np.sqrt(np.maximum(dt * dt - cd ** 2, 0.0))
 
-    def _lower_rows(self, sources) -> np.ndarray:
+    def _lower_rows(self, sources, stop=None) -> np.ndarray:
         """Rows lo[s] of the lower table for the ascending source indices,
-        as an array of shape (sources, n_time, n_dist).
+        cut before time index stop (n_time by default, and past every
+        source), as an array of shape (sources, stop, n_dist).
 
         Longest-path DP over (time, distance-cell) states.  Edge (u -> t,
         k cells), t - u <= window, weighted by
@@ -152,11 +155,14 @@ class GeneralizedCone:
         w[k] in the same order as the unrestricted loop; the only others are
         -inf + w = -inf (sources still unreached at u, cells past reach),
         which cannot change a max, so each row comes out bit-identical
-        whichever sources are computed with it."""
+        whichever sources are computed with it.  An entry at time t reads
+        only times before t, so the rows cut at stop are the whole rows'
+        prefix bit for bit."""
         src = np.asarray(sources, dtype=int)
-        n, m, W, S = self.f.n, self.m, self.window, src.size
+        n = self.f.n if stop is None else stop
+        m, W, S = self.m, self.window, src.size
         if self.f.is_zero:
-            dt = self.f.ts[None, :] - self.f.ts[src, None]
+            dt = self.f.ts[None, :n] - self.f.ts[src, None]
             T = np.where(dt >= 0, dt, NEG_INF)[:, :, None]
             return np.broadcast_to(T, (S, n, m)).copy()
         T = np.full((n, m * S), NEG_INF)
@@ -185,15 +191,17 @@ class GeneralizedCone:
         step = math.ceil(size / math.ceil(size / most)) if size else 1
         return [sources[b:b + step] for b in range(0, size, step)]
 
-    def _build_lower(self, sources) -> np.ndarray:
-        """Rows lo[s] for the ascending sources: the DP kernel on each of
-        their blocks, into one array when they span several or none."""
+    def _build_lower(self, sources, stop=None) -> np.ndarray:
+        """Rows lo[s] for the ascending sources, cut before time index stop
+        as in `_lower_rows`: the DP kernel on each of their blocks, into
+        one array when they span several or none."""
         blocks = self._source_blocks(np.asarray(sources, dtype=int))
         if len(blocks) == 1:
-            return self._lower_rows(blocks[0])
-        lo, at = np.empty((len(sources), self.f.n, self.m)), 0
+            return self._lower_rows(blocks[0], stop)
+        cols = self.f.n if stop is None else stop
+        lo, at = np.empty((len(sources), cols, self.m)), 0
         for src in blocks:
-            lo[at:at + src.size] = self._lower_rows(src)
+            lo[at:at + src.size] = self._lower_rows(src, stop)
             at += src.size
         return lo
 
@@ -315,6 +323,16 @@ class GeneralizedCone:
         """The (rows, slot) pair of a table with no row stored."""
         return np.empty((0, self.f.n, self.m)), np.full(self.f.n, -1)
 
+    def _require_budget(self, upper: bool, rows: int, cols: int) -> None:
+        """ResourceLimit when rows rows of the lower or upper table, each
+        cut to cols time columns, exceed MAX_TABLE_BYTES: the one memory
+        rule of every table read."""
+        if rows * cols * self.m * 8 > MAX_TABLE_BYTES:
+            raise ResourceLimit(
+                f"{'upper' if upper else 'lower'} table would hold {rows} "
+                f"rows of {cols * self.m * 8} bytes (budget "
+                f"{MAX_TABLE_BYTES:.3g} bytes)")
+
     def _store(self, upper: bool, sources):
         """The (rows, slot) pair of the lower or upper table, with the rows
         of the sources (ints or an integer array) stored.
@@ -337,11 +355,7 @@ class GeneralizedCone:
         n = self.f.n
         missing = np.unique(np.asarray(sources)[miss])
         held = len(rows) + missing.size
-        if held * n * self.m * 8 > MAX_TABLE_BYTES:
-            raise ResourceLimit(
-                f"{'upper' if upper else 'lower'} table would hold {held} "
-                f"rows of {n * self.m * 8} bytes (budget "
-                f"{MAX_TABLE_BYTES:.3g} bytes)")
+        self._require_budget(upper, held, n)
         build = self._build_upper if upper else self._build_lower
         if held < n:
             slot = slot.copy()
@@ -360,6 +374,18 @@ class GeneralizedCone:
             stored = (build(np.arange(n)), np.arange(n))
         self._stored[upper] = stored
         return stored
+
+    def lower_block(self, t_lo: int, t_hi: int) -> np.ndarray:
+        """The block lo[t_lo:t_hi + 1, t_lo:t_hi + 1] of the lower table,
+        C-contiguous, of shape (nt, nt, n_dist) with nt = t_hi + 1 - t_lo.
+
+        Its rows come from one `_build_lower` call cut after t_hi, under
+        `_store`'s budget, and are not stored: a read of a few time rows
+        against each other, such as a cover set's, pays for that box
+        alone.  The entries are the table's bit for bit."""
+        self._require_budget(False, t_hi + 1 - t_lo, t_hi + 1)
+        rows = self._build_lower(np.arange(t_lo, t_hi + 1), t_hi + 1)
+        return np.ascontiguousarray(rows[:, t_lo:])
 
     def lower_table(self) -> np.ndarray:
         """lo of shape (n_time, n_time, n_dist), built on first call."""

@@ -37,8 +37,8 @@ from .warp import (WarpingFunction, fk_concavity, log_slope_bound, log_slopes,
 
 NEIGHBOR_CAP = 12   # nearest neighbours per state in a modulus search
 # row states of one block of a modulus pass: each block holds a few arrays
-# of MODULUS_BLOCK x s entries beside the two whole s x s ones; the
-# larger, the fewer numpy calls per slot pair
+# of MODULUS_BLOCK x s entries, beside two cover blocks of nt x nt x m and
+# the nx x s gather offsets; the larger, the fewer numpy calls per slot
 MODULUS_BLOCK = 32
 CLUSTER_TOL = 0.05  # grid-wise spread of one limit cluster, precompactness
 
@@ -206,31 +206,69 @@ def _blocks(size: int):
             for r in range(0, size, MODULUS_BLOCK)]
 
 
-def _separation_matrix(cone: GeneralizedCone, level: CoverLevel):
-    """Lower-table separations between every pair of the cover level's
-    states, which must be the product of its time rows and its fiber
-    ball, time-major (`_states` order).
-
-    The rows of every source are stored in one `_store` call, one kernel
-    call for those it misses.  Then `separations` fills one time row of
-    states at a time: that row's time against every time of the level,
-    and the ball against itself, so one nx x nx cell-index gather serves
-    the row's nt x nx x nx entries and no s x s temporary is made."""
-    times, ball = level.time_indices, level.fiber_idx
-    nt, nx = times.size, ball.size
-    cone._store(False, times)
-    out = np.empty((nt * nx, nt * nx))
-    grid = out.reshape(nt, nx, nt, nx)
-    for p, t in enumerate(times.tolist()):
-        grid[p] = cone.separations((t, ball[:, None, None]),
-                                   (times[None, :, None], ball[None, None, :]))
-    return out
+def _buffers(rows: int, cols: int, *dtypes):
+    """One array of min(MODULUS_BLOCK, rows) x cols per dtype, for the
+    blocks of `_blocks(rows)`: a block pass fills each block into their
+    leading rows, so the pass allocates its arrays once, not per block."""
+    return [np.empty((min(MODULUS_BLOCK, rows), cols), dtype=d)
+            for d in dtypes]
 
 
-def _limit_separations(seq: ConeSequence, k: int):
-    """Lower-table separations between every pair of limit states on the
-    k-th cover; the same for every member i."""
-    return _separation_matrix(seq.limit, seq.covers[-1][k - 1])
+class _CoverSeparations:
+    """The s x s lower-table separations L[u, v] between the states of one
+    cover level, time-major (`_states` order), read by rows, never whole.
+
+    A separation depends on fiber points only through their distance
+    cell, so L[u, v] = block[p_u, p_v, cells[x_u, x_v]] with p a state's
+    time row and x its ball point: block holds nt x nt x m floats where L
+    would hold s x s = (nt nx)^2, and cells the nx x nx cells of the ball.
+    Any square L is the case nt = 1 with one cell per entry."""
+
+    def __init__(self, block: np.ndarray, cells: np.ndarray):
+        nt, nx, m = block.shape[0], cells.shape[0], block.shape[2]
+        self.size = nt * nx
+        flat = block.reshape(-1)
+        causal = flat >= 0.0
+        # the block as read by `take`: as it is, and with a spacelike
+        # entry (L < 0) at +inf for a min and at -inf for a max over the
+        # causal pairs, which then cannot take it
+        self._flats = {None: flat,
+                       math.inf: np.where(causal, flat, math.inf),
+                       -math.inf: np.where(causal, flat, -math.inf)}
+        self._p, self._x = np.divmod(np.arange(self.size), nx)
+        self._p *= nt * m
+        # offsets of row (p = 0, x) in the block: L[u] lies at
+        # p_u nt m + _cols[x_u]
+        self._cols = (np.arange(nt)[None, :, None] * m
+                      + cells[:, None, :]).reshape(nx, self.size)
+
+    @classmethod
+    def of(cls, cone: GeneralizedCone, level: CoverLevel):
+        """The separations of the cone's states on a cover level, which
+        must be the product of its time rows and its fiber ball: its cover
+        block from one kernel call cut at t_hi (`lower_block`)."""
+        ball = level.fiber_idx
+        return cls(cone.lower_block(level.t_lo, level.t_hi),
+                   cone._fiber_cells[False][np.ix_(ball, ball)])
+
+    def offsets(self, u, out=None):
+        """Where the entries of L[u] lie in the block, for the states u (a
+        slice or an index array): an intp array of len(u) x s."""
+        out = np.take(self._cols, self._x[u], axis=0, out=out, mode="clip")
+        return np.add(out, self._p[u][:, None], out=out)
+
+    def take(self, at, out=None, spacelike=None):
+        """The entries of L at the block offsets `at`, one gather; a
+        spacelike one reads as `spacelike`, +inf or -inf, unless None."""
+        return np.take(self._flats[spacelike], at, out=out, mode="clip")
+
+    def blocks(self):
+        """(b, L[b]) for each block b of `_blocks(s)`, in order, gathered
+        into arrays reused from block to block."""
+        out, at = _buffers(self.size, self.size, float, np.intp)
+        for b in _blocks(self.size):
+            r = b.stop - b.start
+            yield b, self.take(self.offsets(b, at[:r]), out[:r])
 
 
 def _neighbours(D, delta, first: int = 0, whole=None):
@@ -315,62 +353,81 @@ def _search(seq: ConeSequence, i: int, k: int, delta: float,
     return nbr[:, :width], cost[:, :width]
 
 
-def _joint_extrema(L, nbr, cost, delta, rows=slice(None),
-                   want_max: bool = True):
-    """(min, max) of L[u, v] over joint neighbour pairs within delta, for
-    every row pair (a, b) with a in `rows` (all by default): u and v range
+def _joint_extrema(L, nbr, cost, delta, want_max: bool = True):
+    """(b, min, max) for each block b of `_blocks` over the rows of nbr,
+    in order: the min and max of L[u, v] over joint neighbour pairs within
+    delta, for every row pair (a, b) with a in the block: u and v range
     over the neighbours (nbr, cost) of rows a and b from `_neighbours`,
-    with cost[a, u] + cost[b, v] <= delta.  The max is None unless wanted.
-    Both hold one row per a in `rows`, so a call takes O(len(rows) x s)
-    memory; min and max are exact, so a block's rows equal the whole's.
+    with cost[a, u] + cost[b, v] <= delta, and L is `_CoverSeparations`.
+    The max is None unless wanted.  Both hold one row per a in the block
+    and are reused, with every other array, from block to block, so a
+    pass takes O(MODULUS_BLOCK x s) memory; min and max are exact, so a
+    block's rows equal the whole's.  Per slot of a, one gather reads the
+    rows of L it needs; per slot of b, one take reads their columns.
 
     Only causal target pairs (L >= 0) count: the source definition
     compares against nearby separation values, and a spacelike neighbor
     carries no finite value to compare with (even the identical sequence
     has spacelike pairs arbitrarily close to null ones).  A row pair with
     no such pair gets (+inf, -inf); L holds finite values or -inf, so
-    min < inf, like max > -inf, says a pair was found.
+    min < inf, like max > -inf, says a pair was found.  So the rows of
+    a slot of a are read with a spacelike entry at +inf for the min and at
+    -inf for the max, which neither can take (`_CoverSeparations.take`):
+    no slot pair needs a causal mask.
 
     A slot pair whose largest costs sum to at most delta skips the
     joint-cost mask: rounding is monotone, so every joint cost of the
     pair is then within delta (a +inf slot never is)."""
-    rn, rc = nbr[rows], cost[rows]
-    (B, n), s = rn.shape, nbr.shape[0]
-    lo = np.full((B, s), math.inf)
-    hi = np.full((B, s), -math.inf) if want_max else None
-    La = np.empty((B, L.shape[1]))  # the L rows of one slot, reused
-    joint = np.empty((B, s))        # joint cost of one slot pair, reused
-    vals = np.empty((B, s))         # L at one slot pair, reused
-    ok = np.empty((B, s), dtype=bool)
-    top_a = rc.max(axis=0, initial=-math.inf)
+    s, n = nbr.shape
+    # per block: min, L at one slot pair, joint cost of one slot pair, its
+    # mask; the offsets of the L rows of one slot of a, those rows for the
+    # min; the max and those rows for it
+    work = _buffers(s, s, float, float, float, bool)
+    at_all, Lmin = _buffers(s, L.size, np.intp, float)
+    if want_max:
+        [highs], [Lmax] = _buffers(s, s, float), _buffers(s, L.size, float)
     top_b = cost.max(axis=0, initial=-math.inf)
-    for a in range(n):
-        np.take(L, rn[:, a], axis=0, out=La, mode="clip")
-        for b in range(n):
-            np.take(La, nbr[:, b], axis=1, out=vals, mode="clip")
-            if top_a[a] + top_b[b] <= delta:
-                np.greater_equal(vals, 0.0, out=ok)
-            else:
-                np.add(rc[:, a][:, None], cost[:, b][None, :], out=joint)
-                np.less_equal(joint, delta, out=ok)
-                ok &= vals >= 0.0
-            np.minimum(lo, vals, out=lo, where=ok)
+    cols = np.ascontiguousarray(nbr.T)
+    for blk in _blocks(s):
+        r = blk.stop - blk.start
+        lo, vals, joint, ok = (w[:r] for w in work)
+        lo.fill(math.inf)
+        if want_max:
+            hi = highs[:r]
+            hi.fill(-math.inf)
+        rn, rc = nbr[blk], cost[blk]
+        top_a = rc.max(axis=0, initial=-math.inf)
+        for a in range(n):
+            at = L.offsets(rn[:, a], at_all[:r])
+            La = L.take(at, Lmin[:r], math.inf)
             if want_max:
-                np.maximum(hi, vals, out=hi, where=ok)
-    return lo, hi
+                Lx = L.take(at, Lmax[:r], -math.inf)
+            for b in range(n):
+                within = True
+                if top_a[a] + top_b[b] > delta:
+                    np.add(rc[:, a][:, None], cost[:, b][None, :], out=joint)
+                    within = np.less_equal(joint, delta, out=ok)
+                np.take(La, cols[b], axis=1, out=vals, mode="clip")
+                np.minimum(lo, vals, out=lo, where=within)
+                if want_max:
+                    np.take(Lx, cols[b], axis=1, out=vals, mode="clip")
+                    np.maximum(hi, vals, out=hi, where=within)
+        yield blk, lo, hi if want_max else None
 
 
 def _moduli(seq: ConeSequence, i: int, k: int, levels, delta: float, Ll):
     """`uniform_modulus` of member i at cover level k for every threshold
     level l in `levels`, all from one neighbour search per side: the cross
     metric, Li, both searches and eps1 depend only on (i, k) and delta.
-    Ll is `_limit_separations(seq, k)`.
+    Ll is the limit's `_CoverSeparations` at level k.
 
-    Two s x s float arrays are whole: Ll and Li.  The neighbour searches
-    go by time row (`_search`); all else runs in two passes over blocks
-    of at most MODULUS_BLOCK row states, in O(block x s) memory: property
-    (2)'s pass over limit rows, then property (1)'s over member rows,
-    which also evaluates inclusion 2 on the block's nearby maximum maxLl.
+    No s x s array is made.  Li and Ll are read by rows from their cover
+    blocks (`_CoverSeparations`), nt x nt x m floats each.  The neighbour
+    searches go by time row (`_search`); all else runs in two passes over
+    blocks of at most MODULUS_BLOCK row states, in O(block x s) memory:
+    property (2)'s pass over limit rows, then property (1)'s over member
+    rows, which also evaluates inclusion 2 on the block's nearby maximum
+    maxLl.
     Each block is read once for all levels: its level-invariant masks are
     made once, property (2) reads its levels only when they can change,
     and inclusion 2 stops reading a level once it is False.  Every output
@@ -389,51 +446,50 @@ def _moduli(seq: ConeSequence, i: int, k: int, levels, delta: float, Ll):
     # i-state -> limit neighbours, and limit-state -> i neighbours
     near_l = _search(seq, i, k, delta, limit_side=False)
     near_i = _search(seq, i, k, delta, limit_side=True)
-    Li = _separation_matrix(seq.cones[i], seq.covers[i][k - 1])
+    Li = _CoverSeparations.of(seq.cones[i], seq.covers[i][k - 1])
 
     # property (2): limit pairs against the member's nearby values.  The
     # gap is -inf where no pair was found, so it never raises the max there
     eps2 = [0.0] * len(levels)
     unmatched2 = [0] * len(levels)
-    for b in _blocks(tl.size):
-        minLi, _ = _joint_extrema(Li, *near_i, delta, b, want_max=False)
+    top = -math.inf
+    for (_, Llb), (_, minLi, _) in zip(
+            Ll.blocks(), _joint_extrema(Li, *near_i, delta, want_max=False),
+            strict=True):
+        top = max(top, float(Llb.max()))
         lost = minLi == math.inf
         some_lost = bool(lost.any())
-        gap = np.subtract(Ll[b], minLi, out=minLi)
+        gap = np.subtract(Llb, minLi, out=minLi)
         # only a gap > 0 raises a level's max, and only a lost pair adds
         # to its count: the levels are read when either occurs
         rises = bool(gap.max(initial=0.0) > 0.0)
         if not (rises or some_lost):
             continue
         for j, l in enumerate(levels):
-            level = Ll[b] >= 1.0 / l
+            level = Llb >= 1.0 / l
             if rises:
                 eps2[j] = max(eps2[j], float(np.max(gap, where=level,
                                                     initial=0.0)))
             if some_lost:
                 unmatched2[j] += int(np.count_nonzero(level & lost))
-        del minLi, gap, lost
-    top = float(Ll.max(initial=-math.inf))
 
     # property (1): member pairs against the limit's nearby values, and
     # remark inclusion 2: the delta-neighborhood of the level set has
     # l_i >= 1/(2l)
     eps1, unmatched = 0.0, 0
     inclusion2 = [True] * len(levels)
-    for b in _blocks(ti.size):
-        minLl, maxLl = _joint_extrema(Ll, *near_l, delta, b)
+    for (_, Lib), (_, minLl, maxLl) in zip(
+            Li.blocks(), _joint_extrema(Ll, *near_l, delta), strict=True):
         for j, l in enumerate(levels):
             if inclusion2[j]:
-                inclusion2[j] = bool(np.all(Li[b] >= 1.0 / (2.0 * l),
+                inclusion2[j] = bool(np.all(Lib >= 1.0 / (2.0 * l),
                                             where=maxLl >= 1.0 / l))
-        del maxLl
         lost = minLl == math.inf
-        causal = Li[b] >= 0.0
-        gap = np.subtract(Li[b], minLl, out=minLl)
+        causal = Lib >= 0.0
+        gap = np.subtract(Lib, minLl, out=minLl)
         eps1 = max(eps1, float(np.max(gap, where=causal, initial=0.0)))
         if lost.any():
             unmatched += int(np.count_nonzero(causal & lost))
-        del minLl, gap, lost, causal
     return [ConvergenceModulus(
         i=i, k=k, l=l, delta=float(delta), eps1=eps1, eps2=e2,
         inclusion1=True, inclusion2=inc2, level_set_empty=top < 1.0 / l,
@@ -479,7 +535,8 @@ def uniform_modulus(seq: ConeSequence, i: int, k: int, l: int,
     elif isinstance(delta, bool) or not isinstance(delta, numbers.Real) \
             or not (math.isfinite(delta) and delta >= 0):
         raise ValueError(f"delta={delta!r} needs a finite number >= 0")
-    return _moduli(seq, i, k, [l], delta, _limit_separations(seq, k))[0]
+    return _moduli(seq, i, k, [l], delta,
+                   _CoverSeparations.of(seq.limit, seq.covers[-1][k - 1]))[0]
 
 
 def imprisonment_constants(seq: ConeSequence) -> list:
@@ -518,7 +575,7 @@ def ell_converge_check(seq: ConeSequence, schedule=None) -> dict:
     found = {}
     for k in dict.fromkeys(k for k, _ in schedule):
         levels = list(dict.fromkeys(l for kk, l in schedule if kk == k))
-        Ll = _limit_separations(seq, k)
+        Ll = _CoverSeparations.of(seq.limit, seq.covers[-1][k - 1])
         for i in range(len(seq.cones)):
             # verdicts compare transported states, so the neighborhood only
             # needs to absorb the witness misalignment: a macroscopic delta

@@ -681,6 +681,25 @@ def test_run_meta_records_peak_rss(workdir):
     assert isinstance(rss, float) and rss > 0.0
 
 
+def test_run_meta_records_peak_rss_at_entry(workdir):
+    # two commands in one process: the peak is the process's high-water
+    # mark, so the second starts at or above the first's peak, and each
+    # records the mark at its entry beside it; report.json holds neither
+    meta = []
+    for name, args in (("o_rss1", ["--p", "0,2", "--q", "40,2"]),
+                       ("o_rss2", ["--p", "3,1", "--q", "30,4"])):
+        out = workdir / name
+        assert run_cli(["--out", out, "tau", "--cone", workdir / "cone.json",
+                        *args]) == 0
+        meta.append(json.loads((out / "run_meta.json").read_text()))
+        report = (out / "report.json").read_text()
+        assert "rss" not in report
+    (start1, peak1), (start2, peak2) = (
+        (m["peak_rss_start_mb"], m["peak_rss_mb"]) for m in meta)
+    assert all(isinstance(v, float) for v in (start1, peak1, start2, peak2))
+    assert 0.0 < start1 <= peak1 <= start2 <= peak2
+
+
 def test_every_traced_seam_exists():
     # bench/spans.py wraps these names for its per-layer metrics; a name it
     # cannot find is recorded as absent and its metric silently reads zero

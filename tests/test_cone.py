@@ -416,6 +416,51 @@ def test_kernels_of_no_sources_are_empty(cone):
         assert build(np.array([], dtype=int)).shape == (0, cone.f.n, cone.m)
 
 
+def _bits(a):
+    """The float64 entries of a as their bit patterns: -inf and the sign
+    of zero compare too."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("cone", list(_kernel_cones()))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_lower_rows_cut_at_stop_are_the_whole_rows_prefix(cone, data):
+    # the kernel cut before time stop computes the whole rows' first stop
+    # columns bit for bit, and lower_block(t_lo, t_hi) is the lower
+    # table's box over those time rows, stored nowhere
+    n = cone.f.n
+    src = sorted(set(data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                        max_size=6))))
+    stop = data.draw(st.integers(src[-1] + 1, n))
+    cut = cone._lower_rows(np.array(src), stop)
+    assert cut.shape == (len(src), stop, cone.m)
+    assert np.array_equal(_bits(cut), _bits(cone._lower_rows(src)[:, :stop]))
+    t_lo = data.draw(st.integers(0, n - 1))
+    t_hi = data.draw(st.integers(t_lo, n - 1))
+    times = np.arange(t_lo, t_hi + 1)
+    fresh = _twin(cone)
+    block = fresh.lower_block(t_lo, t_hi)
+    assert block.flags.c_contiguous
+    assert stored(fresh, False) == []
+    assert np.array_equal(_bits(block),
+                          _bits(fresh.lower_table()[np.ix_(times, times)]))
+
+
+def test_lower_block_is_budgeted(monkeypatch):
+    # the block's kernel rows are cut after t_hi and checked by _store's
+    # one budget rule before the kernel runs
+    cone = minkowski_strip(time_steps=20, fiber_points=11)
+    rows, cols = 6, 13                  # t_lo = 7, t_hi = 12
+    monkeypatch.setattr(cone_mod, "MAX_TABLE_BYTES",
+                        (rows * cols - 0.5) * cone.m * 8)
+    with _kernel_calls() as calls:
+        with pytest.raises(ResourceLimit):
+            cone.lower_block(7, 12)
+    assert calls == []
+    assert cone.lower_block(7, 11).shape == (5, 5, cone.m)
+
+
 def test_lower_table_is_not_copied():
     # one block of sources: the stored table is the kernel's own state, so
     # the peak is about one table (a copy into source-major order would

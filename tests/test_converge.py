@@ -11,8 +11,8 @@ from scipy.sparse import coo_matrix
 
 from conelab.cone import GeneralizedCone
 from conelab.converge import (NEIGHBOR_CAP, ConvergenceModulus,
-                              _cross_metric, _cross_states, _joint_extrema,
-                              _limit_separations, _moduli, _neighbours,
+                              _CoverSeparations, _cross_metric, _cross_states,
+                              _joint_extrema, _moduli, _neighbours,
                               _search, _states, cone_sequence, covered_gh,
                               default_delta, ell_converge_check,
                               imprisonment_constants,
@@ -255,16 +255,40 @@ def _neighbour_problem(draw):
             delta)
 
 
+def _whole(L):
+    """Any square L as `_CoverSeparations`: one time row, one cell per
+    entry."""
+    return _CoverSeparations(L.reshape(1, 1, -1),
+                             np.arange(L.size).reshape(L.shape))
+
+
+def _limit_cover(seq, k):
+    return _CoverSeparations.of(seq.limit, seq.covers[-1][k - 1])
+
+
+def _extrema(L, nbr, cost, delta, want_max=True):
+    """`_joint_extrema`'s blocks, in order, stacked into whole (min, max)
+    arrays (max None unless wanted); they must cover every row once."""
+    rows, lows, highs = [], [], []
+    for b, lo, hi in _joint_extrema(L, nbr, cost, delta, want_max):
+        rows.extend(range(b.start, b.stop))
+        lows.append(lo.copy())
+        highs.append(None if hi is None else hi.copy())
+    assert rows == list(range(nbr.shape[0]))
+    return (np.concatenate(lows),
+            np.concatenate(highs) if want_max else None)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_neighbour_problem())
 def test_joint_extrema_matches_reference(problem):
     L, D, delta = problem
     near = _neighbours(D, delta)
-    lo, hi = _joint_extrema(L, *near, delta)
+    lo, hi = _extrema(_whole(L), *near, delta)
     ref_lo, have = reference_joint_extremum(L, D, delta, want_min=True)
     ref_hi, have_max = reference_joint_extremum(L, D, delta, want_min=False)
     assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
-    lo_only, no_hi = _joint_extrema(L, *near, delta, want_max=False)
+    lo_only, no_hi = _extrema(_whole(L), *near, delta, want_max=False)
     assert np.array_equal(lo_only, ref_lo) and no_hi is None
     assert np.array_equal(lo < math.inf, have)
     assert np.array_equal(hi > -math.inf, have_max)
@@ -291,20 +315,23 @@ def test_joint_extrema_matches_reference_saturated(problem):
     L, D, delta = problem
     nbr, cost = _neighbours(D, delta)
     assert nbr.shape == (D.shape[0], NEIGHBOR_CAP)
-    lo, hi = _joint_extrema(L, nbr, cost, delta)
+    lo, hi = _extrema(_whole(L), nbr, cost, delta)
     assert np.array_equal(lo, reference_joint_extremum(L, D, delta, True)[0])
     assert np.array_equal(hi, reference_joint_extremum(L, D, delta, False)[0])
 
 
 def test_joint_extrema_matches_reference_on_cos_family(cos_seq):
-    # the modulus's own inputs: 1 occupied slot at 0.5 dt, 3 at 0.05 and
-    # all NEIGHBOR_CAP at the default delta
+    # the modulus's own inputs, the limit's cover block among them: 1
+    # occupied slot at 0.5 dt, 3 at 0.05 and all NEIGHBOR_CAP at the
+    # default delta
     _, _, (tl, xl) = _cross_states(cos_seq, 4, 1)
     D = _cross_metric(cos_seq, 4, 1)
     Ll = cos_seq.limit.separations((tl[:, None], xl[:, None]), (tl, xl))
+    cover = _limit_cover(cos_seq, 1)
+    assert np.array_equal(cover.take(cover.offsets(slice(None))), Ll)
     dt = float(np.diff(cos_seq.limit.f.ts).max())
     for delta in (1e-9, 0.5 * dt, 0.05, default_delta(cos_seq, 4, 1)):
-        lo, hi = _joint_extrema(Ll, *_neighbours(D, delta), delta)
+        lo, hi = _extrema(cover, *_neighbours(D, delta), delta)
         assert np.array_equal(lo, reference_joint_extremum(Ll, D, delta, True)[0])
         assert np.array_equal(hi, reference_joint_extremum(Ll, D, delta, False)[0])
 
@@ -324,7 +351,7 @@ def test_joint_extrema_mask_elision_at_the_edge():
                        [0.1, 1.0, 1.0, 1.0]])
     for D in (edge, over, padded):
         nbr, cost = _neighbours(D, 0.5)
-        lo, hi = _joint_extrema(L, nbr, cost, 0.5)
+        lo, hi = _extrema(_whole(L), nbr, cost, 0.5)
         assert np.array_equal(lo, reference_joint_extremum(L, D, 0.5, True)[0])
         assert np.array_equal(hi, reference_joint_extremum(L, D, 0.5, False)[0])
     assert 2 * _neighbours(edge, 0.5)[1].max() == 0.5
@@ -403,10 +430,10 @@ def test_ell_converge_moduli_pinned():
 
 
 def test_ell_converge_footprint():
-    # a loose ceiling on a depth-1 sequence: one modulus keeps two s x s
-    # float arrays whole, the limit's separation matrix included, and the
-    # rest in row blocks; numpy reports its buffers to tracemalloc, so the
-    # peak is deterministic
+    # a loose ceiling on a depth-1 sequence: one modulus keeps two cover
+    # blocks whole, the limit's included, and the rest in row blocks;
+    # numpy reports its buffers to tracemalloc, so the peak is
+    # deterministic
     seq = cone_sequence([cos_family_cone(i) for i in (1, 16)],
                         cos_family_limit(), depth=1)
     s = _states(seq.limit, seq.covers[-1][0])[0].size
@@ -420,37 +447,47 @@ def test_ell_converge_footprint():
     assert peak <= 8 * s * s * 8
 
 
-def test_ell_converge_keeps_two_whole_arrays(cos_seq):
-    # Ll and Li are the only s x s float arrays of a modulus; the rest,
-    # the nearby maximum maxLl included, lives in blocks of MODULUS_BLOCK
-    # rows.  2.32 s^2 float64 entries measured at s = 693 (k = 2); a third
-    # whole array reads 3.32
+def test_ell_converge_keeps_no_whole_array(cos_seq):
+    # no s x s array: Li and Ll are read by rows from their cover blocks,
+    # nt x nt x m floats each, kept with two copies whose spacelike
+    # entries read +inf and -inf; the rest lives in blocks of
+    # MODULUS_BLOCK rows beside the nx x s gather offsets.  Measured at
+    # s = 693 (k = 2, nt = 33, nx = 21): the six blocks plus 9.1 x
+    # (MODULUS_BLOCK + nx) s float64 entries; with whole s x s Li and Ll
+    # the peak read 30.3 x that, blocks included
+    lv = cos_seq.covers[-1][-1]
+    nt, nx = lv.time_indices.size, lv.fiber_idx.size
     s = max(_states(cos_seq.limit, lv)[0].size for lv in cos_seq.covers[-1])
-    assert s == 693
-    ell_converge_check(cos_seq)     # stores the table rows it reads
+    assert (s, nt, nx) == (693, 33, 21)
+    block = nt * nt * cos_seq.limit.m * 8
+    ell_converge_check(cos_seq)     # stores the rows bracket_width reads
     tracemalloc.start()
     try:
         ell_converge_check(cos_seq)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.4 * s * s * 8
+    assert peak <= 11 * (converge.MODULUS_BLOCK + nx) * s * 8 + 6 * block
 
 
 def test_ell_converge_reads_each_cover_in_one_kernel_call():
-    # every cone's rows of one cover level come from one lower-DP call,
-    # as before the moduli were blocked: 6 cones x 2 levels; then
-    # bracket_width completes the limit's and the last member's tables by
-    # _store's rule, which builds a table whole when several rows are
-    # missing: one lower call of all 51 rows and one upper call each
+    # every cone's cover block at one level comes from one lower-DP call
+    # cut after the cover's t_hi, and is not stored: 6 cones x 2 levels.
+    # So level 2 computes its whole box of 33 time rows, the 17 of level 1
+    # again among them, where rows stored at level 1 once left it 16 to
+    # compute out to the cone's last time.  Then bracket_width completes
+    # the limit's and the last member's tables by _store's rule, which
+    # builds a table whole when several rows are missing: one uncut lower
+    # call of all 51 rows and one upper call each
     seq = cone_sequence([cos_family_cone(i) for i in (1, 2, 4, 8, 16)],
                         cos_family_limit(), depth=2)
+    assert [(lv.t_lo, lv.t_hi) for lv in seq.covers[-1]] == [(17, 33), (9, 41)]
     calls, upper = [], []
     kernel, envelope = GeneralizedCone._lower_rows, GeneralizedCone._build_upper
 
-    def counting(cone, sources):
-        calls.append(len(sources))
-        return kernel(cone, sources)
+    def counting(cone, sources, stop=None):
+        calls.append((len(sources), stop))
+        return kernel(cone, sources, stop)
 
     def counting_upper(cone, sources):
         upper.append(len(sources))
@@ -460,7 +497,7 @@ def test_ell_converge_reads_each_cover_in_one_kernel_call():
         mp.setattr(GeneralizedCone, "_lower_rows", counting)
         mp.setattr(GeneralizedCone, "_build_upper", counting_upper)
         ell_converge_check(seq)
-    assert calls == [17] * 6 + [16] * 6 + [51] * 2
+    assert calls == [(17, 34)] * 6 + [(33, 42)] * 6 + [(51, None)] * 2
     assert upper == [51] * 2
 
 
@@ -774,7 +811,7 @@ def test_blocked_moduli_equal_whole(seq, which):
     for block in (1, 3, max(1, s - 1), s, 2 * s):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(converge, "MODULUS_BLOCK", block)
-            got = _moduli(seq, 0, 1, levels, delta, _limit_separations(seq, 1))
+            got = _moduli(seq, 0, 1, levels, delta, _limit_cover(seq, 1))
         assert got == expected, block
 
 
@@ -796,8 +833,7 @@ def test_blocked_moduli_equal_whole_on_cos_family(which):
     for block in (1, 3, s - 1, s, 2 * s):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(converge, "MODULUS_BLOCK", block)
-            got = _moduli(seq, 0, 1, [1, 2, 4], delta,
-                          _limit_separations(seq, 1))
+            got = _moduli(seq, 0, 1, [1, 2, 4], delta, _limit_cover(seq, 1))
         assert got == expected, block
 
 
@@ -827,7 +863,7 @@ def test_inclusion2_read_past_the_first_block():
     for block in (1, 3, converge.MODULUS_BLOCK):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(converge, "MODULUS_BLOCK", block)
-            got = _moduli(seq, 0, 1, levels, delta, _limit_separations(seq, 1))
+            got = _moduli(seq, 0, 1, levels, delta, _limit_cover(seq, 1))
         assert got == expected, block
 
 
