@@ -18,8 +18,13 @@ The model separation, the enclosure and the realization are numpy kernels
 over rows of configurations.  Each row carries an outcome code, the first
 failure the row meets in rule order, and later steps skip failed rows; the
 one-configuration functions are one-row calls that raise the code's
-exception.  Transcendental functions go through `math` on the live rows
-(`_lib`), so every row is bit-identical to the one-row call.
+exception.  Transcendental functions are numpy ufuncs over the live rows
+(`_lib`).  Their results do not depend on a row's position in the array, so
+every row is bit-identical to the one-row call.  numpy's float64
+transcendentals are not correctly rounded, so every one that ends an
+interval of the enclosure is moved outward by ULP_BOUND ulps (`_down`,
+`_up`); the realization and the model separation compute points, not
+bounds, and take them as they come.
 """
 
 from __future__ import annotations
@@ -39,6 +44,15 @@ RESIDUAL_TOL = 1e-8
 QUADRIC_TOL = 1e-12
 REALIZE_SLACK = 1e-10   # float slack of the closed-form realization's roots
 CHUNK = 4096            # draws per batch of tcbb_verify
+# Outward widening of a transcendental's value, in units of
+# np.spacing(|value|).  numpy's validation data
+# (numpy/_core/tests/data/umath-validation-set-*.csv) hold its float64 cos,
+# sin, cosh, sinh, arccos, arccosh, arctan and arcsinh to 1 ulp of the
+# correctly rounded value, so the true value lies within 2 floats of numpy's;
+# a float step is at most 2 spacings (it doubles past a binade edge), so 4
+# spacings cover both.  arctan2 has no validation set: the bound is tested
+# on the host against `math` for all nine (tests/test_model2d.py).
+ULP_BOUND = 4
 
 # a kernel row's outcome: OK, or the first failure it met
 OK, DOMAIN, UNREALIZABLE, OUTSIDE = range(4)
@@ -64,18 +78,26 @@ def _rows(*vals):
     return tuple(np.array([float(v)]) for v in vals)
 
 
-def _lib(fn, live, *args):
-    """`math` function `fn` at the live rows, nan elsewhere.  numpy's own
-    float64 transcendentals can differ from these in the last ulp.  Squares
-    do not come here: `x * x` is correctly rounded on every host, where
-    libm's pow (`x ** 2`) need not be.  Scalar arguments give a scalar,
-    evaluated once if any row is live."""
+def _lib(ufunc, live, *args):
+    """numpy ufunc `ufunc` at the live rows, nan elsewhere: one call that
+    computes nothing at dead rows.  Its value is not correctly rounded, so
+    an interval end takes it through `_down` or `_up`.  Squares do not come
+    here: `x * x` is correctly rounded on every host, where libm's pow
+    (`x ** 2`) need not be.  Scalar arguments give a scalar, evaluated once
+    if any row is live."""
     if all(np.ndim(x) == 0 for x in args):
-        return fn(*args) if live.any() else np.nan
-    out = np.full(live.shape, np.nan)
-    out[live] = list(map(fn, *(np.broadcast_to(x, live.shape)[live].tolist()
-                               for x in args)))
-    return out
+        return ufunc(*args) if live.any() else np.nan
+    return ufunc(*args, out=np.full(live.shape, np.nan), where=live)
+
+
+def _down(x):
+    """x moved ULP_BOUND ulps toward -inf: a lower end of an interval."""
+    return x - ULP_BOUND * np.spacing(np.abs(x))
+
+
+def _up(x):
+    """x moved ULP_BOUND ulps toward +inf: an upper end of an interval."""
+    return x + ULP_BOUND * np.spacing(np.abs(x))
 
 
 def _max(a, b):
@@ -90,7 +112,7 @@ def _min(a, b):
 
 def _gd(x, live):
     """Gudermannian: conformal coordinate of the hyperbolic one."""
-    return _lib(math.atan, live, _lib(math.sinh, live, x))
+    return _lib(np.arctan, live, _lib(np.sinh, live, x))
 
 
 def _nonneg(v):
@@ -137,7 +159,7 @@ def _tau(K: float, p, q, code):
         dt, dx = qt - pt, qx - px
         return np.where(dt < np.abs(dx), NEG_INF,
                         np.sqrt(_max(dt * dt - dx * dx, 0.0)))
-    cosh, sinh, cos = math.cosh, math.sinh, math.cos
+    cosh, sinh, cos = np.cosh, np.sinh, np.cos
     if K < 0.0:
         r = 1.0 / math.sqrt(-K)
         dtt = qt - pt
@@ -147,7 +169,7 @@ def _tau(K: float, p, q, code):
         on = live & (dtt >= np.abs(dth))
         c = (_lib(cosh, on, px) * _lib(cosh, on, qx) * _lib(cos, on, dtt)
              - _lib(sinh, on, px) * _lib(sinh, on, qx))
-        return np.where(on, r * _lib(math.acos, on, _min(1.0, _max(-1.0, c))),
+        return np.where(on, r * _lib(np.arccos, on, _min(1.0, _max(-1.0, c))),
                         NEG_INF)
     r = 1.0 / math.sqrt(K)
     dphi = qx - px
@@ -159,7 +181,7 @@ def _tau(K: float, p, q, code):
          - _lib(sinh, on, pt) * _lib(sinh, on, qt))
     _fail(code, on & (e < 1.0 - 1e-12), OUTSIDE)  # not geodesically certified
     on &= code == OK
-    return np.where(on, r * _lib(math.acosh, on, _max(1.0, e)), NEG_INF)
+    return np.where(on, r * _lib(np.arccosh, on, _max(1.0, e)), NEG_INF)
 
 
 def model_tau(K: float, p: ModelPoint, q: ModelPoint) -> float:
@@ -227,26 +249,26 @@ def _solve_zbar(K: float, a, b, c, side: float, code):
     if K < 0.0:
         rk = math.sqrt(-K)
         abar = a * rk
-        Cb, Cc = _lib(math.cos, live, b * rk), _lib(math.cos, live, c * rk)
-        sin_a = _lib(math.sin, live, abar)
+        Cb, Cc = _lib(np.cos, live, b * rk), _lib(np.cos, live, c * rk)
+        sin_a = _lib(np.sin, live, abar)
         # the axis separation too close to the conjugate sweep
         _fail(code, sin_a < 1e-12, UNREALIZABLE)
         live = code == OK
-        Sb = (Cc - Cb * _lib(math.cos, live, abar)) / sin_a
+        Sb = (Cc - Cb * _lib(np.cos, live, abar)) / sin_a
         h2 = Cb * Cb + Sb * Sb                      # cosh^2 chi
         _fail(code, h2 < 1.0 - REALIZE_SLACK, UNREALIZABLE)
         live = code == OK
-        chi = _lib(math.acosh, live, _max(1.0, np.sqrt(h2)))
-        return _lib(math.atan2, live, Sb, Cb), side * chi
+        chi = _lib(np.arccosh, live, _max(1.0, np.sqrt(h2)))
+        return _lib(np.arctan2, live, Sb, Cb), side * chi
     rk = math.sqrt(K)
     abar = a * rk
-    Eb, Ec = _lib(math.cosh, live, b * rk), _lib(math.cosh, live, c * rk)
-    S = (_lib(math.cosh, live, abar) * Eb - Ec) / _lib(math.sinh, live, abar)
+    Eb, Ec = _lib(np.cosh, live, b * rk), _lib(np.cosh, live, c * rk)
+    S = (_lib(np.cosh, live, abar) * Eb - Ec) / _lib(np.sinh, live, abar)
     cosphi = Eb / np.sqrt(1.0 + S * S)
     _fail(code, cosphi > 1.0 + REALIZE_SLACK, UNREALIZABLE)
     live = code == OK
-    phi = _lib(math.acos, live, _min(1.0, cosphi))
-    return _lib(math.asinh, live, S), side * phi
+    phi = _lib(np.arccos, live, _min(1.0, cosphi))
+    return _lib(np.arcsinh, live, S), side * phi
 
 
 @np.errstate(all="ignore")
@@ -331,22 +353,22 @@ def _isq(a):
 
 
 def _icos(a, live):
-    """cos over an interval: the end values, widened to -1 (1) where an odd
-    (even) multiple k*pi lies inside; math.cos(k * math.pi) rounds to
-    exactly -1.0 or 1.0 for every |k| < 8e7."""
-    ends = _lib(math.cos, live, a[0]), _lib(math.cos, live, a[1])
+    """cos over an interval: the end values moved outward, or -1 (1) where
+    an odd (even) multiple k*pi lies inside."""
+    ends = _lib(np.cos, live, a[0]), _lib(np.cos, live, a[1])
     k0, k1 = np.ceil(a[0] / math.pi), np.floor(a[1] / math.pi)
     full = a[1] - a[0] >= 2 * math.pi
     odd = full | ((k1 >= k0) & ((k0 % 2 != 0) | (k1 > k0)))
     even = full | ((k1 >= k0) & ((k0 % 2 == 0) | (k1 > k0)))
-    return np.where(odd, -1.0, _min(*ends)), np.where(even, 1.0, _max(*ends))
+    return (np.where(odd, -1.0, _down(_min(*ends))),
+            np.where(even, 1.0, _up(_max(*ends))))
 
 
 def _isin_0pi(a, live):
-    """sin over an interval inside [0, pi]."""
-    ends = _lib(math.sin, live, a[0]), _lib(math.sin, live, a[1])
+    """sin over an interval inside [0, pi], the end values moved outward."""
+    ends = _lib(np.sin, live, a[0]), _lib(np.sin, live, a[1])
     peak = (a[0] <= math.pi / 2) & (math.pi / 2 <= a[1])
-    return _min(*ends), np.where(peak, 1.0, _max(*ends))
+    return _down(_min(*ends)), np.where(peak, 1.0, _up(_max(*ends)))
 
 
 def _isqrt_clip(a):
@@ -398,18 +420,21 @@ def _enclose(K: float, a, b1, c1, b2, c2, code):
         cos_a = _icos(abar, live)
 
         def zbar(b, c):
-            Cb = (_lib(math.cos, live, b[1] * rk), _lib(math.cos, live, b[0] * rk))
-            Cc = (_lib(math.cos, live, c[1] * rk), _lib(math.cos, live, c[0] * rk))
+            Cb = (_down(_lib(np.cos, live, b[1] * rk)),
+                  _up(_lib(np.cos, live, b[0] * rk)))
+            Cc = (_down(_lib(np.cos, live, c[1] * rk)),
+                  _up(_lib(np.cos, live, c[0] * rk)))
             m = _imul(Cb, cos_a)
             S = _idiv_pos((Cc[0] - m[1], Cc[1] - m[0]), sin_a)
             sq_b, sq_s = _isq(Cb), _isq(S)
             h = (sq_b[0] + sq_s[0], sq_b[1] + sq_s[1])
             ch = _isqrt_clip((_max(h[0], 1.0), _max(h[1], 1.0)))
             sh = _isqrt_clip((h[0] - 1.0, h[1] - 1.0))
-            tt = (_lib(math.atan2, live, _max(S[0], 0.0), Cb[1]),
-                  _lib(math.atan2, live, _max(S[1], 0.0), Cb[0]))
+            tt = (_down(_lib(np.arctan2, live, _max(S[0], 0.0), Cb[1])),
+                  _up(_lib(np.arctan2, live, _max(S[1], 0.0), Cb[0])))
             # gd(arcsinh) = atan
-            theta = (_lib(math.atan, live, sh[0]), _lib(math.atan, live, sh[1]))
+            theta = (_down(_lib(np.arctan, live, sh[0])),
+                     _up(_lib(np.arctan, live, sh[1])))
             return tt, ch, sh, theta
 
         tt1, ch1, sh1, th1 = zbar(b1, c1)
@@ -421,32 +446,34 @@ def _enclose(K: float, a, b1, c1, b2, c2, code):
         c12 = (prod[0] + cross[0], prod[1] + cross[1])
         gdsum = (th1[0] + th2[0], th1[1] + th2[1])
         on = live & (dtt[1] >= gdsum[0])     # possibly causal
-        T_hi = np.where(on, r * _lib(math.acos, on, _min(1.0, _max(-1.0, c12[0]))),
-                        0.0)
+        T_hi = np.where(
+            on, r * _up(_lib(np.arccos, on, _min(1.0, _max(-1.0, c12[0])))), 0.0)
         on = live & (dtt[0] >= gdsum[1])     # certainly causal
-        T_lo = np.where(on, r * _lib(math.acos, on, _min(1.0, _max(-1.0, c12[1]))),
-                        0.0)
+        T_lo = np.where(
+            on, r * _down(_lib(np.arccos, on, _min(1.0, _max(-1.0, c12[1])))), 0.0)
         return T_lo, T_hi
     rk = math.sqrt(K)
     r = 1.0 / rk
     abar = (a[0] * rk, a[1] * rk)
-    sinh_a = (_lib(math.sinh, live, abar[0]), _lib(math.sinh, live, abar[1]))
-    cosh_a = (_lib(math.cosh, live, abar[0]), _lib(math.cosh, live, abar[1]))
+    sinh_a = (_down(_lib(np.sinh, live, abar[0])), _up(_lib(np.sinh, live, abar[1])))
+    cosh_a = (_down(_lib(np.cosh, live, abar[0])), _up(_lib(np.cosh, live, abar[1])))
     _fail(code, sinh_a[0] <= 1e-12, UNREALIZABLE)   # degenerate axis separation
     live = code == OK
 
     def zbar(b, c):
-        Eb = (_lib(math.cosh, live, b[0] * rk), _lib(math.cosh, live, b[1] * rk))
-        Ec = (_lib(math.cosh, live, c[0] * rk), _lib(math.cosh, live, c[1] * rk))
+        Eb = (_down(_lib(np.cosh, live, b[0] * rk)),
+              _up(_lib(np.cosh, live, b[1] * rk)))
+        Ec = (_down(_lib(np.cosh, live, c[0] * rk)),
+              _up(_lib(np.cosh, live, c[1] * rk)))
         m = _imul(cosh_a, Eb)
         S = _idiv_pos((m[0] - Ec[1], m[1] - Ec[0]), sinh_a)
         sq = _isq(S)
         ch = _isqrt_clip((1.0 + sq[0], 1.0 + sq[1]))
         cosphi = _idiv_pos(Eb, ch)
-        phi = (_lib(math.acos, live, _min(1.0, cosphi[1])),
-               _lib(math.acos, live, _min(1.0, _max(-1.0, cosphi[0]))))
-        eta = (_gd(_lib(math.asinh, live, S[0]), live),
-               _gd(_lib(math.asinh, live, S[1]), live))
+        phi = (_down(_lib(np.arccos, live, _min(1.0, cosphi[1]))),
+               _up(_lib(np.arccos, live, _min(1.0, _max(-1.0, cosphi[0])))))
+        # gd(arcsinh) = atan
+        eta = (_down(_lib(np.arctan, live, S[0])), _up(_lib(np.arctan, live, S[1])))
         return S, ch, phi, eta
 
     S1, ch1, phi1, eta1 = zbar(b1, c1)
@@ -460,9 +487,9 @@ def _enclose(K: float, a, b1, c1, b2, c2, code):
     cross = _imul(S1, S2)
     e12 = (prod[0] - cross[1], prod[1] - cross[0])
     on = live & (deta[1] >= dphi[0])                        # possibly causal
-    T_hi = np.where(on, r * _lib(math.acosh, on, _max(1.0, e12[1])), 0.0)
+    T_hi = np.where(on, r * _up(_lib(np.arccosh, on, _max(1.0, e12[1]))), 0.0)
     on = live & (deta[0] >= dphi[1]) & (e12[0] >= 1.0)      # certainly causal
-    T_lo = np.where(on, r * _lib(math.acosh, on, _max(1.0, e12[0])), 0.0)
+    T_lo = np.where(on, r * _down(_lib(np.arccosh, on, _max(1.0, e12[0]))), 0.0)
     return T_lo, T_hi
 
 
