@@ -88,22 +88,15 @@ def _load_cones(spec) -> list:
     return [GeneralizedCone.from_json(c) for c in spec["cones"]]
 
 
-def _on_grid(point, cone: GeneralizedCone):
-    t, x = point
-    if not (0 <= t < cone.f.n and 0 <= x < cone.X.n):
-        raise ValueError(f"grid point {t},{x} lies outside the cone's "
-                         f"{cone.f.n} x {cone.X.n} grid")
-    return t, x
-
-
 def _parse_point(s: str, cone: GeneralizedCone):
-    return _on_grid([int(v) for v in s.split(",")], cone)
+    t, x = (int(v) for v in s.split(","))
+    cone.require_on_grid(t, x)
+    return t, x
 
 
 def _load_measure(path: str, cone: GeneralizedCone):
     mu = _read(path, transport.DiscreteMeasure.from_json)
-    for point in mu.points:
-        _on_grid(point, cone)
+    cone.require_on_grid(*zip(*mu.points))
     return mu
 
 

@@ -18,15 +18,18 @@ When mu0 and mu1 have the same number of atoms and every mass of both is
 the same number, some optimal vertex is a permutation (Birkhoff-von
 Neumann), so the LP is an assignment problem: scipy's
 `linear_sum_assignment` solves it, and `_certify` accepts the matching
-only when Bellman-Ford finds no negative cycle in its residual graph
-(Villani 2009, Thm 5.10), each unmatched arc's cost raised by
-CERTIFY_TOL * (max |cost| + 1).  Every other LP (unequal masses or atom
-counts, and the W1 flows of `converge`) is a min-cost flow posed through
-`flow_lp` (a coupling is a flow from mu0's atoms to mu1's) and delegated
-to scipy's HiGHS solver, which returns an optimal vertex.  Determinism
-comes from the fixed lexicographic ordering of the support atoms.  Test
-oracles (basis enumeration, permutation search) are implemented
-independently of both paths.
+only when its residual graph has no negative cycle (Ahuja-Magnanti-Orlin,
+Network Flows, 1993, Thm 9.1; Villani 2009, Thm 5.10), each unmatched
+arc's cost raised by CERTIFY_TOL * (max |cost| + 1).  `_settles` decides
+that by Bellman-Ford relaxation over the arc lists, in numpy passes that
+stop at the first pass that lowers no distance (5 on the benchmark's
+seed-1 couplings), not after one pass per node.  Every other LP (unequal
+masses or atom counts, and the W1 flows of `converge`) is a min-cost flow
+posed through `flow_lp` (a coupling is a flow from mu0's atoms to mu1's)
+and delegated to scipy's HiGHS solver, which returns an optimal vertex.
+Determinism comes from the fixed lexicographic ordering of the support
+atoms.  Test oracles (basis enumeration, permutation search) are
+implemented independently of both paths.
 
 scipy is imported inside the functions that call it, so a command that
 solves no coupling or flow never loads it.  `linprog` stays a name of this
@@ -227,13 +230,12 @@ def _certify(cost: np.ndarray, match: np.ndarray) -> None:
     minimizes the total of `cost` (+inf off the admissible pairs).
 
     The matching is optimal exactly when its residual graph has no negative
-    cycle: row -> column arcs on the admissible unmatched pairs at their
-    cost, column -> row arcs on the matched pairs at minus theirs.  Each
-    row -> column arc is raised by CERTIFY_TOL * (max |cost| + 1), so ties
-    and rounding pass, and Bellman-Ford runs from a virtual source with a
-    zero arc to every row."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import NegativeCycleError, bellman_ford
+    cycle (Ahuja-Magnanti-Orlin, Network Flows, 1993, Thm 9.1): row ->
+    column arcs on the admissible unmatched pairs at their cost, column ->
+    row arcs on the matched pairs at minus theirs.  Each row -> column arc
+    is raised by CERTIFY_TOL * (max |cost| + 1), so ties and rounding pass,
+    and `_settles` relaxes the graph from a virtual source with a zero arc
+    to every row."""
     n = len(match)
     rows = np.arange(n)
     admissible = np.isfinite(cost)
@@ -242,17 +244,38 @@ def _certify(cost: np.ndarray, match: np.ndarray) -> None:
     free[rows, match] = False
     fr, fc = np.nonzero(free)
     # nodes: rows 0..n-1, columns n..2n-1, the source 2n
-    graph = coo_matrix(
-        (np.concatenate([cost[fr, fc] + slack, -cost[rows, match],
-                         np.zeros(n)]),
-         (np.concatenate([fr, match + n, np.full(n, 2 * n)]),
-          np.concatenate([fc + n, rows, rows]))),
-        shape=(2 * n + 1, 2 * n + 1))
-    try:
-        bellman_ford(graph, indices=2 * n)
-    except NegativeCycleError as exc:
+    if not _settles(np.concatenate([fr, match + n, np.full(n, 2 * n)]),
+                    np.concatenate([fc + n, rows, rows]),
+                    np.concatenate([cost[fr, fc] + slack, -cost[rows, match],
+                                    np.zeros(n)]),
+                    2 * n + 1, 2 * n):
         raise RuntimeError("assignment not optimal: its residual graph has "
-                           "a negative cycle") from exc
+                           "a negative cycle")
+
+
+def _settles(tails, heads, weight, nodes: int, source: int) -> bool:
+    """Whether Bellman-Ford relaxation from `source` over the arcs tails[e]
+    -> heads[e] of the given weights settles, so that no negative cycle is
+    reachable from it.
+
+    Each pass lowers every node's distance to the least of its in-arcs'
+    tail distance plus weight, over the distances the pass began with.  A
+    graph with no negative cycle settles after at most `nodes` - 1 passes
+    (a shortest path has fewer arcs than there are nodes), and the first
+    pass that lowers nothing ends the relaxation; one still lowering a
+    distance after `nodes` passes has a negative cycle."""
+    order = np.argsort(heads, kind="stable")
+    tails, heads, weight = tails[order], heads[order], weight[order]
+    ends, starts = np.unique(heads, return_index=True)
+    dist = np.full(nodes, np.inf)
+    dist[source] = 0.0
+    for _ in range(nodes):
+        best = np.minimum.reduceat(dist[tails] + weight, starts)
+        lower = best < dist[ends]
+        if not lower.any():
+            return True
+        dist[ends[lower]] = best[lower]
+    return False
 
 
 def check_cyclical_monotonicity(cone, coupling: CausalCoupling, p: float,
@@ -314,16 +337,16 @@ class DynamicalPlan:
 
 
 def build_dynamical_plan(cone, coupling: CausalCoupling) -> DynamicalPlan:
-    """One maximizer per support pair of the coupling; a pair that is not
-    causally related raises NotCausallyRelated."""
-    geos, masses, ends = [], [], []
-    for i, j in coupling.support():
-        pa, qa = coupling.mu0.points[i], coupling.mu1.points[j]
-        geos.append(cone.maximizer(pa, qa))
-        masses.append(coupling.table[i, j])
-        ends.append((pa, qa))
-    return DynamicalPlan(cone=cone, geodesics=tuple(geos),
-                         masses=np.array(masses), endpoints=tuple(ends))
+    """One maximizer per support pair of the coupling, all from one batched
+    backtrace; a pair that is not causally related raises
+    NotCausallyRelated."""
+    sup = coupling.support()
+    ends = tuple((coupling.mu0.points[i], coupling.mu1.points[j])
+                 for i, j in sup)
+    P, Q = (np.array(points).T for points in zip(*ends))
+    masses = np.array([coupling.table[i, j] for i, j in sup])
+    return DynamicalPlan(cone=cone, geodesics=tuple(cone.maximizers(P, Q)),
+                         masses=masses, endpoints=ends)
 
 
 # -- entropies ---------------------------------------------------------------

@@ -487,8 +487,8 @@ def test_edge_on_a_one_point_fiber_with_distance_cells():
     cone = GeneralizedCone(WarpingFunction(ts, np.ones(11)), single_point(),
                            dist_steps=4, window=4)
     assert cone.dr == 0.0 and cone.m == 5
-    nk, w = cone._edge(2, 5)
-    assert nk == 5 and (w == ts[5] - ts[2]).all()
+    nk, w = cone._edge_table()      # edge 2 -> 5: span 3
+    assert nk[2, 2] == 5 and (w[2, 2] == ts[5] - ts[2]).all()
     assert np.array_equal(cone.dist_grid, np.zeros(5))
     assert np.array_equal(cone.lower_table(), reference_lower(cone))
     assert len(list(cone.export_rows())) == 11 * 12 // 2 * 5
@@ -1151,6 +1151,162 @@ def test_maximizer_steps_are_dp_edges(cone, data):
         assert 0 < b - a <= cone.window
         k = round((rb - ra) / cone.dr) if cone.dr > 0 else 0
         assert vals[a:b + 1].max() * (k * cone.dr) <= ts[b] - ts[a]
-        assert w == cone._edge(a, b)[1][k]
+        assert w == cone._edge_table()[1][b - a - 1, a, k]
     assert abs(sum(g.weights) - g.tau_length) <= 1e-9 * (1 + abs(tau))
     assert g.tau_length == tau
+
+
+# -- the edge table and the batched backtrace against per-call rules ---------
+
+
+def reference_edge(cone, u, t):
+    """The DP edges u -> t computed for one (u, t): (nk, w), where the
+    shifts k < nk are the feasible ones, dt >= C k dr with C = max_[u,t] f,
+    and w holds the weights sqrt(dt^2 - (C k dr)^2) of all m shifts."""
+    c = cone.f.vals[u:t + 1].max()
+    dt = cone.f.ts[t] - cone.f.ts[u]
+    cd = c * cone.dist_grid
+    feas = dt >= cd
+    nk = cone.m if feas.all() else int(np.argmin(feas))
+    return nk, np.sqrt(np.maximum(dt * dt - cd ** 2, 0.0))
+
+
+def reference_backtrace(cone, p, q):
+    """The maximizer of one pair, one `reference_edge` call per candidate
+    edge: from state (t, rr) the first edge, by u and then by shift k
+    ascending, whose source value plus weight matches lo[si, t, rr] within
+    1e-9 (1 + |tau|), an edge from time si starting at cell 0.  Returns
+    (states, weights, tau_length) as GridGeodesic holds them."""
+    (si, xi), (ti, yi) = p, q
+    r = int(cone._fiber_cells[False][xi, yi])
+    row = cone.lower_table()[si]
+    val = float(row[ti, r]) if ti >= si else -math.inf
+    if val == -math.inf:
+        raise NotCausallyRelated(f"{p} !<= {q}")
+    tol = 1e-9 * (1 + abs(val))
+    states, weights = [(ti, r)], []
+    t, rr = ti, r
+    while (t, rr) != (si, 0):
+        for u in range(max(si, t - cone.window), t):
+            nk, w = reference_edge(cone, u, t)
+            K = min(nk, rr + 1)
+            hit = np.abs(row[u, rr::-1][:K] + w[:K] - row[t, rr]) <= tol
+            if u == si:
+                hit[:rr] = False
+            if hit.any():
+                k = int(np.argmax(hit))
+                states.append((u, rr - k))
+                weights.append(float(w[k]))
+                t, rr = u, rr - k
+                break
+        else:
+            raise NotCausallyRelated("backtrace failed")
+    return (tuple((a, float(b * cone.dr)) for a, b in reversed(states)),
+            tuple(reversed(weights)), val)
+
+
+def _edge_cones():
+    for kind, cones in (("kernel", _kernel_cones()),
+                        ("backtrace", _backtrace_cones())):
+        for param in cones:
+            yield pytest.param(*param.values, id=f"{kind}-{param.id}")
+
+
+@pytest.mark.parametrize("cone", list(_edge_cones()))
+def test_edge_table_matches_reference_edges(cone):
+    # every (span, u) row of the table is the per-call rule's edge bit for
+    # bit up to its nk feasible shifts, and -inf past them; the table runs
+    # to the largest nk, and rows past the grid's end hold no edge
+    n, W = cone.f.n, cone.window
+    nk, w = cone._edge_table()
+    assert nk.shape == (W, n - 1) and w.shape == (W, n - 1, nk.max())
+    for s in range(1, W + 1):
+        assert (nk[s - 1, n - s:] == 0).all()
+        assert (w[s - 1, n - s:] == -np.inf).all()
+        for u in range(n - s):
+            ref_nk, ref_w = reference_edge(cone, u, u + s)
+            assert nk[s - 1, u] == ref_nk
+            assert np.array_equal(_bits(w[s - 1, u, :ref_nk]),
+                                  _bits(ref_w[:ref_nk]))
+            assert (w[s - 1, u, ref_nk:] == -np.inf).all()
+
+
+def _geodesic_bits(g):
+    return ([a for a, _ in g[0]], _bits(np.array([b for _, b in g[0]])),
+            _bits(np.array(g[1], dtype=float)), _bits(np.array(g[2])))
+
+
+@pytest.mark.parametrize("cone", list(_backtrace_cones()))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_maximizers_match_the_per_pair_backtrace(cone, data):
+    # a batch of forward pairs from mixed sources, equal times included,
+    # against one reference backtrace per pair; on the zero warping a pair
+    # at equal times and a positive cell has a value but no grid path, and
+    # both sides raise
+    n, nx = cone.f.n, cone.X.n
+    point = st.tuples(st.integers(0, n - 1), st.integers(0, nx - 1))
+    pairs = data.draw(st.lists(st.tuples(point, point).map(sorted),
+                               min_size=1, max_size=8))
+    (s, x), _ = pairs[0]
+    pairs.append(((s, x), (s, data.draw(st.integers(0, nx - 1)))))
+    refs, failed = [], False
+    for p, q in pairs:
+        try:
+            refs.append(reference_backtrace(cone, p, q))
+        except NotCausallyRelated:
+            failed = True
+    P, Q = (np.array(points).T for points in zip(*pairs))
+    fresh = _twin(cone)
+    if failed:
+        with pytest.raises(NotCausallyRelated):
+            fresh.maximizers(P, Q)
+        return
+    got = fresh.maximizers(P, Q)
+    assert stored(fresh, False) == sorted({p[0] for p, _ in pairs})
+    assert stored(fresh, True) == []
+    assert len(got) == len(pairs)
+    for g, ref in zip(got, refs):
+        assert g.cone is fresh
+        for a, b in zip(_geodesic_bits((g.states, g.weights, g.tau_length)),
+                        _geodesic_bits(ref)):
+            assert np.array_equal(a, b)
+    # one pair that is not causally related, anywhere in the batch, is
+    # named by the error: its target lies before its source
+    if n > 1:
+        t = data.draw(st.integers(1, n - 1))
+        fiber = st.integers(0, nx - 1)
+        bad = ((t, data.draw(fiber)),
+               (data.draw(st.integers(0, t - 1)), data.draw(fiber)))
+        at = data.draw(st.integers(0, len(pairs)))
+        P, Q = (np.array(points).T for points in zip(*pairs[:at], bad,
+                                                     *pairs[at:]))
+        with pytest.raises(NotCausallyRelated) as err:
+            fresh.maximizers(P, Q)
+        assert str(err.value) == f"{bad[0]} !<= {bad[1]}"
+
+
+def test_off_grid_points_raise_value_errors():
+    # negative or too large indices would wrap, or read a wrong entry;
+    # every read names the first point off the 41 x 21 grid and stores
+    # nothing
+    cone = minkowski_strip(time_steps=40, fiber_points=21)
+    calls = {
+        "-1,0": [lambda: cone.signed_separation((0, 0), (-1, 0)),
+                 lambda: cone.signed_separation((-1, 0), (40, 0)),
+                 lambda: cone.signed_separation_upper((0, 0), (-1, 0))],
+        "0,-3": [lambda: cone.maximizer((0, -3), (40, 0))],
+        "41,2": [lambda: cone.separations((np.array([0, 41, 50]), 2),
+                                          (40, 0)),
+                 lambda: cone.maximizers((0, 0), (np.array([40, 41]), 2))],
+        "40,21": [lambda: cone.separations((0, 0), (40, np.arange(25)),
+                                           upper=True)],
+    }
+    for point, reads in calls.items():
+        for read in reads:
+            with pytest.raises(ValueError,
+                               match=f"grid point {point} lies outside the "
+                                     f"cone's 41 x 21 grid"):
+                read()
+    assert stored(cone, False) == [] and stored(cone, True) == []
+    assert cone.signed_separation((0, 0), (40, 0)) == 2.0

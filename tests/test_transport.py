@@ -218,6 +218,78 @@ def test_certify_accepts_tied_optima(strip_small):
     assert max(totals) - min(totals) <= 1e-12
 
 
+def scipy_certifies(cost, match):
+    """Whether scipy's Bellman-Ford finds no negative cycle in the residual
+    graph of the matching r -> match[r]: the free admissible row -> column
+    arcs at their cost plus the certificate's slack, the matched column ->
+    row arcs at minus theirs, and a virtual source with a zero arc to every
+    row.  The reference the certificate's relaxation must agree with."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import NegativeCycleError, bellman_ford
+    n = len(match)
+    rows = np.arange(n)
+    admissible = np.isfinite(cost)
+    slack = transport.CERTIFY_TOL * (np.abs(cost[admissible]).max() + 1.0)
+    free = admissible.copy()
+    free[rows, match] = False
+    fr, fc = np.nonzero(free)
+    graph = coo_matrix(
+        (np.concatenate([cost[fr, fc] + slack, -cost[rows, match],
+                         np.zeros(n)]),
+         (np.concatenate([fr, match + n, np.full(n, 2 * n)]),
+          np.concatenate([fc + n, rows, rows]))),
+        shape=(2 * n + 1, 2 * n + 1))
+    try:
+        bellman_ford(graph, indices=2 * n)
+    except NegativeCycleError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_certify_agrees_with_scipy_bellman_ford(data):
+    # integer costs, some pairs inadmissible, and an admissible matching:
+    # drawn at random, the optimum itself, or the optimum with a planted
+    # negative cycle (two crossing arcs that beat the matched pair by 1 or
+    # more).  Integer sums are exact, so the matching is optimal exactly
+    # when its total is the least, and the certificate must say the same as
+    # scipy's Bellman-Ford on the same residual graph
+    from scipy.optimize import linear_sum_assignment
+    n = data.draw(st.integers(1, 7))
+    ints = st.lists(st.integers(-30, 30), min_size=n * n, max_size=n * n)
+    cost = np.array(data.draw(ints), dtype=float).reshape(n, n)
+    off = np.array(data.draw(st.lists(st.booleans(), min_size=n * n,
+                                      max_size=n * n))).reshape(n, n)
+    cost[off] = np.inf
+    kind = data.draw(st.sampled_from(["random", "optimal", "planted"]))
+    match = np.array(data.draw(st.permutations(range(n))))
+    rows = np.arange(n)
+    cost[rows, match] = np.where(np.isfinite(cost[rows, match]),
+                                 cost[rows, match], 0.0)
+    if kind != "random":
+        match = linear_sum_assignment(cost)[1]
+    if kind == "planted" and n > 1:
+        a, b = sorted(data.draw(st.permutations(range(n)))[:2])
+        ca, cb = match[a], match[b]
+        cost[a, cb] = cost[a, ca] - data.draw(st.integers(1, 10))
+        cost[b, ca] = cost[b, cb]
+    event(kind)
+    try:
+        transport._certify(cost, match)
+        certified = True
+    except RuntimeError as exc:
+        assert "negative cycle" in str(exc)
+        certified = False
+    assert certified == scipy_certifies(cost, match)
+    best = cost[rows, linear_sum_assignment(cost)[1]].sum()
+    assert certified == (cost[rows, match].sum() == best)
+    if kind == "planted" and n > 1:
+        assert not certified
+    if kind == "optimal":
+        assert certified
+
+
 def test_uniform_hall_failure_raises_like_the_lp(strip_small, flow_lp_calls):
     # every atom has a causal partner, but (0, 0) and (0, 2) both reach only
     # (4, 1): no perfect matching of admissible pairs exists
