@@ -19,7 +19,29 @@ of that state.  The DP and the backtrace of its maximizing paths read
 their edges from one table of feasible shifts and weights per (span,
 start), `_edge_table`, which each call builds once and nothing stores;
 `maximizers` backtraces a batch of pairs over it, every pair still walking
-taking its step together.  The upper table is the Lagrange-dual envelope
+taking its step together.
+
+The DP loops only over the edges that no split of themselves beats
+(`_kept_shifts`).  Edge e = (span s, shift k) from u is pruned when a
+split into e_a = (s1, k1) from u and e_b = (s - s1, k - k1) from u + s1
+has w_a + w_b - w_e >= 4 eps (t_max + 1), with eps the float64 machine
+epsilon and t_max = ts[-1] - ts[0].  This changes no bit of the table.
+Every lower value lies in [0, t_max] up to the DP's rounding, so each
+rounding below costs at most eps/2 (t_max + 1).  By induction on (t, span):
+T[u + s1] >= fl(T[u] + w_a), e_a's candidate there; e_b's candidate at t,
+fl(T[u + s1] + w_b), is a kept edge's or, its span being shorter, below a
+kept one's; and fl(fl(T[u] + w_a) + w_b) > fl(T[u] + w_e), since the
+margin exceeds those three roundings and the two of the test itself.  So a
+pruned edge never holds a max, and max is exact.  Any subset of splits is
+sound, so the splits searched (k1 within -1 .. +2 of floor(k s1 / s)) set
+only how much is pruned: about 86% of the feasible edges on the
+benchmark's arc cones.  On a constant warping the reverse triangle
+inequality lets no split win, and the test is skipped.  The backtrace
+reads every edge: it takes the first edge, longest span first, that
+matches within its tolerance, and a pruned long edge matches there as its
+split does, so reading only the kept edges would pick other paths.
+
+The upper table is the Lagrange-dual envelope
 for the step-min warping g <= f (whose separation dominates tau by warping
 monotonicity):
 tau_g(i,j,r) = inf_mu [Phi_ij(mu) - mu r] with Phi prefix-summable over
@@ -138,7 +160,8 @@ class GeneralizedCone:
         wherever u + s > n - 1).  w runs over the shifts up to the largest
         feasible one.  Built once by each call of `_lower_rows` or
         `maximizers`, and never stored: 0.65 MB on the benchmark's sin arc,
-        0.73 MB on its strip."""
+        0.73 MB on its strip.  The DP loops over the shifts that
+        `_kept_shifts` keeps of it; the backtrace reads every edge."""
         n, W, ts, grid = self.f.n, self.window, self.f.ts, self.dist_grid
         nk = np.zeros((W, n - 1), dtype=int)
         for s in range(1, W + 1):
@@ -156,6 +179,50 @@ class GeneralizedCone:
             ws[np.arange(K) >= nk[s - 1, :n - s, None]] = NEG_INF
             w[s - 1, :n - s] = ws
         return nk, w
+
+    def _dominated(self, w):
+        """Mask over the edge table's w (span, start, shift) of the edges
+        that a split of themselves beats by the margin.  Edge e = (s, k)
+        from u is dominated when some split into e_a = (s1, k1) from u and
+        e_b = (s - s1, k - k1) from u + s1 has fl(fl(w_a + w_b) - w_e) >=
+        4 eps (t_max + 1), with eps the float64 machine epsilon and t_max =
+        ts[-1] - ts[0]; an infeasible part weighs -inf and never dominates.
+        Only k1 = floor(k s1 / s) - 1 .. floor(k s1 / s) + 2 are tried,
+        vectorized over u and k: `_lower_rows` is exact for any subset of
+        splits, so the subset sets only how much is pruned."""
+        W, starts, K = w.shape
+        ts = self.f.ts
+        margin = 4 * np.finfo(float).eps * (ts[-1] - ts[0] + 1.0)
+        # shift K weighs -inf: the index of a k1 outside 0 .. k
+        wp = np.concatenate([w, np.full((W, starts, 1), NEG_INF)], axis=2)
+        k, near = np.arange(K), np.arange(-1, 3)[:, None]
+        out = np.zeros(w.shape, dtype=bool)
+        for s in range(2, W + 1):
+            J = starts + 1 - s      # the starts u with u + s <= n - 1
+            best = np.full((J, near.size, K), NEG_INF)
+            for s1 in range(1, s):
+                k1 = k * s1 // s + near
+                ok = (k1 >= 0) & (k1 <= k)
+                a = wp[s1 - 1, :J][:, np.where(ok, k1, K)]
+                a += wp[s - s1 - 1, s1:s1 + J][:, np.where(ok, k - k1, K)]
+                np.maximum(best, a, out=best)
+            with np.errstate(invalid="ignore"):   # -inf - -inf: infeasible
+                out[s - 1, :J] = best.max(axis=1) - w[s - 1, :J] >= margin
+        return out
+
+    def _kept_shifts(self, nk, w):
+        """The shifts the lower DP loops over, kept[s - 1][u] for the edges
+        u -> u + s: the feasible ones (k < nk) that `_dominated` does not
+        prune.  On a constant warping the split test is skipped, since
+        there the reverse triangle inequality lets no split beat its edge,
+        and every feasible shift is kept."""
+        vals = self.f.vals
+        if vals.min() == vals.max():
+            every = [range(c) for c in range(w.shape[2] + 1)]
+            return [[every[c] for c in row] for row in nk.tolist()]
+        keep = (np.arange(w.shape[2]) < nk[:, :, None]) & ~self._dominated(w)
+        return [[np.flatnonzero(row).tolist() for row in span]
+                for span in keep]
 
     def _lower_rows(self, sources, stop=None) -> np.ndarray:
         """Rows lo[s] of the lower table for the ascending source indices,
@@ -178,7 +245,13 @@ class GeneralizedCone:
         which cannot change a max, so each row comes out bit-identical
         whichever sources are computed with it.  An entry at time t reads
         only times before t, so the rows cut at stop are the whole rows'
-        prefix bit for bit."""
+        prefix bit for bit.
+
+        The loop runs over the shifts that `_kept_shifts` keeps.  A pruned
+        edge's candidate is below the candidate of its split's second
+        part, which is kept or, by induction on the span, below a kept
+        one's (module docstring), so no pruned edge holds a max and the
+        rows are the unpruned loop's bit for bit."""
         src = np.asarray(sources, dtype=int)
         n = self.f.n if stop is None else stop
         m, W, S = self.m, self.window, src.size
@@ -187,6 +260,7 @@ class GeneralizedCone:
             T = np.where(dt >= 0, dt, NEG_INF)[:, :, None]
             return np.broadcast_to(T, (S, n, m)).copy()
         nks, ws = self._edge_table()
+        kept = self._kept_shifts(nks, ws)
         T = np.full((n, m * S), NEG_INF)
         T[src, np.arange(S)] = 0.0
         reach = np.empty(n, dtype=int)
@@ -197,7 +271,7 @@ class GeneralizedCone:
             reach[t - 1] = m - 1 - np.argmax(fin[::-1])
             for u in range(max(src[0], t - W), t):
                 w = ws[t - u - 1, u]
-                for k in range(nks[t - u - 1, u]):
+                for k in kept[t - u - 1][u]:
                     width = min(reach[u] + 1, m - k) * S
                     np.add(T[u, :width], w[k], out=buf[:width])
                     dst = T[t, k * S:k * S + width]
@@ -518,7 +592,10 @@ class GeneralizedCone:
         then by shift k ascending, whose source value plus weight matches
         lo[si, t, rr] within 1e-9 (1 + |lo[si, ti, r]|); an edge from time
         si must start at cell 0.  The pairs still walking take each step
-        together, over their window x K candidate edges."""
+        together, over their window x K candidate edges.  These are every
+        feasible edge, not only the ones the DP keeps: an edge pruned for
+        its split still matches within the tolerance, and it comes first,
+        so the paths are the ones the unpruned DP's backtrace took."""
         pt, px, qt, qx = (np.ravel(a) for a in np.broadcast_arrays(*P, *Q))
         self.require_on_grid(pt, px)
         self.require_on_grid(qt, qx)

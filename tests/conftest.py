@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from conelab.cone import GeneralizedCone, minkowski_strip
 from conelab.metricspace import circle_arc, segment
 from conelab.warp import WarpingFunction
+
+# `pytest --hypothesis-profile=ci`: a failing example also prints the blob
+# that `@reproduce_failure` replays, so a CI log is enough to rerun it
+settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture(scope="session")
