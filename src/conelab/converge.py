@@ -9,6 +9,18 @@ limit side, |dt| + (max f) * d_fiber; the witness distortion is recorded
 separately.  Quantification over all epsilon-isometries is thereby
 weakened to the single recorded witness.
 
+The moduli compare each pair of states with the other side's pairs of
+neighbours within delta.  When delta leaves every state exactly one
+neighbour, its matched state (a one-to-one witness, time rows that pair
+within delta, and delta below (max f) times the least distance between
+limit ball points), a pair's comparison is one separation of the other
+side, and a separation depends on fiber points only through their
+distance cell: so the moduli are computed over (time row, time row,
+member cell, limit cell) groups, not over state pairs, with the same
+floats.  `ell_converge_check`'s delta does that when the members share
+the limit's time grid and fiber.  Any other delta, `default_delta`
+included, searches each state's neighbours.
+
 Verdicts come from `transport.verdict` at tol 0.  A finite harness
 certifies trends, so the pessimistic margin is the bracket scale minus the
 worst modulus or GH upper bound at the largest index (PASS when those fall
@@ -23,6 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -222,45 +235,63 @@ class _CoverSeparations:
     cell, so L[u, v] = block[p_u, p_v, cells[x_u, x_v]] with p a state's
     time row and x its ball point: block holds nt x nt x m floats where L
     would hold s x s = (nt nx)^2, and cells the nx x nx cells of the ball.
-    Any square L is the case nt = 1 with one cell per entry."""
+    Any square L is the case nt = 1 with one cell per entry.
+
+    The forms that read L by rows (`offsets`, `take`, `blocks`) are built
+    on the first such read: the matched path of `_moduli` reads block and
+    cells alone."""
 
     def __init__(self, block: np.ndarray, cells: np.ndarray):
-        nt, nx, m = block.shape[0], cells.shape[0], block.shape[2]
-        self.size = nt * nx
-        flat = block.reshape(-1)
+        self.block, self.cells = block, cells
+        self.size = block.shape[0] * cells.shape[0]
+
+    @cached_property
+    def _rows(self):
+        """(flats, p, x, cols): the block flat as `take` reads it, as it is
+        and with a spacelike entry (L < 0) at +inf for a min and at -inf
+        for a max over the causal pairs, which then cannot take it; each
+        state's time row offset p and ball point x; and the offsets cols
+        of row (p = 0, x) in the block, so L[u] lies at p_u + cols[x_u]."""
+        nt, nx, m = self.block.shape[0], self.cells.shape[0], self.block.shape[2]
+        flat = self.block.reshape(-1)   # a copy when the block is a cut
         causal = flat >= 0.0
-        # the block as read by `take`: as it is, and with a spacelike
-        # entry (L < 0) at +inf for a min and at -inf for a max over the
-        # causal pairs, which then cannot take it
-        self._flats = {None: flat,
-                       math.inf: np.where(causal, flat, math.inf),
-                       -math.inf: np.where(causal, flat, -math.inf)}
-        self._p, self._x = np.divmod(np.arange(self.size), nx)
-        self._p *= nt * m
-        # offsets of row (p = 0, x) in the block: L[u] lies at
-        # p_u nt m + _cols[x_u]
-        self._cols = (np.arange(nt)[None, :, None] * m
-                      + cells[:, None, :]).reshape(nx, self.size)
+        flats = {None: flat,
+                 math.inf: np.where(causal, flat, math.inf),
+                 -math.inf: np.where(causal, flat, -math.inf)}
+        p, x = np.divmod(np.arange(self.size), nx)
+        cols = (np.arange(nt)[None, :, None] * m
+                + self.cells[:, None, :]).reshape(nx, self.size)
+        return flats, p * (nt * m), x, cols
 
     @classmethod
-    def of(cls, cone: GeneralizedCone, level: CoverLevel):
+    def of(cls, cone: GeneralizedCone, level: CoverLevel, outer=None):
         """The separations of the cone's states on a cover level, which
-        must be the product of its time rows and its fiber ball: its cover
-        block from one kernel call cut at t_hi (`lower_block`)."""
+        must be the product of its time rows and its fiber ball.  Its cover
+        block comes from one kernel call cut at t_hi (`lower_block`), or is
+        cut from outer = (block, level), the cover block of an enclosing
+        level of the same cone (`build_cover`'s levels are nested): rows
+        cut at a later time hold the earlier cut as their prefix, so the
+        entries are the table's bit for bit either way."""
         ball = level.fiber_idx
-        return cls(cone.lower_block(level.t_lo, level.t_hi),
-                   cone._fiber_cells[False][np.ix_(ball, ball)])
+        if outer is None:
+            block = cone.lower_block(level.t_lo, level.t_hi)
+        else:
+            block, lv = outer
+            cut = slice(level.t_lo - lv.t_lo, level.t_hi + 1 - lv.t_lo)
+            block = block[cut, cut]
+        return cls(block, cone._fiber_cells[False][np.ix_(ball, ball)])
 
     def offsets(self, u, out=None):
         """Where the entries of L[u] lie in the block, for the states u (a
         slice or an index array): an intp array of len(u) x s."""
-        out = np.take(self._cols, self._x[u], axis=0, out=out, mode="clip")
-        return np.add(out, self._p[u][:, None], out=out)
+        _, p, x, cols = self._rows
+        out = np.take(cols, x[u], axis=0, out=out, mode="clip")
+        return np.add(out, p[u][:, None], out=out)
 
     def take(self, at, out=None, spacelike=None):
         """The entries of L at the block offsets `at`, one gather; a
         spacelike one reads as `spacelike`, +inf or -inf, unless None."""
-        return np.take(self._flats[spacelike], at, out=out, mode="clip")
+        return np.take(self._rows[0][spacelike], at, out=out, mode="clip")
 
     def blocks(self):
         """(b, L[b]) for each block b of `_blocks(s)`, in order, gathered
@@ -317,10 +348,9 @@ def _search(seq: ConeSequence, i: int, k: int, delta: float,
     rounding is monotone, D > delta wherever the computed |dt| > delta.  A
     time row computes D only on the other side's time rows with
     |dt| <= delta (a window of columns, in ascending order), and a crowded
-    row reads its whole row.  When the members share the limit's time grid
-    and fiber, `ell_converge_check`'s delta (the witness misalignment,
-    about 1e-9) leaves each state one neighbour, in its own time row, so a
-    time row reads nx x nx entries, not nx x s."""
+    row reads its whole row: a search over whole rows would make an s x s
+    array.  `_moduli` takes this search only when the neighbourhoods are
+    not a matching (`_matching`)."""
     lv_i, lv_l = seq.covers[i][k - 1], seq.covers[-1][k - 1]
     dt = np.abs(seq.cones[i].f.ts[lv_i.time_indices][:, None]
                 - seq.limit.f.ts[lv_l.time_indices][None, :])
@@ -415,11 +445,136 @@ def _joint_extrema(L, nbr, cost, delta, want_max: bool = True):
         yield blk, lo, hi if want_max else None
 
 
-def _moduli(seq: ConeSequence, i: int, k: int, levels, delta: float, Ll):
+def _matching(seq: ConeSequence, i: int, k: int, delta: float):
+    """The cost |dt| of each time row's matched pair when delta leaves
+    every state of member i and of the limit on the k-th cover exactly one
+    neighbour in the cross metric D, its matched state; else None.  A
+    member state (p, x) is matched with limit state (p, witness image of
+    x), both counted from the cover's first row.
+
+    The neighbourhoods are that matching when
+    - the witness is one-to-one onto the limit ball;
+    - its fiber term, (max f) * d_fiber, is 0.0 on a point and above delta
+      between distinct points: rounding is monotone, so D > delta off the
+      matched point whatever dt, and D = |dt| on it;
+    - each cover time row has exactly one row of the other side with
+      |dt| <= delta.  Both grids increase, so such a pairing cannot cross:
+      it pairs the rows in order.
+    So a matched pair's cost depends on its time row alone, and `_search`
+    would find these neighbours at these costs."""
+    lv_i, lv_l = seq.covers[i][k - 1], seq.covers[-1][k - 1]
+    to_limit, _ = seq.fiber_maps[(i, k)]
+    ball = lv_l.fiber_idx
+    fiber = lv_l.fmax * seq.limit.X.dist[np.ix_(ball, ball)]
+    eye = np.eye(ball.size, dtype=bool)
+    if to_limit.size != ball.size or np.unique(to_limit).size != ball.size \
+            or not np.array_equal(fiber <= delta, eye) or fiber[eye].any():
+        return None
+    dt = np.abs(seq.cones[i].f.ts[lv_i.time_indices][:, None]
+                - seq.limit.f.ts[lv_l.time_indices][None, :])
+    if not np.array_equal(dt <= delta, np.eye(len(dt), dtype=bool)):
+        return None
+    return np.diagonal(dt)
+
+
+def _report(i, k, levels, delta, eps1, unmatched, top, eps2, inclusion2,
+            unmatched2):
+    """The `ConvergenceModulus` of each level from a modulus pass's
+    outputs: eps1 and property (1)'s unmatched count, the limit's largest
+    separation top, and per level eps2, inclusion 2 and property (2)'s
+    unmatched count."""
+    return [ConvergenceModulus(
+        i=i, k=k, l=l, delta=float(delta), eps1=eps1, eps2=e2,
+        inclusion1=True, inclusion2=inc2, level_set_empty=top < 1.0 / l,
+        unmatched_pairs=unmatched + unmatched_l)
+        for l, e2, inc2, unmatched_l in zip(
+            levels, eps2, inclusion2, unmatched2)]
+
+
+def _moduli(seq: ConeSequence, i: int, k: int, levels, delta: float, Ll,
+            Li=None):
     """`uniform_modulus` of member i at cover level k for every threshold
-    level l in `levels`, all from one neighbour search per side: the cross
-    metric, Li, both searches and eps1 depend only on (i, k) and delta.
-    Ll is the limit's `_CoverSeparations` at level k.
+    level l in `levels`: the cross metric, Li, the neighbourhoods and eps1
+    depend only on (i, k) and delta.  Ll and Li are the limit's and the
+    member's `_CoverSeparations` at level k (Li by default from one kernel
+    call).
+
+    When delta makes the neighbourhoods a matching (`_matching`), as
+    `ell_converge_check`'s delta does when a member shares the limit's
+    time grid and fiber, the moduli come from cell pairs
+    (`_matched_moduli`); otherwise, at a crowded delta such as
+    `default_delta` or under a witness that is not one-to-one, from the
+    neighbour searches (`_searched_moduli`).  Both give the same floats.
+
+    Remark inclusion 1 is property (1)'s consequence, so it is reported
+    True, not evaluated.  At the level its proof yields it reads: every
+    member pair with l_i >= 1/l - eps that is found (maxLl > -inf, some
+    joint neighbour pair is causal) has maxLl >= 1/l - 2 eps, where eps =
+    max(eps1, eps2).  A found pair has maxLl >= minLl >= 0, so this holds
+    when 1/l - 2 eps <= 0.  Otherwise l_i >= 1/l - eps > 0 makes the pair
+    causal, and eps1 >= l_i - minLl gives maxLl >= minLl >= l_i - eps1 >=
+    1/l - 2 eps.  Only rounding could break it; a property test pins it
+    against a whole-array evaluation."""
+    if Li is None:
+        Li = _CoverSeparations.of(seq.cones[i], seq.covers[i][k - 1])
+    cost = _matching(seq, i, k, delta)
+    if cost is None:
+        return _searched_moduli(seq, i, k, levels, delta, Ll, Li)
+    return _matched_moduli(seq, i, k, levels, delta, Ll, Li, cost)
+
+
+def _matched_moduli(seq: ConeSequence, i: int, k: int, levels,
+                    delta: float, Ll, Li, cost):
+    """`_moduli` when the neighbourhoods are the matching of `_matching`,
+    at the costs it returns.  A pair's joint neighbour pair is then its
+    matched pair, taken when the two costs sum to at most delta, so its
+    joint extremum is one separation of the other side, or none when that
+    is spacelike.
+    A separation depends on fiber points only through their distance cell,
+    so both passes depend on a pair only through (time row p, time row q,
+    member cell, limit cell): the fiber pairs are grouped by (member cell,
+    limit cell of their witness images), with their multiplicities, and
+    every output is read from nt x nt x groups arrays, where the searched
+    passes read s x s state pairs.  Each output is a max of the same
+    differences of the same floats, a count (weighted by multiplicity) or
+    an all over the same pairs, so it equals the searched one."""
+    to_limit, _ = seq.fiber_maps[(i, k)]
+    m = Ll.block.shape[2]
+    groups, weight = np.unique(
+        Li.cells * m + Ll.cells[np.ix_(to_limit, to_limit)],
+        return_counts=True)
+    ci, cl = np.divmod(groups, m)
+    li = Li.block[:, :, ci]
+    ll = Ll.block[:, :, cl]
+    near = (cost[:, None] + cost[None, :] <= delta)[:, :, None]
+    causal = li >= 0.0
+    # a member pair finds its limit pair, and a limit pair its member
+    # pair, when the pair is near and that separation causal
+    found_l, found_i = near & (ll >= 0.0), near & causal
+
+    def count(mask):
+        return int(np.count_nonzero(mask, axis=(0, 1)) @ weight)
+
+    def worst(a, b, where):
+        # max(0, a - b over where); the other entries may be -inf - -inf
+        return float(np.subtract(a, b, out=np.zeros(a.shape), where=where)
+                     .max(initial=0.0))
+
+    eps2, inclusion2, unmatched2 = [], [], []
+    for l in levels:
+        level = ll >= 1.0 / l
+        eps2.append(worst(ll, li, level & found_i))
+        unmatched2.append(count(level & ~found_i))
+        inclusion2.append(bool(np.all(li >= 1.0 / (2.0 * l),
+                                      where=level & found_l)))
+    return _report(i, k, levels, delta, worst(li, ll, causal & found_l),
+                   count(causal & ~found_l), float(ll.max(initial=-math.inf)),
+                   eps2, inclusion2, unmatched2)
+
+
+def _searched_moduli(seq: ConeSequence, i: int, k: int, levels,
+                     delta: float, Ll, Li):
+    """`_moduli` from one neighbour search per side.
 
     No s x s array is made.  Li and Ll are read by rows from their cover
     blocks (`_CoverSeparations`), nt x nt x m floats each.  The neighbour
@@ -431,22 +586,10 @@ def _moduli(seq: ConeSequence, i: int, k: int, levels, delta: float, Ll):
     Each block is read once for all levels: its level-invariant masks are
     made once, property (2) reads its levels only when they can change,
     and inclusion 2 stops reading a level once it is False.  Every output
-    is a max, a count or an all, exact and independent of the blocks.
-
-    Remark inclusion 1 is property (1)'s consequence, so it is reported
-    True, not evaluated.  At the level its proof yields it reads: every
-    member pair with l_i >= 1/l - eps that is found (maxLl > -inf, some
-    joint neighbour pair is causal) has maxLl >= 1/l - 2 eps, where eps =
-    max(eps1, eps2).  A found pair has maxLl >= minLl >= 0, so this holds
-    when 1/l - 2 eps <= 0.  Otherwise l_i >= 1/l - eps > 0 makes the pair
-    causal, and eps1 >= l_i - minLl gives maxLl >= minLl >= l_i - eps1 >=
-    1/l - 2 eps.  Only rounding could break it; a property test pins it
-    against a whole-array evaluation."""
-    (ti, _), _, (tl, _) = _cross_states(seq, i, k)
+    is a max, a count or an all, exact and independent of the blocks."""
     # i-state -> limit neighbours, and limit-state -> i neighbours
     near_l = _search(seq, i, k, delta, limit_side=False)
     near_i = _search(seq, i, k, delta, limit_side=True)
-    Li = _CoverSeparations.of(seq.cones[i], seq.covers[i][k - 1])
 
     # property (2): limit pairs against the member's nearby values.  The
     # gap is -inf where no pair was found, so it never raises the max there
@@ -490,12 +633,8 @@ def _moduli(seq: ConeSequence, i: int, k: int, levels, delta: float, Ll):
         eps1 = max(eps1, float(np.max(gap, where=causal, initial=0.0)))
         if lost.any():
             unmatched += int(np.count_nonzero(causal & lost))
-    return [ConvergenceModulus(
-        i=i, k=k, l=l, delta=float(delta), eps1=eps1, eps2=e2,
-        inclusion1=True, inclusion2=inc2, level_set_empty=top < 1.0 / l,
-        unmatched_pairs=unmatched + unmatched_l)
-        for l, e2, inc2, unmatched_l in zip(
-            levels, eps2, inclusion2, unmatched2)]
+    return _report(i, k, levels, delta, eps1, unmatched, top, eps2,
+                   inclusion2, unmatched2)
 
 
 def _require_cover_level(k, depth: int) -> None:
@@ -571,20 +710,32 @@ def ell_converge_check(seq: ConeSequence, schedule=None) -> dict:
                              f"a number l > 0") from None
     nlast = len(seq.cones) - 1
     gh = {k: covered_gh(seq, k) for k in range(1, seq.depth + 1)}
-    # one neighbour search per (i, k) serves every level l scheduled at k
+    # one modulus pass per (i, k) serves every level l scheduled at k
+    levels = {k: list(dict.fromkeys(l for kk, l in schedule if kk == k))
+              for k, _ in schedule}
+
+    def separations(cone, cover):
+        # every scheduled level's block cut from one block at the deepest:
+        # the levels are nested, so its box holds each smaller one's
+        deep = cover[max(levels) - 1]
+        outer = (cone.lower_block(deep.t_lo, deep.t_hi), deep)
+        return {k: _CoverSeparations.of(cone, cover[k - 1], outer)
+                for k in levels}
+
     found = {}
-    for k in dict.fromkeys(k for k, _ in schedule):
-        levels = list(dict.fromkeys(l for kk, l in schedule if kk == k))
-        Ll = _CoverSeparations.of(seq.limit, seq.covers[-1][k - 1])
-        for i in range(len(seq.cones)):
+    Ll = separations(seq.limit, seq.covers[-1])
+    for i, c in enumerate(seq.cones):
+        Li = separations(c, seq.covers[i])
+        for k in levels:
             # verdicts compare transported states, so the neighborhood only
             # needs to absorb the witness misalignment: a macroscopic delta
             # would fold in the delta-oscillation of the separation near the
             # light cone, which does not shrink along the sequence
             d = seq.alignment[(i, k)] * (1 + 1e-9) + 1e-9
-            for m in _moduli(seq, i, k, levels, d, Ll):
+            # a member's level is read once: drop its read forms after it
+            for m in _moduli(seq, i, k, levels[k], d, Ll[k], Li.pop(k)):
                 found[(i, k, m.l)] = m
-        del Ll
+    del Ll
     moduli = {(i, k, l): found[(i, k, l)]
               for k, l in schedule for i in range(len(seq.cones))}
     dt = float(np.diff(seq.limit.f.ts).max())

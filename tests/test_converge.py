@@ -5,7 +5,7 @@ import conelab.converge as converge
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
@@ -470,12 +470,32 @@ def test_ell_converge_keeps_no_whole_array(cos_seq):
     assert peak <= 11 * (converge.MODULUS_BLOCK + nx) * s * 8 + 6 * block
 
 
+def test_ell_converge_searched_keeps_no_whole_array():
+    # the bound of the test above on the searched path: a witness that
+    # sends two fiber points to one is no matching, so each modulus
+    # searches and reads its cover blocks by rows
+    seq = cone_sequence([cos_family_cone(i) for i in (1, 16)],
+                        cos_family_limit(), depth=2)
+    for key, (to_limit, dist) in list(seq.fiber_maps.items()):
+        seq.fiber_maps[key] = (np.minimum(to_limit, NX - 2), dist)
+    lv = seq.covers[-1][-1]
+    nx, s = lv.fiber_idx.size, _states(seq.limit, lv)[0].size
+    block = lv.time_indices.size ** 2 * seq.limit.m * 8
+    ell_converge_check(seq)     # stores the rows bracket_width reads
+    tracemalloc.start()
+    try:
+        assert _search_calls(lambda: ell_converge_check(seq)) == 8
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * (converge.MODULUS_BLOCK + nx) * s * 8 + 6 * block
+
+
 def test_ell_converge_reads_each_cover_in_one_kernel_call():
-    # every cone's cover block at one level comes from one lower-DP call
-    # cut after the cover's t_hi, and is not stored: 6 cones x 2 levels.
-    # So level 2 computes its whole box of 33 time rows, the 17 of level 1
-    # again among them, where rows stored at level 1 once left it 16 to
-    # compute out to the cone's last time.  Then bracket_width completes
+    # every cone's cover blocks come from one lower-DP call at the deepest
+    # level, cut after its t_hi, and are not stored: 6 cones, one call
+    # each.  The levels are nested, so level 1's box of 17 time rows is cut
+    # from level 2's 33, not computed again.  Then bracket_width completes
     # the limit's and the last member's tables by _store's rule, which
     # builds a table whole when several rows are missing: one uncut lower
     # call of all 51 rows and one upper call each
@@ -497,7 +517,7 @@ def test_ell_converge_reads_each_cover_in_one_kernel_call():
         mp.setattr(GeneralizedCone, "_lower_rows", counting)
         mp.setattr(GeneralizedCone, "_build_upper", counting_upper)
         ell_converge_check(seq)
-    assert calls == [(17, 34)] * 6 + [(33, 42)] * 6 + [(51, None)] * 2
+    assert calls == [(33, 42)] * 6 + [(51, None)] * 2
     assert upper == [51] * 2
 
 
@@ -865,6 +885,147 @@ def test_inclusion2_read_past_the_first_block():
             mp.setattr(converge, "MODULUS_BLOCK", block)
             got = _moduli(seq, 0, 1, levels, delta, _limit_cover(seq, 1))
         assert got == expected, block
+
+
+# -- the matched moduli against the searched and the whole-matrix ones -------
+
+
+@st.composite
+def _matched_problem(draw):
+    # a member on the limit's grid and fiber: its warping a positive
+    # perturbation of the limit's, its grid moved by 0, 4e-10 or 6e-10 per
+    # point, so at delta = 1e-9 some pairs of matched time rows are too
+    # far apart jointly, and any bijection of the ball as its witness
+    nt = draw(st.integers(3, 8))
+    ts = _grid(draw, nt)
+    X = _fiber(draw, draw(st.integers(1, 6)))
+    floats = lambda lo, hi: np.array(draw(st.lists(
+        st.floats(lo, hi), min_size=nt + 1, max_size=nt + 1)))
+    vals = floats(0.5, 1.5)
+    moved = np.array(draw(st.lists(st.sampled_from([0.0, 4e-10, 6e-10, 6e-10]),
+                                   min_size=nt + 1, max_size=nt + 1)))
+    moved[[0, -1]] = 0.0
+    member = GeneralizedCone(WarpingFunction(ts + moved, vals * floats(0.5, 3.0)),
+                             X, N=2.0)
+    seq = cone_sequence([member], GeneralizedCone(WarpingFunction(ts, vals),
+                                                  X, N=2.0), depth=1)
+    nb = seq.covers[-1][0].fiber_idx.size
+    seq.fiber_maps[(0, 1)] = (np.array(draw(st.permutations(range(nb)))),
+                              seq.fiber_maps[(0, 1)][1])
+    return seq
+
+
+def _both_paths(seq, i, k, levels, delta):
+    """The matched and the searched moduli of member i at cover level k."""
+    cost = converge._matching(seq, i, k, delta)
+    assert cost is not None
+    Ll = _limit_cover(seq, k)
+    Li = _CoverSeparations.of(seq.cones[i], seq.covers[i][k - 1])
+    return (converge._matched_moduli(seq, i, k, levels, delta, Ll, Li, cost),
+            converge._searched_moduli(seq, i, k, levels, delta, Ll, Li))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matched_problem())
+def test_matched_moduli_equal_searched_and_whole(seq):
+    # a moved grid point can leave a cover's window, and then the time rows
+    # no longer pair: such a draw is not a matching
+    assume(converge._matching(seq, 0, 1, 1e-9) is not None)
+    levels = [1, 2, 4, 8]
+    matched, searched = _both_paths(seq, 0, 1, levels, 1e-9)
+    assert matched == reference_moduli(seq, 0, 1, levels, 1e-9)
+    assert matched == searched
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_matched_moduli_equal_searched_on_cos_family(depth):
+    # each member at ell_converge_check's delta, on the deepest cover level
+    seq = cone_sequence([cos_family_cone(i) for i in (1, 2, 4, 8, 16)],
+                        cos_family_limit(), depth=depth)
+    for i in range(5):
+        delta = seq.alignment[(i, depth)] * (1 + 1e-9) + 1e-9
+        matched, searched = _both_paths(seq, i, depth, [1, 2, 4, 8], delta)
+        assert matched == searched, i
+
+
+def _search_calls(run):
+    """The number of `_search` calls that run() makes."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    search = converge._search
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(converge, "_search", counting)
+        run()
+    return len(calls)
+
+
+def test_moduli_take_the_search_unless_matched(cos_seq):
+    # default_delta crowds the rows
+    assert _search_calls(lambda: uniform_modulus(cos_seq, 4, 1, 2)) == 2
+    # a member ball of more points than the limit's: the witness sends
+    # two of them to one limit point; then a witness that does so on
+    # balls of one size
+    seq = cone_sequence([cos_family_cone(4, nx=NX + 10)], cos_family_limit(),
+                        depth=1)
+    assert seq.covers[0][0].fiber_idx.size > seq.covers[-1][0].fiber_idx.size
+    assert _search_calls(lambda: uniform_modulus(seq, 0, 1, 2,
+                                                 delta=1e-9)) == 2
+    seq = cone_sequence([cos_family_cone(4)], cos_family_limit(), depth=1)
+    to_limit, dist = seq.fiber_maps[(0, 1)]
+    seq.fiber_maps[(0, 1)] = (np.minimum(to_limit, NX - 2), dist)
+    assert _search_calls(lambda: uniform_modulus(seq, 0, 1, 2,
+                                                 delta=1e-9)) == 2
+    # a member grid moved by a quarter step: no time row pairs within delta
+    ts = np.linspace(-math.pi / 2 * 0.98, math.pi / 2 * 0.98, NT + 1)
+    moved = GeneralizedCone(
+        WarpingFunction(ts + 0.25 * (ts[1] - ts[0]), np.cos(ts) ** 0.25),
+        segment(1.0, NX), N=2.0, window=8)
+    seq = cone_sequence([moved], cos_family_limit(), depth=1)
+    assert _search_calls(lambda: uniform_modulus(seq, 0, 1, 2,
+                                                 delta=1e-9)) == 2
+    # a limit fiber whose diagonal is not exactly 0.0 (its metric allows
+    # 1e-9): the fiber term would add to the cost of a matched pair
+    X = segment(1.0, NX)
+    X = FiniteMetricSpace(X.dist + 1e-12 * np.eye(NX), X.base)
+    seq = cone_sequence([cos_family_cone(4)], GeneralizedCone(
+        cos_family_limit().f, X, N=2.0, window=8), depth=1)
+    assert _search_calls(lambda: uniform_modulus(seq, 0, 1, 2,
+                                                 delta=1e-9)) == 2
+    # the cos family at ell_converge_check's delta is a matching
+    assert _search_calls(lambda: ell_converge_check(cos_seq)) == 0
+
+
+def test_cos_converge_sixth_member_at_depth_3():
+    # the benchmark's cos^(1/i) family (101 x 101 x 51) at cover depth 3
+    # reads INCONCLUSIVE with five members: the last member's k = 3
+    # modulus, 0.0885, is above pass_scale 0.0776.  A sixth member, i = 32,
+    # brings it to 0.0498 (a ratio of 0.56, as between the earlier
+    # members), below its pass_scale 0.0616: so it was an effect of the
+    # sequence's length.  Every member takes the matched path
+    ts = np.linspace(-math.pi / 2 * 0.98, math.pi / 2 * 0.98, 101)
+    cone = lambda vals: GeneralizedCone(WarpingFunction(ts, vals),
+                                        segment(1.0, 51), dist_steps=50,
+                                        window=8)
+    fam = [cone(np.cos(ts) ** (1.0 / i)) for i in (1, 2, 4, 8, 16, 32)]
+    limit = cone(np.ones(101))
+    for members, verdict, worst, scale in (
+            (fam[:5], "INCONCLUSIVE", 0.08853316721427282, 0.07761564814832608),
+            (fam, "PASS", 0.049789606535387526, 0.0615752160103602)):
+        seq = cone_sequence(members, limit, depth=3)
+        reports = []
+        assert _search_calls(
+            lambda: reports.append(ell_converge_check(seq))) == 0
+        rep, last = reports[0], len(members) - 1
+        assert rep["verdict"] == verdict
+        assert rep["pass_scale"] == pytest.approx(scale, rel=1e-12)
+        assert max(max(m["eps1"], m["eps2"])
+                   for key, m in rep["moduli"].items()
+                   if key.startswith(f"{last},3,")) == pytest.approx(
+                       worst, rel=1e-12)
 
 
 # -- the time-row neighbour search against the whole-row search -------------
